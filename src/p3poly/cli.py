@@ -43,7 +43,7 @@ class CliError(Exception):
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_output(path_str: str, payload: str) -> None:
@@ -254,9 +254,7 @@ def _cmd_simulate(args) -> str:
 def _cmd_project(args) -> str:
     point = _load_behaviour_point(args.input)
     try:
-        result = manifold.project(
-            point, starts=args.starts, max_iter=args.max_iter, grad_tol=args.grad_tol
-        )
+        result = manifold.project(point)
     except ValueError as exc:
         raise CliError(str(exc))
     return _json_text(result.to_json_dict())
@@ -275,10 +273,9 @@ def _test_point_mode(args) -> dict:
         raise CliError(str(exc))
     projection_observed = manifold.project(observed)
     projection_expected = manifold.project(expected)
-    try:
-        score = manifold.normalized_score(observed, expected)
-    except ValueError:
-        score = None  # reference already on the manifold
+    score = None  # reference already on the manifold
+    if projection_expected.distance > manifold.DEGENERATE_TOL:
+        score = projection_observed.distance / projection_expected.distance
     return {
         "mode": "point",
         "report": report.to_json_dict(),
@@ -399,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="project a behaviour point onto the uncorrelated manifold")
     p.add_argument("--input", required=True, help="behaviour point JSON (or simulate output)")
-    p.add_argument("--starts", type=int, default=9)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--grad-tol", type=float, default=1e-9)
     add_common(p)
 
     p = sub.add_parser("test", help="statistical comparison of expected vs observed")

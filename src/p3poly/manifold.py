@@ -4,9 +4,13 @@ In the reduced 8-coordinate representation the behaviours reachable without
 any correlation between the two end wings form a 4-parameter surface: the
 four marginals (a0, a1, c0, c1) are free in [0, 1] and every composite
 coordinate is the product of its marginals.  This module embeds parameter
-tuples, tests membership, projects arbitrary points onto the surface by
-multi-start projected gradient descent, and turns projection distances into
-a normalized nonclassicality score.
+tuples, tests membership, projects arbitrary points onto the surface, and
+turns projection distances into a normalized nonclassicality score.
+
+Projection uses variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
+10, 1973): for fixed first-wing marginals a = (a0, a1) the objective is a
+separable convex quadratic in each c_j, so the best c is a clipped closed
+form and the 4-D problem reduces to a 2-D one over a.
 """
 
 from __future__ import annotations
@@ -17,23 +21,19 @@ import numpy as np
 
 from .strategies import BehaviourPoint, REDUCED_8
 
-_ARMIJO_C = 1e-4
-_BACKTRACK = 0.5
-_MIN_STEP = 1e-16
+# Reduced-objective grid over (a0, a1), one column per grid point in row-major
+# order; every 8-neighbour local minimum of the grid seeds a polish run.
+_GRID_SIZE = 65
+_GRID_AXIS = np.linspace(0.0, 1.0, _GRID_SIZE)
+_GRID_A = np.stack(np.meshgrid(_GRID_AXIS, _GRID_AXIS, indexing="ij")).reshape(2, -1)
+_MAX_SWEEPS = 10_000
+_STEP_TOL = 1e-12
+# Norm bound on the box-projected gradient for a result to count as converged.
+_KKT_TOL = 1e-9
 
-# Fixed lattice of optimizer starts (the target's own marginals are always
-# appended as a final start).
-_LATTICE_STARTS = (
-    (0.25, 0.25, 0.25, 0.25),
-    (0.50, 0.50, 0.50, 0.50),
-    (0.75, 0.75, 0.75, 0.75),
-    (0.25, 0.25, 0.75, 0.75),
-    (0.75, 0.75, 0.25, 0.25),
-    (0.25, 0.75, 0.25, 0.75),
-    (0.75, 0.25, 0.75, 0.25),
-    (0.25, 0.75, 0.75, 0.25),
-    (0.75, 0.25, 0.25, 0.75),
-)
+# A reference point closer than this to the manifold has no meaningful scale
+# for normalized_score.
+DEGENERATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -124,92 +124,90 @@ class ProjectionResult:
         }
 
 
-def _descend(
-    start: np.ndarray, target: np.ndarray, max_iter: int, grad_tol: float
-) -> tuple[np.ndarray, float, int, bool]:
-    x = np.clip(start, 0.0, 1.0)
-    value = projection_objective(x, target)
-    for iteration in range(1, max_iter + 1):
-        grad = projection_gradient(x, target)
-        # Gradient components pushing against an active box face do not count
-        # toward the stationarity measure.
-        projected = grad.copy()
-        projected[(x <= 0.0) & (grad > 0.0)] = 0.0
-        projected[(x >= 1.0) & (grad < 0.0)] = 0.0
-        if np.linalg.norm(projected) <= grad_tol:
-            return x, value, iteration - 1, True
-        step = 1.0
-        while step >= _MIN_STEP:
-            candidate = np.clip(x - step * grad, 0.0, 1.0)
-            trial = projection_objective(candidate, target)
-            if trial <= value - _ARMIJO_C * float(grad @ (x - candidate)):
-                break
-            step *= _BACKTRACK
-        else:
-            # No step produced sufficient decrease: stuck at machine precision.
-            return x, value, iteration, False
-        x, value = candidate, trial
-    grad = projection_gradient(x, target)
-    projected = grad.copy()
-    projected[(x <= 0.0) & (grad > 0.0)] = 0.0
-    projected[(x >= 1.0) & (grad < 0.0)] = 0.0
-    return x, value, max_iter, bool(np.linalg.norm(projected) <= grad_tol)
+def _best_block(fixed: np.ndarray, t_block: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Exact minimizer over one wing's marginals with the other wing's fixed.
+
+    ``t_block`` holds the targets of the free marginals and ``cross[i, j]``
+    the target of fixed_i * free_j; ``fixed`` may hold one point per column.
+    Each free marginal enters a convex quadratic with curvature
+    1 + |fixed|^2, so clipping its stationary point to [0, 1] is exact.
+    """
+    norm = 1.0 + (fixed * fixed).sum(axis=0)
+    return np.clip((t_block + cross.T @ fixed) / norm, 0.0, 1.0)
 
 
-def project(
-    point: BehaviourPoint,
-    starts: int = 9,
-    max_iter: int = 2000,
-    grad_tol: float = 1e-9,
-) -> ProjectionResult:
+def _grid_starts(target: np.ndarray) -> np.ndarray:
+    """Grid points a whose reduced objective min_c F(a, c) is no larger than
+    at any of their 8 neighbours, one per row in row-major order."""
+    c = _best_block(_GRID_A, target[2:4, None], target[4:].reshape(2, 2))
+    r = _embed_array(np.concatenate([_GRID_A, c])) - target[:, None]
+    values = (r * r).sum(axis=0).reshape(_GRID_SIZE, _GRID_SIZE)
+    # 3x3 neighbourhood minimum, taken along rows and then along columns.
+    m = np.pad(values, 1, constant_values=np.inf)
+    m = np.minimum(np.minimum(m[:-2], m[1:-1]), m[2:])
+    m = np.minimum(np.minimum(m[:, :-2], m[:, 1:-1]), m[:, 2:])
+    return _GRID_A[:, np.flatnonzero(values <= m)].T
+
+
+def _polish(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
+    """Alternate exact block updates a | c and c | a, from a and the best c | a.
+
+    The objective never rises above its starting grid value.  Returns the
+    parameters and the number of sweeps taken to a step of ``_STEP_TOL``.
+    """
+    t_a, t_c, cross = target[:2], target[2:4], target[4:].reshape(2, 2)
+    c = _best_block(a, t_c, cross)
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        new_a = _best_block(c, t_a, cross.T)
+        new_c = _best_block(new_a, t_c, cross)
+        step = max(np.abs(new_a - a).max(), np.abs(new_c - c).max())
+        a, c = new_a, new_c
+        if step <= _STEP_TOL:
+            break
+    return np.concatenate([a, c]), sweep
+
+
+def project(point: BehaviourPoint) -> ProjectionResult:
     """Closest uncorrelated behaviour to ``point`` in Euclidean distance.
 
-    Runs projected gradient descent with Armijo backtracking from ``starts``
-    fixed lattice points plus the target's own marginals, and keeps the best
-    minimum (ties resolved in favour of the earliest start, so results are
-    deterministic).
+    Evaluates the reduced objective min_c F(a, c) on a fixed 65x65 grid over
+    the first-wing marginals, polishes from every grid local minimum with
+    alternating closed-form block updates, and keeps the best result (ties
+    go to the first minimum in row-major order, so results are
+    deterministic).  ``iterations`` counts the polish sweeps of the winning
+    start; ``converged`` is set only when the box-projected gradient (the
+    KKT residual) has norm at most 1e-9.
     """
     if point.representation != REDUCED_8:
         raise ValueError("projection is defined for reduced-8 points")
-    if not 0 <= starts <= len(_LATTICE_STARTS):
-        raise ValueError(f"starts must lie in 0..{len(_LATTICE_STARTS)}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     target = point.as_array()
-    start_list = [np.array(s) for s in _LATTICE_STARTS[:starts]]
-    start_list.append(target[:4].copy())
-    best = None
-    for start in start_list:
-        x, value, iterations, converged = _descend(start, target, max_iter, grad_tol)
-        if best is None or value < best[1]:
-            best = (x, value, iterations, converged)
-    x, value, iterations, converged = best
-    params = ManifoldParams(*(float(v) for v in np.clip(x, 0.0, 1.0)))
-    value = max(value, 0.0)
+    runs = [_polish(a, target) for a in _grid_starts(target)]
+    x, sweeps = min(runs, key=lambda run: projection_objective(run[0], target))
+    value = projection_objective(x, target)
+    # KKT residual: only gradient components that point into the box count.
+    grad = projection_gradient(x, target)
+    grad[(x <= 0.0) & (grad > 0.0)] = 0.0
+    grad[(x >= 1.0) & (grad < 0.0)] = 0.0
+    params = ManifoldParams(*(float(v) for v in x))
     return ProjectionResult(
         params=params,
         point=embed(params),
         squared_distance=value,
         distance=float(np.sqrt(value)),
-        iterations=iterations,
-        converged=converged,
+        iterations=sweeps,
+        converged=bool(np.linalg.norm(grad) <= _KKT_TOL),
     )
 
 
-def normalized_score(
-    observed: BehaviourPoint,
-    reference: BehaviourPoint,
-    degenerate_tol: float = 1e-8,
-    **project_options,
-) -> float:
+def normalized_score(observed: BehaviourPoint, reference: BehaviourPoint) -> float:
     """Projection distance of ``observed`` relative to a reference point.
 
     Both points are projected onto the uncorrelated manifold; the score is
     the ratio of their distances, 1.0 meaning "as far from uncorrelated as
-    the reference".  A reference already on the manifold (distance below
-    ``degenerate_tol``) has no meaningful scale and raises ValueError.
+    the reference".  A reference already on the manifold (distance at most
+    ``DEGENERATE_TOL``) has no meaningful scale and raises ValueError.
     """
-    reference_distance = project(reference, **project_options).distance
-    if reference_distance <= degenerate_tol:
+    reference_distance = project(reference).distance
+    if reference_distance <= DEGENERATE_TOL:
         raise ValueError("degenerate reference: it already lies on the manifold")
-    return project(observed, **project_options).distance / reference_distance
+    return project(observed).distance / reference_distance

@@ -12,6 +12,7 @@ collapses the table to 16 distinct vertices in 8 coordinates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -211,6 +212,8 @@ class BehaviourPoint:
         cleaned = []
         for x in self.coords:
             x = float(x)
+            if not math.isfinite(x):
+                raise ValueError(f"coordinate {x} is not finite")
             if x < -_COORD_TOL or x > 1.0 + _COORD_TOL:
                 raise ValueError(f"coordinate {x} outside [0, 1]")
             cleaned.append(min(max(x, 0.0), 1.0))
@@ -249,7 +252,11 @@ class BehaviourPoint:
             raise ValueError("behaviour point JSON needs 'representation' and 'coords'")
         _check_representation(representation)
         shape = _REPRESENTATIONS[representation][0]
-        return cls(tuple(float(x) for x in coords), shape, representation)
+        try:
+            values = tuple(float(x) for x in coords)
+        except TypeError:
+            raise ValueError("behaviour point 'coords' must be a list of numbers")
+        return cls(values, shape, representation)
 
 
 def behaviour_from_vertex(vertex) -> BehaviourPoint:

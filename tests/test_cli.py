@@ -341,6 +341,30 @@ def test_malformed_json_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, verb",
+    [("nan", "project"), ("nan", "test"), ("coords5", "project")],
+)
+def test_malformed_point_gives_one_error_line(tmp_path, capsys, name, verb):
+    points = {
+        "nan": {"representation": REDUCED_8, "coords": [float("nan")] * 8},
+        "coords5": {"representation": REDUCED_8, "coords": 5},
+    }
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(points[name]))
+    good = tmp_path / "pb.json"
+    good.write_text(json.dumps({"representation": REDUCED_8, "coords": list(P_B)}))
+    out = tmp_path / "out.json"
+    if verb == "project":
+        argv = ["project", "--input", str(bad)]
+    else:
+        argv = ["test", "--expected", str(good), "--observed", str(bad)]
+    assert main([*argv, "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_missing_input_file(tmp_path, capsys):
     out = tmp_path / "x.json"
     code = main(["project", "--input", str(tmp_path / "absent.json"), "--output", str(out)])

@@ -5,6 +5,8 @@ Core claims pinned here:
   * project(P_B) reproduces the frozen 1-D bisection oracle: symmetric
     parameters 0.564 +/- 0.002, squared distance within 1e-8 of 0.0918...
   * Projection of points already on the manifold returns distance ~ 0.
+  * Projection is never worse than a dense 401x401 grid over (a0, a1) with
+    closed-form (c0, c1), and every result carries a KKT certificate.
   * The analytic gradient matches central finite differences.
 """
 
@@ -71,11 +73,6 @@ def test_project_point_on_manifold_returns_zero():
 def test_project_requires_reduced_representation():
     with pytest.raises(ValueError):
         mf.project(st.BehaviourPoint.full([0.0] * 26))
-    point = st.BehaviourPoint.reduced(P_B)
-    with pytest.raises(ValueError):
-        mf.project(point, starts=10)
-    with pytest.raises(ValueError):
-        mf.project(point, max_iter=0)
 
 
 def test_project_embedded_points_fuzz():
@@ -87,16 +84,62 @@ def test_project_embedded_points_fuzz():
 
 
 def test_project_never_worse_than_any_start():
-    # Descent is monotone, so the claim holds at any iteration budget; a
-    # small budget keeps the fuzz loop fast.
+    lattice = (
+        (0.25, 0.25, 0.25, 0.25),
+        (0.50, 0.50, 0.50, 0.50),
+        (0.75, 0.75, 0.75, 0.75),
+        (0.25, 0.25, 0.75, 0.75),
+        (0.75, 0.75, 0.25, 0.25),
+        (0.25, 0.75, 0.25, 0.75),
+        (0.75, 0.25, 0.75, 0.25),
+        (0.25, 0.75, 0.75, 0.25),
+        (0.75, 0.25, 0.25, 0.75),
+    )
     rng = np.random.default_rng(103)
     for _ in range(20):
         target = st.BehaviourPoint.reduced(rng.uniform(0, 1, size=8))
-        result = mf.project(target, max_iter=300)
+        result = mf.project(target)
         arr = target.as_array()
-        for start in mf._LATTICE_STARTS:
+        for start in lattice:
             start_value = mf.projection_objective(np.array(start), arr)
             assert result.squared_distance <= start_value + 1e-12
+
+
+def _grid_oracle(t, n=401):
+    """Best squared distance over an n x n grid of (a0, a1), closed-form c."""
+    a0 = np.linspace(0.0, 1.0, n)[:, None]
+    a1 = np.linspace(0.0, 1.0, n)[None, :]
+    norm = 1.0 + a0 * a0 + a1 * a1
+    c0 = np.clip((t[2] + a0 * t[4] + a1 * t[6]) / norm, 0.0, 1.0)
+    c1 = np.clip((t[3] + a0 * t[5] + a1 * t[7]) / norm, 0.0, 1.0)
+    values = (
+        (a0 - t[0]) ** 2 + (a1 - t[1]) ** 2 + (c0 - t[2]) ** 2 + (c1 - t[3]) ** 2
+        + (a0 * c0 - t[4]) ** 2 + (a0 * c1 - t[5]) ** 2
+        + (a1 * c0 - t[6]) ** 2 + (a1 * c1 - t[7]) ** 2
+    )
+    return float(values.min())
+
+
+def test_project_never_worse_than_dense_grid():
+    rng = np.random.default_rng(109)
+    for _ in range(100):
+        target = rng.uniform(0, 1, size=8)
+        result = mf.project(st.BehaviourPoint.reduced(target))
+        assert result.squared_distance <= _grid_oracle(target) + 1e-12
+
+
+def test_project_converges_with_kkt_certificate():
+    rng = np.random.default_rng(113)
+    for _ in range(1000):
+        target = rng.uniform(0, 1, size=8)
+        result = mf.project(st.BehaviourPoint.reduced(target))
+        x = result.params.as_array()
+        grad = mf.projection_gradient(x, target)
+        # Only gradient components that point into the box [0, 1]^4 count.
+        grad[(x <= 0.0) & (grad > 0.0)] = 0.0
+        grad[(x >= 1.0) & (grad < 0.0)] = 0.0
+        assert result.converged
+        assert np.linalg.norm(grad) <= 1e-9
 
 
 def test_gradient_matches_finite_differences():

@@ -139,6 +139,14 @@ def test_behaviour_point_validation():
     assert dusty.coords[0] == 1.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_behaviour_point_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        st.BehaviourPoint.reduced([bad] + [0.5] * 7)
+    with pytest.raises(ValueError, match="not finite"):
+        st.BehaviourPoint.full([0.5] * 25 + [bad])
+
+
 def test_behaviour_point_isclose():
     p = st.BehaviourPoint.reduced([0.5] * 8)
     q = st.BehaviourPoint.reduced([0.5 + 5e-13] * 8)
@@ -154,6 +162,8 @@ def test_behaviour_point_json_roundtrip():
     assert again == point
     with pytest.raises(ValueError):
         st.BehaviourPoint.from_json_dict({"coords": [0.5] * 8})
+    with pytest.raises(ValueError, match="list of numbers"):
+        st.BehaviourPoint.from_json_dict({"representation": st.REDUCED_8, "coords": 5})
 
 
 def test_csv_export_full():
