@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -51,15 +54,22 @@ def _write_output(path_str: str, payload: str) -> None:
         sys.stdout.write(payload)
         return
     path = Path(path_str)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = None
     try:
-        tmp.write_text(payload)
-        tmp.replace(path)
+        # A unique name in the target directory, so the final rename is
+        # atomic and no other file, nor a concurrent writer, is clobbered.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        with os.fdopen(fd, "w") as handle:
+            handle.write(payload)
+        # mkstemp creates the file 0600; give it the mode a plain open would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
     except OSError as exc:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
         raise CliError(f"cannot write output file {path_str!r}: {exc}")
 
 

@@ -174,19 +174,23 @@ def _closed_neighborhood_masks(graph: VisibilityGraph) -> list[int]:
     return masks
 
 
-def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
-    """Exhaustively check whether some ``size``-subset covers every node."""
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    masks = _closed_neighborhood_masks(graph)
-    full = (1 << graph.node_count) - 1
-    for combo in combinations(range(graph.node_count), size):
+def _first_cover(masks: list[int], size: int) -> tuple[int, ...] | None:
+    # First ``size``-subset, in lexicographic order, covering every node; None if none.
+    full = (1 << len(masks)) - 1
+    for combo in combinations(range(len(masks)), size):
         union = 0
         for i in combo:
             union |= masks[i]
         if union == full:
-            return True
-    return False
+            return combo
+    return None
+
+
+def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
+    """Exhaustively check whether some ``size``-subset covers every node."""
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    return _first_cover(_closed_neighborhood_masks(graph), size) is not None
 
 
 def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
@@ -197,14 +201,10 @@ def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
     """
     masks = _closed_neighborhood_masks(graph)
     n = graph.node_count
-    full = (1 << n) - 1
     for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            union = 0
-            for i in combo:
-                union |= masks[i]
-            if union == full:
-                return GeneratorSet(combo, frozenset(range(n)), n)
+        combo = _first_cover(masks, k)
+        if combo is not None:
+            return GeneratorSet(combo, frozenset(range(n)), n)
     raise ValueError("graph has no dominating set")  # unreachable for n >= 1
 
 

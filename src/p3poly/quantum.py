@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .strategies import (
+    COLUMN_EVENTS,
     BehaviourPoint,
     DeterministicStrategy,
     FULL_26,
@@ -42,6 +43,12 @@ def _as_complex_matrix(matrix) -> np.ndarray:
     return m
 
 
+def _check_finite(name: str, array: np.ndarray) -> None:
+    # NaN fails every tolerance comparison silently, so test for it first.
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has non-finite entries")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated quantum state.
@@ -55,6 +62,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = _as_complex_matrix(self.matrix)
+        _check_finite("density matrix", m)
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise ValueError(f"density matrix is not Hermitian (residual {herm:.3e})")
@@ -116,7 +124,8 @@ class MeasurementSet:
                 if len(setting) != d:
                     raise ValueError("all settings must have the same number of outcomes")
                 ops = tuple(_as_complex_matrix(op) for op in setting)
-                for op in ops:
+                for a, op in enumerate(ops):
+                    _check_finite(f"party {p} setting {s} outcome {a} projector", op)
                     op.flags.writeable = False
                 if dim is None:
                     dim = ops[0].shape[0]
@@ -194,6 +203,7 @@ class FullDistribution:
             raise ValueError(
                 f"table shape {t.shape} does not match scenario {(m,) * n + (d,) * n}"
             )
+        _check_finite("distribution table", t)
         if t.min() < -NORMALIZATION_TOL:
             raise ValueError(f"negative probability {t.min():.3e} in distribution")
         t = np.clip(t, 0.0, None)
@@ -234,72 +244,51 @@ def behaviour_from_state(
         raise ValueError(
             f"state dimension {rho.dim} does not match measurement space {measurements.total_dim}"
         )
+    # p(x, a) = sum_{i,j} rho[i_1..i_n, j_1..j_n] * prod_k P_k[x_k, a_k, j_k, i_k].
+    # Subscripts: i_k is k, j_k is n + k, x_k is 2n + k and a_k is 3n + k.
+    n = shape.n
+    operands = [rho.matrix.reshape(measurements.party_dims * 2), list(range(2 * n))]
+    for k, party in enumerate(measurements.projectors):
+        operands += [np.array(party), [2 * n + k, 3 * n + k, n + k, k]]
+    table = np.einsum(*operands, list(range(2 * n, 4 * n)))
+    return FullDistribution(shape, np.clip(table.real, 0.0, None))
+
+
+def _collapse_matrix(shape: ScenarioShape, representation: str) -> np.ndarray:
+    # Row c averages, over the settings of the parties column c leaves out,
+    # the probability that every party it names, at its named setting,
+    # produces outcome 0.  Columns follow table.ravel().
     n, m, d = shape.n, shape.m, shape.d
-    table = np.zeros((m,) * n + (d,) * n)
-    for settings in product(range(m), repeat=n):
-        for outcomes in product(range(d), repeat=n):
-            joint = np.array([[1.0 + 0.0j]])
-            for party, (x, a) in enumerate(zip(settings, outcomes)):
-                joint = np.kron(joint, measurements.projectors[party][x][a])
-            p = float(np.real(np.trace(rho.matrix @ joint)))
-            table[settings + outcomes] = max(p, 0.0)
-    return FullDistribution(shape, table)
+    index = np.indices((m,) * n + (d,) * n).reshape(2 * n, -1)
+    matrix = []
+    for events in COLUMN_EVENTS[representation]:
+        hit = np.ones(index.shape[1], dtype=bool)
+        for party, setting in events:
+            hit &= (index[party] == setting) & (index[n + party] == 0)
+        matrix.append(hit / m ** (n - len(events)))
+    return np.array(matrix)
 
 
-def _fixed_outcome_index(d: int) -> int:
-    # Behaviour coordinates track the probability of outcome 0.
-    return 0
+_COLLAPSE = {
+    shape: (_collapse_matrix(shape, representation), representation)
+    for shape, representation in ((FULL_SHAPE, FULL_26), (REDUCED_SHAPE, REDUCED_8))
+}
 
 
 def collapse(distribution: FullDistribution) -> BehaviourPoint:
     """Compress a full distribution to the canonical behaviour coordinates.
 
-    Single-wing coordinates are outcome-0 marginals averaged over the other
-    parties' settings (identical by no-signalling when it holds); composite
-    coordinates are joint outcome-0 probabilities at the matching settings.
-    Supports the two canonical scenarios: (3, 2, 2) -> 26 coordinates and
-    (2, 2, 2) -> 8 coordinates.
+    Each coordinate is the probability that every party its column name
+    lists, at the listed setting, produces outcome 0, averaged over the other
+    parties' settings (single-wing marginals are identical across those
+    settings by no-signalling when it holds).  Supports the two canonical
+    scenarios: (3, 2, 2) -> 26 coordinates and (2, 2, 2) -> 8 coordinates.
     """
     shape = distribution.shape
-    n, m, d = shape.n, shape.m, shape.d
-    if (n, m, d) not in ((3, 2, 2), (2, 2, 2)):
-        raise ValueError(f"no canonical behaviour representation for scenario {(n, m, d)}")
-    t = distribution.table
-    out0 = _fixed_outcome_index(d)
-
-    def marginal(party: int, setting: int) -> float:
-        # P(outcome_party = 0 | setting_party = setting), averaged over the
-        # other parties' settings.
-        outcome_axes = tuple(n + i for i in range(n) if i != party)
-        joint = t.sum(axis=outcome_axes)  # settings axes + party outcome axis
-        sliced = np.take(joint, out0, axis=n)
-        sliced = np.take(sliced, setting, axis=party)
-        return float(sliced.mean())
-
-    def pair(pa: int, sa: int, pb: int, sb: int) -> float:
-        outcome_axes = tuple(n + i for i in range(n) if i not in (pa, pb))
-        joint = t.sum(axis=outcome_axes) if outcome_axes else t
-        first, second = sorted((pa, pb))
-        sliced = np.take(joint, out0, axis=n + 1)
-        sliced = np.take(sliced, out0, axis=n)
-        sliced = np.take(sliced, sb if second == pb else sa, axis=second)
-        sliced = np.take(sliced, sa if first == pa else sb, axis=first)
-        return float(sliced.mean())
-
-    if n == 2:
-        coords = [marginal(0, 0), marginal(0, 1), marginal(1, 0), marginal(1, 1)]
-        coords.extend(pair(0, sa, 1, sc) for sa in (0, 1) for sc in (0, 1))
-        return BehaviourPoint.reduced(coords)
-
-    coords = [marginal(p, s) for p in range(3) for s in (0, 1)]
-    coords.extend(pair(0, sa, 1, sb) for sa in (0, 1) for sb in (0, 1))
-    coords.extend(pair(0, sa, 2, sc) for sa in (0, 1) for sc in (0, 1))
-    coords.extend(pair(1, sb, 2, sc) for sb in (0, 1) for sc in (0, 1))
-    for sa in (0, 1):
-        for sb in (0, 1):
-            for sc in (0, 1):
-                coords.append(float(t[sa, sb, sc, out0, out0, out0]))
-    return BehaviourPoint.full(coords)
+    if shape not in _COLLAPSE:
+        raise ValueError(f"no canonical behaviour representation for scenario {shape}")
+    matrix, representation = _COLLAPSE[shape]
+    return BehaviourPoint(tuple(matrix @ distribution.table.ravel()), shape, representation)
 
 
 def sample_behaviour(
@@ -311,23 +300,18 @@ def sample_behaviour(
 ) -> tuple[BehaviourPoint, np.ndarray]:
     """Finite-shot estimate of the behaviour point plus binomial standard errors.
 
-    Draws ``shots`` multinomial samples per joint setting (settings visited in
-    lexicographic order from a single seeded generator, so results are
-    reproducible), collapses the empirical distribution, and reports
+    Draws ``shots`` multinomial samples per joint setting (settings in
+    lexicographic order, one draw from a single seeded generator, so results
+    are reproducible), collapses the empirical distribution, and reports
     sqrt(p * (1 - p) / shots) per behaviour coordinate.
     """
     if shots < 1:
         raise ValueError("shots must be a positive integer")
-    exact = behaviour_from_state(rho, measurements, shape)
-    n, m, d = shape.n, shape.m, shape.d
+    table = behaviour_from_state(rho, measurements, shape).table
+    probs = table.reshape(shape.m**shape.n, shape.d**shape.n)
     rng = np.random.default_rng(seed)
-    empirical = np.zeros_like(exact.table)
-    for settings in product(range(m), repeat=n):
-        probs = exact.table[settings].reshape(d**n)
-        probs = probs / probs.sum()
-        counts = rng.multinomial(shots, probs)
-        empirical[settings] = (counts / shots).reshape((d,) * n)
-    point = collapse(FullDistribution(shape, empirical))
+    counts = rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
+    point = collapse(FullDistribution(shape, (counts / shots).reshape(table.shape)))
     estimates = point.as_array()
     errors = np.sqrt(estimates * (1.0 - estimates) / shots)
     return point, errors
@@ -359,11 +343,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("states live on spaces of different dimension")
-    diff = rho.matrix - sigma.matrix
-    residual = np.abs(diff - diff.conj().T).max()
-    if residual > 1e-8:
-        raise ValueError(f"difference is not Hermitian (residual {residual:.3e})")
-    eigs = np.linalg.eigvalsh(diff)
+    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(0.5 * np.abs(eigs).sum())
 
 
@@ -418,6 +398,7 @@ class LhvModel:
         wl = np.asarray(self.weights_left, dtype=float)
         wr = np.asarray(self.weights_right, dtype=float)
         for name, w in (("weights_left", wl), ("weights_right", wr)):
+            _check_finite(name, w)
             if w.ndim != 1 or w.size == 0:
                 raise ValueError(f"{name} must be a non-empty vector")
             if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
@@ -435,6 +416,7 @@ class LhvModel:
                 "response_middle must have shape (settings, left states, right states, outcomes)"
             )
         for name, table in (("response_first", a), ("response_middle", b), ("response_last", c)):
+            _check_finite(name, table)
             if table.min() < 0 or np.abs(table.sum(axis=-1) - 1.0).max() > 1e-9:
                 raise ValueError(f"{name} rows are not probability distributions")
         for name, array in (

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -37,15 +36,35 @@ TRI_NAMES = (
 FULL_COLUMN_NAMES = SINGLE_NAMES + PAIR_NAMES + TRI_NAMES
 REDUCED_COLUMN_NAMES = ("a0", "a1", "c0", "c1", "a0c0", "a0c1", "a1c0", "a1c1")
 
-# (first, middle, last) wing pairs feeding the 12 pair columns, as indices
-# into the singles block.
-_PAIR_INDICES = tuple(
-    [(a, 2 + b) for a in (0, 1) for b in (0, 1)]
-    + [(a, 4 + c) for a in (0, 1) for c in (0, 1)]
-    + [(2 + b, 4 + c) for b in (0, 1) for c in (0, 1)]
-)
-_TRI_INDICES = tuple((a, 2 + b, 4 + c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
-_REDUCED_PAIR_INDICES = tuple((a, 2 + c) for a in (0, 1) for c in (0, 1))
+# The event each behaviour coordinate records: every listed party, at its
+# listed setting, produces the flagged outcome.  A column name holds one
+# (party, setting) pair per wing letter, parties numbered in wing order, so
+# "a0b1c0" reads ((0, 0), (1, 1), (2, 0)).  Vertex products and the collapse
+# of full distributions are both derived from this map.
+COLUMN_EVENTS = {
+    representation: tuple(
+        tuple((wings.index(name[i]), int(name[i + 1])) for i in range(0, len(name), 2))
+        for name in names
+    )
+    for representation, names, wings in (
+        (FULL_26, FULL_COLUMN_NAMES, "abc"),
+        (REDUCED_8, REDUCED_COLUMN_NAMES, "ac"),
+    )
+}
+
+# The same events as bit masks over the singles block, where the bit of
+# party p at setting s sits at index 2 * p + s.
+_EVENT_MASKS = {
+    representation: tuple(sum(1 << (2 * p + s) for p, s in column) for column in events)
+    for representation, events in COLUMN_EVENTS.items()
+}
+
+
+def _event_products(singles: tuple[int, ...], representation: str) -> tuple[int, ...]:
+    # Coordinates of a deterministic behaviour.  Its singles are bits, so a column's
+    # product is 1 exactly when its mask is all set in word: (word & mask) // mask.
+    word = sum([bit << i for i, bit in enumerate(singles)])
+    return tuple([(word & mask) // mask for mask in _EVENT_MASKS[representation]])
 
 
 @dataclass(frozen=True)
@@ -70,7 +89,7 @@ _REPRESENTATIONS = {FULL_26: (FULL_SHAPE, 26), REDUCED_8: (REDUCED_SHAPE, 8)}
 
 
 def _check_representation(representation: str) -> None:
-    if representation not in _REPRESENTATIONS:
+    if not isinstance(representation, str) or representation not in _REPRESENTATIONS:
         raise ValueError(
             f"unknown representation {representation!r}; expected {FULL_26!r} or {REDUCED_8!r}"
         )
@@ -161,12 +180,8 @@ class VertexFull:
         _validate_bits("singles", self.singles, 6)
         _validate_bits("pairs", self.pairs, 12)
         _validate_bits("tris", self.tris, 8)
-        for value, (i, j) in zip(self.pairs, _PAIR_INDICES):
-            if value != self.singles[i] * self.singles[j]:
-                raise ValueError("pair block is not the product of its single entries")
-        for value, (i, j, k) in zip(self.tris, _TRI_INDICES):
-            if value != self.singles[i] * self.singles[j] * self.singles[k]:
-                raise ValueError("triple block is not the product of its single entries")
+        if self.coords != _event_products(self.singles, FULL_26):
+            raise ValueError("pair or triple block is not the product of its single entries")
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -182,9 +197,8 @@ class VertexReduced:
 
     def __post_init__(self) -> None:
         _validate_bits("coords", self.coords, 8)
-        for value, (i, j) in zip(self.coords[4:], _REDUCED_PAIR_INDICES):
-            if value != self.coords[i] * self.coords[j]:
-                raise ValueError("pair block is not the product of its single entries")
+        if self.coords != _event_products(self.singles, REDUCED_8):
+            raise ValueError("pair block is not the product of its single entries")
 
     @property
     def singles(self) -> tuple[int, ...]:
@@ -282,27 +296,25 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
 
 def vertex_from_strategy(strategy: DeterministicStrategy) -> VertexFull:
     """Map a deterministic strategy to its 26-coordinate extreme point."""
-    s = strategy.singles
-    pairs = tuple(s[i] * s[j] for i, j in _PAIR_INDICES)
-    tris = tuple(s[i] * s[j] * s[k] for i, j, k in _TRI_INDICES)
-    return VertexFull(s, pairs, tris)
+    coords = _event_products(strategy.singles, FULL_26)
+    return VertexFull(coords[:6], coords[6:18], coords[18:])
 
 
 def marginalize(vertex: VertexFull) -> VertexReduced:
     """Drop the middle wing: keep (a0, a1, c0, c1) and the first/last pairs."""
     s = vertex.singles
-    kept = (s[0], s[1], s[4], s[5])
-    pairs = tuple(kept[i] * kept[j] for i, j in _REDUCED_PAIR_INDICES)
-    return VertexReduced(kept + pairs)
+    return VertexReduced(_event_products(s[:2] + s[4:], REDUCED_8))
 
 
 def enumerate_reduced() -> list[VertexReduced]:
-    """The 16 distinct reduced vertices, ordered by their (a0, a1, c0, c1) bits."""
-    seen: dict[tuple[int, ...], VertexReduced] = {}
-    for strategy in enumerate_strategies():
-        reduced = marginalize(vertex_from_strategy(strategy))
-        seen.setdefault(reduced.coords, reduced)
-    return sorted(seen.values(), key=lambda v: v.coords)
+    """The 16 distinct reduced vertices, ordered by their (a0, a1, c0, c1) bits.
+
+    Marginalizing drops the middle wing, so the strategies with middle wing
+    index 0 give each reduced vertex once, already in that order.
+    """
+    return [
+        marginalize(vertex_from_strategy(s)) for s in enumerate_strategies() if s.middle.index == 0
+    ]
 
 
 def hamming_histogram(vertices) -> dict[int, int]:
@@ -352,8 +364,3 @@ def vertices_json(representation: str) -> str:
         "vertices": [list(row) for row in vertex_rows(representation)],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def setting_tuples(shape: ScenarioShape):
-    """Lexicographic iterator over joint setting tuples of a scenario."""
-    return product(range(shape.m), repeat=shape.n)

@@ -6,6 +6,7 @@ checked against the frozen references.  Also pins the determinism contract
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -343,12 +344,20 @@ def test_malformed_json_input(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name, verb",
-    [("nan", "project"), ("nan", "test"), ("coords5", "project")],
+    [
+        ("nan", "project"),
+        ("nan", "test"),
+        ("coords5", "project"),
+        ("rep_list", "project"),
+        ("rep_dict", "project"),
+    ],
 )
 def test_malformed_point_gives_one_error_line(tmp_path, capsys, name, verb):
     points = {
         "nan": {"representation": REDUCED_8, "coords": [float("nan")] * 8},
         "coords5": {"representation": REDUCED_8, "coords": 5},
+        "rep_list": {"representation": [REDUCED_8], "coords": [0] * 8},
+        "rep_dict": {"representation": {}, "coords": [0] * 8},
     }
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(points[name]))
@@ -376,3 +385,23 @@ def test_unwritable_output(tmp_path, capsys):
     code = main(["vertices", "--output", str(tmp_path / "nodir" / "out.csv")])
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_output_write_keeps_neighbouring_tmp_file(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    neighbour = tmp_path / "v.csv.tmp"
+    neighbour.write_bytes(b"user data\n")
+    assert main(["vertices", "--format", "csv", "--output", str(out)]) == 0
+    assert neighbour.read_bytes() == b"user data\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.csv", "v.csv.tmp"]
+    # A write that fails at the final rename (the target is a directory)
+    # leaves no temporary file behind.
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    assert main(["vertices", "--output", str(blocked)]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "v.csv", "v.csv.tmp"]
+    assert not any(blocked.iterdir())

@@ -10,7 +10,13 @@ Core claims pinned here:
   * Trace distance and fidelity agree with a scipy-based oracle and satisfy
     the Fuchs-van-de-Graaf style bounds.
   * collapse(lhv_evaluate(model)) reproduces every vertex bit-exactly.
+  * The Born-rule contraction matches the kron/trace formula on complex
+    projectors, and collapse matches a per-coordinate loop oracle on
+    signalling tables.
+  * Every numeric constructor rejects non-finite input.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ import scipy.linalg
 import scipy.stats
 
 from p3poly import quantum as qu
+from p3poly import stats as sta
 from p3poly import strategies as st
 
 from reference_tables import DELTA_BELL_PRODUCT, P_B, P_U, V_L1, V_L2
@@ -378,3 +385,145 @@ def test_quantum_distributions_normalized_and_nonsignalling():
         sums = dist.table.reshape(2, 2, 4).sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-10
         assert qu.no_signalling_check(dist, tol=1e-10)
+
+
+def kron_trace_table(rho, measurements, shape):
+    # Reference Born rule: one kron product and one trace per (settings, outcomes).
+    n, m, d = shape.n, shape.m, shape.d
+    table = np.zeros((m,) * n + (d,) * n)
+    for settings in product(range(m), repeat=n):
+        for outcomes in product(range(d), repeat=n):
+            joint = np.array([[1.0 + 0.0j]])
+            for party, (x, a) in enumerate(zip(settings, outcomes)):
+                joint = np.kron(joint, measurements.projectors[party][x][a])
+            table[settings + outcomes] = max(float(np.real(np.trace(rho.matrix @ joint))), 0.0)
+    return table
+
+
+def random_basis_projectors(dim, rng):
+    # Two outcomes from a random unitary basis: outcome 0 is the first basis
+    # vector, outcome 1 the rest.  The entries are complex, not symmetric.
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(g)
+    first = np.outer(q[:, 0], q[:, 0].conj())
+    return (first, np.eye(dim) - first)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (3, 2)])
+def test_born_rule_matches_kron_trace_reference(dims):
+    rng = np.random.default_rng(sum(dims) * 10 + len(dims))
+    shape = st.ScenarioShape(len(dims), 2, 2)
+    y_basis = (
+        qu._projector(np.array([1.0, 1.0j]) / np.sqrt(2.0)),
+        qu._projector(np.array([1.0, -1.0j]) / np.sqrt(2.0)),
+    )
+    for trial in range(20):
+        parties = []
+        for dim in dims:
+            first = y_basis if dim == 2 and trial % 2 == 0 else random_basis_projectors(dim, rng)
+            parties.append((first, random_basis_projectors(dim, rng)))
+        measurements = qu.MeasurementSet(tuple(parties))
+        rho = qu.random_density_matrix(int(np.prod(dims)), rng)
+        table = qu.behaviour_from_state(rho, measurements, shape).table
+        assert np.abs(table - kron_trace_table(rho, measurements, shape)).max() <= 1e-12
+
+
+def collapse_oracle(table, shape, names, wings):
+    # Per coordinate: outcome-0 probability of the named parties at their
+    # named settings, averaged over every joint setting of the others.
+    n = shape.n
+    coords = []
+    for name in names:
+        fixed = {wings.index(name[i]): int(name[i + 1]) for i in range(0, len(name), 2)}
+        total, count = 0.0, 0
+        for settings in product(range(shape.m), repeat=n):
+            if any(settings[p] != s for p, s in fixed.items()):
+                continue
+            count += 1
+            for outcomes in product(range(shape.d), repeat=n):
+                if all(outcomes[p] == 0 for p in fixed):
+                    total += table[settings + outcomes]
+        coords.append(total / count)
+    return np.array(coords)
+
+
+@pytest.mark.parametrize(
+    "shape, names, wings",
+    [
+        (st.REDUCED_SHAPE, st.REDUCED_COLUMN_NAMES, "ac"),
+        (st.FULL_SHAPE, st.FULL_COLUMN_NAMES, "abc"),
+    ],
+    ids=["reduced", "full"],
+)
+def test_collapse_matches_oracle_on_signalling_tables(shape, names, wings):
+    rng = np.random.default_rng(shape.n)
+    n, m, d = shape.n, shape.m, shape.d
+    for _ in range(25):
+        raw = rng.uniform(size=(m**n, d**n))
+        table = (raw / raw.sum(axis=1, keepdims=True)).reshape((m,) * n + (d,) * n)
+        dist = qu.FullDistribution(shape, table)
+        assert not qu.no_signalling_check(dist)
+        point = qu.collapse(dist).as_array()
+        assert np.abs(point - collapse_oracle(table, shape, names, wings)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sample_behaviour_matches_per_setting_draws(n):
+    # One multinomial call over all settings draws the same counts as one
+    # call per joint setting in lexicographic order.
+    rng = np.random.default_rng(n)
+    measurements = qu.MeasurementSet(
+        tuple((random_basis_projectors(2, rng), random_basis_projectors(2, rng)) for _ in range(n))
+    )
+    shape = st.ScenarioShape(n, 2, 2)
+    rho = qu.random_density_matrix(2**n, rng)
+    exact = qu.behaviour_from_state(rho, measurements, shape).table
+    for seed in range(5):
+        draws = np.random.default_rng(seed)
+        empirical = np.zeros_like(exact)
+        for settings in product(range(2), repeat=n):
+            probs = exact[settings].reshape(-1)
+            empirical[settings] = (draws.multinomial(1000, probs / probs.sum()) / 1000).reshape(
+                (2,) * n
+            )
+        point, _ = qu.sample_behaviour(rho, measurements, shape, 1000, seed=seed)
+        assert point == qu.collapse(qu.FullDistribution(shape, empirical))
+
+
+def _lhv_with(field, value):
+    arrays = {
+        "weights_left": np.array([1.0]),
+        "weights_right": np.array([1.0]),
+        "response_first": np.full((2, 1, 2), 0.5),
+        "response_middle": np.full((2, 1, 1, 2), 0.5),
+        "response_last": np.full((2, 1, 2), 0.5),
+    }
+    arrays[field] = arrays[field] * value
+    return qu.LhvModel(**arrays)
+
+
+_NAN_DIAG = np.diag([np.nan, 1.0])
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: qu.DensityMatrix(np.diag([np.nan, 1.0])), "density matrix"),
+        (lambda: qu.MeasurementSet((((_NAN_DIAG, np.eye(2) - _NAN_DIAG),),)), "projector"),
+        (
+            lambda: qu.FullDistribution(st.REDUCED_SHAPE, np.full((2, 2, 2, 2), np.nan)),
+            "distribution table",
+        ),
+        (lambda: _lhv_with("weights_right", np.nan), "weights_right"),
+        (lambda: _lhv_with("response_middle", np.nan), "response_middle"),
+        (lambda: sta.NoiseSpec(float("nan")), "sigma"),
+        (lambda: sta.NoiseSpec(float("inf")), "sigma"),
+    ],
+    ids=[
+        "DensityMatrix", "MeasurementSet", "FullDistribution", "LhvModel-weights",
+        "LhvModel-response", "NoiseSpec-nan", "NoiseSpec-inf",
+    ],
+)
+def test_constructors_reject_non_finite(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()

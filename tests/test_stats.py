@@ -222,6 +222,12 @@ def test_norms_ordering_fuzz():
         assert result.l2 == pytest.approx(np.linalg.norm(v))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_norms_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        sta.norms([0.5, bad])
+
+
 def test_calibration_t_test_small():
     # Smoke-level calibration; the full 1000-trial version lives in the
     # acceptance suite.
