@@ -171,12 +171,11 @@ def _cmd_graph(args) -> str:
         lines = ["x,y,z"]
         lines.extend(",".join(f"{value:.12g}" for value in row) for row in layout)
         return "\n".join(lines) + "\n"
-    edges = [[int(i), int(j)] for i in range(graph.node_count) for j in graph.neighbors(i) if i < j]
     payload = {
         "representation": representation,
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
-        "edges": edges,
+        "edges": graph.edges().tolist(),
     }
     if layout is not None:
         payload["layout"] = [[float(v) for v in row] for row in layout]
@@ -234,10 +233,7 @@ def _cmd_analyze(args) -> str:
 def _cmd_simulate(args) -> str:
     if args.shots < 0:
         raise CliError("shots must be non-negative")
-    try:
-        rho, measurements, shape = quantum.qkd_scenario(args.kind, args.noise)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    rho, measurements, shape = quantum.qkd_scenario(args.kind, args.noise)
     distribution = quantum.behaviour_from_state(rho, measurements, shape)
     audit = quantum.no_signalling_check(distribution)
     exact = quantum.collapse(distribution)
@@ -263,11 +259,7 @@ def _cmd_simulate(args) -> str:
 
 def _cmd_project(args) -> str:
     point = _load_behaviour_point(args.input)
-    try:
-        result = manifold.project(point)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return _json_text(result.to_json_dict())
+    return _json_text(manifold.project(point).to_json_dict())
 
 
 def _test_point_mode(args) -> dict:
@@ -277,10 +269,7 @@ def _test_point_mode(args) -> dict:
         if point.representation != REDUCED_8:
             raise CliError(f"{name} point must be reduced-8, got {point.representation}")
     sigma_d = stats.distance_sigma(expected, args.noise, absolute=args.absolute)
-    try:
-        report = stats.gaussian_separability(expected, observed, sigma_d, args.alpha)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = stats.gaussian_separability(expected, observed, sigma_d, args.alpha)
     projection_observed = manifold.project(observed)
     projection_expected = manifold.project(expected)
     score = None  # reference already on the manifold
@@ -302,25 +291,22 @@ def _test_samples_mode(args) -> dict:
         raise CliError(
             f"sample files disagree on column count ({expected.shape[1]} vs {observed.shape[1]})"
         )
-    try:
-        per_coordinate = [
-            {
-                "t_p_value": stats.two_sample_t(expected[:, k], observed[:, k]),
-                "ks_p_value": stats.two_sample_ks(expected[:, k], observed[:, k]),
-            }
-            for k in range(expected.shape[1])
-        ]
-        distance_block = None
-        if expected.shape[1] > 1:
-            center = expected.mean(axis=0)
-            dist_expected = np.linalg.norm(expected - center, axis=1)
-            dist_observed = np.linalg.norm(observed - center, axis=1)
-            distance_block = {
-                "t_p_value": stats.two_sample_t(dist_expected, dist_observed),
-                "ks_p_value": stats.two_sample_ks(dist_expected, dist_observed),
-            }
-    except ValueError as exc:
-        raise CliError(str(exc))
+    per_coordinate = [
+        {
+            "t_p_value": stats.two_sample_t(expected[:, k], observed[:, k]),
+            "ks_p_value": stats.two_sample_ks(expected[:, k], observed[:, k]),
+        }
+        for k in range(expected.shape[1])
+    ]
+    distance_block = None
+    if expected.shape[1] > 1:
+        center = expected.mean(axis=0)
+        dist_expected = np.linalg.norm(expected - center, axis=1)
+        dist_observed = np.linalg.norm(observed - center, axis=1)
+        distance_block = {
+            "t_p_value": stats.two_sample_t(dist_expected, dist_observed),
+            "ks_p_value": stats.two_sample_ks(dist_expected, dist_observed),
+        }
     p_values = [p for block in per_coordinate for p in block.values()]
     if distance_block:
         p_values.extend(distance_block.values())
@@ -336,6 +322,8 @@ def _test_samples_mode(args) -> dict:
 
 
 def _cmd_test(args) -> str:
+    if not 0.0 < args.alpha < 1.0:
+        raise CliError("alpha must lie strictly between 0 and 1")
     if args.mode == "point":
         return _json_text(_test_point_mode(args))
     return _json_text(_test_samples_mode(args))
@@ -344,12 +332,9 @@ def _cmd_test(args) -> str:
 def _cmd_bound(args) -> str:
     rho = _load_density_matrix(args.rho)
     sigma = _load_density_matrix(args.sigma)
-    try:
-        report = quantum.behaviour_bound_check(rho, sigma)
-        f = quantum.fidelity(rho, sigma)
-        bounds_hold = quantum.fidelity_bounds_check(rho, sigma)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = quantum.behaviour_bound_check(rho, sigma)
+    f = quantum.fidelity(rho, sigma)
+    bounds_hold = quantum.fidelity_bounds_check(rho, sigma)
     payload = {
         "behaviour": report.to_json_dict(),
         "fidelity": f,

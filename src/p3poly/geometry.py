@@ -90,6 +90,10 @@ class VisibilityGraph:
     def degree(self, node: int) -> int:
         return int(self.adjacency[node].sum())
 
+    def edges(self) -> np.ndarray:
+        """Node pairs ``(i, j)`` with ``i < j`` of every edge, in row-major order."""
+        return np.argwhere(np.triu(self.adjacency))
+
 
 def _wing_classes(representation: str) -> tuple[np.ndarray, np.ndarray]:
     # First-wing and last-wing class labels per canonical row index.
@@ -120,24 +124,18 @@ def build_visibility_graph(representation: str) -> VisibilityGraph:
 def all_pairs_shortest_paths(graph: VisibilityGraph) -> tuple[np.ndarray, int]:
     """Breadth-first APSP matrix and its maximum entry.
 
+    All sources advance together one level at a time: the next frontier is
+    every node adjacent to a reached node and not yet reached itself.
     Raises ValueError with the offending pair if the graph is disconnected.
     """
-    n = graph.node_count
-    neighbor_lists = [graph.neighbors(i) for i in range(n)]
-    dist = np.full((n, n), -1, dtype=int)
-    for source in range(n):
-        dist[source, source] = 0
-        frontier = [source]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for u in frontier:
-                for v in neighbor_lists[u]:
-                    if dist[source, v] < 0:
-                        dist[source, v] = level
-                        nxt.append(int(v))
-            frontier = nxt
+    reached = np.eye(graph.node_count, dtype=bool)
+    dist = np.where(reached, 0, -1)
+    for level in range(1, graph.node_count):
+        frontier = (reached @ graph.adjacency) & ~reached
+        if not frontier.any():
+            break
+        dist[frontier] = level
+        reached |= frontier
     if (dist < 0).any():
         i, j = map(int, np.argwhere(dist < 0)[0])
         raise ValueError(f"graph is disconnected: no path between nodes {i} and {j}")
@@ -164,14 +162,15 @@ class GeneratorSet:
         }
 
 
+def _closed_neighborhoods(graph: VisibilityGraph) -> np.ndarray:
+    # Row i marks node i and every node it sees.
+    return graph.adjacency | np.eye(graph.node_count, dtype=bool)
+
+
 def _closed_neighborhood_masks(graph: VisibilityGraph) -> list[int]:
-    masks = []
-    for i in range(graph.node_count):
-        mask = 1 << i
-        for j in graph.neighbors(i):
-            mask |= 1 << int(j)
-        masks.append(mask)
-    return masks
+    # Bit j of mask i is entry (i, j) of the closed neighbourhoods.
+    packed = np.packbits(_closed_neighborhoods(graph), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _first_cover(masks: list[int], size: int) -> tuple[int, ...] | None:
@@ -239,15 +238,10 @@ def verify_generator_set(graph: VisibilityGraph, members) -> CoverageReport:
     for m in members:
         if not 0 <= m < graph.node_count:
             raise ValueError(f"node index {m} out of range for {graph.node_count} nodes")
-    covered: set[int] = set()
-    newly = []
-    totals = []
-    for m in members:
-        closed = {m} | {int(j) for j in graph.neighbors(m)}
-        newly.append(len(closed - covered))
-        covered |= closed
-        totals.append(len(covered))
-    return CoverageReport(members, tuple(newly), tuple(totals), len(covered) == graph.node_count)
+    covered = np.logical_or.accumulate(_closed_neighborhoods(graph)[list(members)])
+    totals = covered.sum(axis=1).tolist()
+    newly = np.diff(totals, prepend=0).tolist()
+    return CoverageReport(members, tuple(newly), tuple(totals), bool(covered[-1].all()))
 
 
 def segment(p: BehaviourPoint, q: BehaviourPoint, omega: float) -> BehaviourPoint:
@@ -287,9 +281,6 @@ def graph_to_dot(graph: VisibilityGraph) -> str:
     """Graphviz DOT text with nodes labelled by canonical row index."""
     lines = ["graph visibility {"]
     lines.extend(f"  {i};" for i in range(graph.node_count))
-    for i in range(graph.node_count):
-        for j in graph.neighbors(i):
-            if i < j:
-                lines.append(f"  {i} -- {int(j)};")
+    lines.extend(f"  {i} -- {j};" for i, j in graph.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"

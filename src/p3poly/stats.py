@@ -47,8 +47,8 @@ def distance_sigma(point: BehaviourPoint, sigma: float, absolute: bool = False) 
     For independent per-coordinate perturbations the distance to the
     unperturbed point has sigma_d = ||sigma_k||_2 to first order.
     """
-    if sigma < 0.0:
-        raise ValueError("noise sigma must be non-negative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"noise sigma must be finite and non-negative, got {sigma}")
     coords = point.as_array()
     scales = np.full_like(coords, sigma) if absolute else sigma * np.abs(coords)
     return float(np.linalg.norm(scales))
@@ -170,6 +170,14 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
+def _finite_samples(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("two-sample tests need finite samples")
+    return xs, ys
+
+
 def two_sample_t(xs, ys) -> float:
     """Two-sided Welch t-test p-value for equal means of two samples.
 
@@ -177,8 +185,7 @@ def two_sample_t(xs, ys) -> float:
     Welch-Satterthwaite approximation and the p-value comes from the exact
     Student-t tail via the regularized incomplete beta.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = _finite_samples(xs, ys)
     if xs.size < 2 or ys.size < 2:
         raise ValueError("both samples need at least two observations")
     var_x = xs.var(ddof=1)
@@ -227,8 +234,7 @@ def two_sample_ks(xs, ys) -> float:
     Kolmogorov distribution at (sqrt(ne) + 0.12 + 0.11 / sqrt(ne)) * D with
     ne = n*m / (n + m), the small-sample-corrected effective size.
     """
-    xs = np.sort(np.asarray(xs, dtype=float))
-    ys = np.sort(np.asarray(ys, dtype=float))
+    xs, ys = map(np.sort, _finite_samples(xs, ys))
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
     d = _ks_statistic(xs, ys)

@@ -374,6 +374,39 @@ def test_malformed_point_gives_one_error_line(tmp_path, capsys, name, verb):
     assert not out.exists()
 
 
+_ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
+
+
+@pytest.mark.parametrize(
+    "mode, observed, flags, message",
+    [
+        pytest.param("samples", "0.1\nnan\n0.3\n", [], "finite samples", id="samples-nan-cell"),
+        pytest.param("point", None, ["--noise", "nan"], "finite and non-negative, got nan", id="noise-nan"),
+        pytest.param("point", None, ["--noise", "inf"], "finite and non-negative, got inf", id="noise-inf"),
+        *[
+            pytest.param(mode, None, ["--alpha", alpha], _ALPHA_MESSAGE, id=f"{mode}-alpha-{alpha}")
+            for mode in ("point", "samples")
+            for alpha in ("0", "1", "5", "nan")
+        ],
+    ],
+)
+def test_bad_test_input_gives_one_error_line(tmp_path, capsys, mode, observed, flags, message):
+    if mode == "point":
+        good = json.dumps({"representation": REDUCED_8, "coords": list(P_B)})
+    else:
+        good = "0.1\n0.2\n0.4\n"
+    expected_file = tmp_path / "expected"
+    expected_file.write_text(good)
+    observed_file = tmp_path / "observed"
+    observed_file.write_text(good if observed is None else observed)
+    out = tmp_path / "out.json"
+    argv = ["test", "--mode", mode, "--expected", str(expected_file), "--observed", str(observed_file)]
+    assert main([*argv, *flags, "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+    assert not out.exists()
+
+
 def test_missing_input_file(tmp_path, capsys):
     out = tmp_path / "x.json"
     code = main(["project", "--input", str(tmp_path / "absent.json"), "--output", str(out)])

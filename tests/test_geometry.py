@@ -7,10 +7,15 @@ Core claims pinned here:
   * Minimum generator sets have size 4 on both graphs; the diagonal and
     same-row constructions cover with the frozen increment patterns.
   * Maximal cliques are the 8 wing classes (size 16 full, size 4 reduced).
+  * The matrix forms of APSP, coverage accounting and the edge list agree
+    with the node-by-node walks kept below as references, on the canonical
+    graphs and on generated graphs (connected or not).
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from p3poly import geometry as ge
 from p3poly import strategies as st
@@ -232,3 +237,127 @@ def test_generator_set_report_dicts():
     assert len(data["members"]) == 4
     report = ge.verify_generator_set(graph, (0, 5, 10, 15)).to_json_dict()
     assert report["running_totals"][-1] == 16
+
+
+# References: the node-by-node walks the matrix forms replaced.
+
+def reference_apsp(graph):
+    n = graph.node_count
+    neighbor_lists = [graph.neighbors(i) for i in range(n)]
+    dist = np.full((n, n), -1, dtype=int)
+    for source in range(n):
+        dist[source, source] = 0
+        frontier = [source]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for v in neighbor_lists[u]:
+                    if dist[source, v] < 0:
+                        dist[source, v] = level
+                        nxt.append(int(v))
+            frontier = nxt
+    if (dist < 0).any():
+        i, j = map(int, np.argwhere(dist < 0)[0])
+        raise ValueError(f"graph is disconnected: no path between nodes {i} and {j}")
+    return dist, int(dist.max())
+
+
+def reference_masks(graph):
+    masks = []
+    for i in range(graph.node_count):
+        mask = 1 << i
+        for j in graph.neighbors(i):
+            mask |= 1 << int(j)
+        masks.append(mask)
+    return masks
+
+
+def reference_coverage(graph, members):
+    covered = set()
+    newly = []
+    totals = []
+    for m in members:
+        closed = {m} | {int(j) for j in graph.neighbors(m)}
+        newly.append(len(closed - covered))
+        covered |= closed
+        totals.append(len(covered))
+    return tuple(newly), tuple(totals), len(covered) == graph.node_count
+
+
+def reference_dot(graph):
+    lines = ["graph visibility {"]
+    lines.extend(f"  {i};" for i in range(graph.node_count))
+    for i in range(graph.node_count):
+        for j in graph.neighbors(i):
+            if i < j:
+                lines.append(f"  {i} -- {int(j)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@hs.composite
+def adjacency_matrices(draw):
+    # Symmetric and loop-free; low densities give disconnected graphs.
+    n = draw(hs.integers(1, 40))
+    density = draw(hs.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    return upper | upper.T
+
+
+CANONICAL = [ge.build_visibility_graph(rep).adjacency for rep in (st.FULL_26, st.REDUCED_8)]
+oracle_settings = settings(derandomize=True, database=None, deadline=None)
+
+
+@oracle_settings
+@given(adjacency_matrices())
+@example(CANONICAL[0])
+@example(CANONICAL[1])
+def test_apsp_matches_per_source_bfs(adjacency):
+    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    try:
+        expected = reference_apsp(graph)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            ge.all_pairs_shortest_paths(graph)
+        assert str(raised.value) == str(exc)
+        return
+    dist, longest = ge.all_pairs_shortest_paths(graph)
+    assert dist.dtype == expected[0].dtype
+    assert np.array_equal(dist, expected[0])
+    assert longest == expected[1]
+
+
+@oracle_settings
+@given(adjacency_matrices(), hs.data())
+@example(CANONICAL[0], None)
+@example(CANONICAL[1], None)
+def test_coverage_matches_set_walk(adjacency, data):
+    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    n = graph.node_count
+    assert ge._closed_neighborhood_masks(graph) == reference_masks(graph)
+    if data is None:
+        member_lists = [(0, 21, 42, 63), (0, 1, 2, 3), (0, 5, 10, 15), (3, 3, 0, 3)]
+        member_lists = [m for m in member_lists if max(m) < n]
+    else:
+        member_lists = [data.draw(hs.lists(hs.integers(0, n - 1), min_size=1, max_size=2 * n))]
+    for members in member_lists:
+        report = ge.verify_generator_set(graph, members)
+        assert report.members == tuple(members)
+        assert (report.newly_covered, report.running_totals, report.complete) == reference_coverage(
+            graph, members
+        )
+
+
+@oracle_settings
+@given(adjacency_matrices())
+@example(CANONICAL[0])
+@example(CANONICAL[1])
+def test_dot_and_edges_match_neighbor_loop(adjacency):
+    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    assert ge.graph_to_dot(graph) == reference_dot(graph)
+    edges = graph.edges().tolist()
+    assert edges == [[i, int(j)] for i in range(graph.node_count) for j in graph.neighbors(i) if i < j]
+    assert len(edges) == graph.edge_count

@@ -228,6 +228,21 @@ def test_norms_reject_non_finite(bad):
         sta.norms([0.5, bad])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("two_sample", [sta.two_sample_t, sta.two_sample_ks])
+def test_two_sample_tests_reject_non_finite(two_sample, bad):
+    with pytest.raises(ValueError, match="finite"):
+        two_sample([0.1, 0.2, 0.3], [0.1, bad, 0.3])
+    with pytest.raises(ValueError, match="finite"):
+        two_sample([0.1, bad, 0.3], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_distance_sigma_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=f"finite and non-negative, got {bad}"):
+        sta.distance_sigma(pb(), bad)
+
+
 def test_calibration_t_test_small():
     # Smoke-level calibration; the full 1000-trial version lives in the
     # acceptance suite.
