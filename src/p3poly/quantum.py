@@ -89,12 +89,18 @@ class DensityMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
         try:
+            dim = data["dim"]
             re = np.array(data["re"], dtype=float)
             im = np.array(data["im"], dtype=float)
         except (KeyError, TypeError):
-            raise ValueError("density matrix JSON needs 're' and 'im' entry tables")
+            raise ValueError("density matrix JSON needs 'dim' and the 're' and 'im' entry tables")
         if re.shape != im.shape:
             raise ValueError("real and imaginary parts differ in shape")
+        if isinstance(dim, bool) or not isinstance(dim, int) or re.shape != (dim, dim):
+            raise ValueError(
+                f"density matrix 'dim' must be an integer equal to the side of 're' "
+                f"(shape {re.shape}), got {dim!r}"
+            )
         return cls(re + 1j * im)
 
 

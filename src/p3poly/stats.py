@@ -188,19 +188,29 @@ def two_sample_t(xs, ys) -> float:
     xs, ys = _finite_samples(xs, ys)
     if xs.size < 2 or ys.size < 2:
         raise ValueError("both samples need at least two observations")
-    var_x = xs.var(ddof=1)
-    var_y = ys.var(ddof=1)
-    if var_x == 0.0 and var_y == 0.0:
-        raise ValueError("both samples have zero variance")
-    sem_x = var_x / xs.size
-    sem_y = var_y / ys.size
-    t = (xs.mean() - ys.mean()) / math.sqrt(sem_x + sem_y)
-    df = (sem_x + sem_y) ** 2 / (
-        sem_x**2 / (xs.size - 1) + sem_y**2 / (ys.size - 1)
-    )
+    # Samples beyond ~1e154 overflow in the variances; that is checked below,
+    # in place of numpy's warnings.  The degrees of freedom are written in
+    # ratio form, which neither overflows nor underflows.
+    with np.errstate(all="ignore"):
+        var_x = xs.var(ddof=1)
+        var_y = ys.var(ddof=1)
+        if var_x == 0.0 and var_y == 0.0:
+            raise ValueError("both samples have zero variance")
+        sem_x = var_x / xs.size
+        sem_y = var_y / ys.size
+        sem = sem_x + sem_y
+        t = (xs.mean() - ys.mean()) / math.sqrt(sem)
+        df = 1.0 / ((sem_x / sem) ** 2 / (xs.size - 1) + (sem_y / sem) ** 2 / (ys.size - 1))
+        # A finite t past ~1e154 squares to inf, which gives the right limit 0.
+        x = df / (df + t * t)
+    if not np.isfinite([var_x, var_y, t, df]).all():
+        raise ValueError(
+            "Welch t-test overflows: the sample variances, t statistic or degrees of freedom"
+            " are not finite"
+        )
     if t == 0.0:
         return 1.0
-    p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    p = regularized_incomplete_beta(df / 2.0, 0.5, x)
     return float(min(max(p, 0.0), 1.0))
 
 

@@ -334,12 +334,17 @@ def scenario_dimension(shape: ScenarioShape) -> int:
     return ((shape.d - 1) * shape.m + 1) ** shape.n - 1
 
 
+# Both vertex tables, built once.
+_VERTEX_ROWS = {
+    FULL_26: tuple(vertex_from_strategy(s).coords for s in enumerate_strategies()),
+    REDUCED_8: tuple(v.coords for v in enumerate_reduced()),
+}
+
+
 def vertex_rows(representation: str) -> list[tuple[int, ...]]:
     """Canonical vertex table rows for a representation tag."""
     _check_representation(representation)
-    if representation == FULL_26:
-        return [vertex_from_strategy(s).coords for s in enumerate_strategies()]
-    return [v.coords for v in enumerate_reduced()]
+    return list(_VERTEX_ROWS[representation])
 
 
 def column_names(representation: str) -> tuple[str, ...]:

@@ -381,6 +381,7 @@ _ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
     "mode, observed, flags, message",
     [
         pytest.param("samples", "0.1\nnan\n0.3\n", [], "finite samples", id="samples-nan-cell"),
+        pytest.param("samples", "0.1\n1e308\n0.3\n", [], "overflows", id="samples-overflow"),
         pytest.param("point", None, ["--noise", "nan"], "finite and non-negative, got nan", id="noise-nan"),
         pytest.param("point", None, ["--noise", "inf"], "finite and non-negative, got inf", id="noise-inf"),
         *[
@@ -390,7 +391,7 @@ _ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
         ],
     ],
 )
-def test_bad_test_input_gives_one_error_line(tmp_path, capsys, mode, observed, flags, message):
+def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, observed, flags, message):
     if mode == "point":
         good = json.dumps({"representation": REDUCED_8, "coords": list(P_B)})
     else:
@@ -404,6 +405,20 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, mode, observed, f
     assert main([*argv, *flags, "--output", str(out)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+    assert not out.exists()
+    assert not recwarn.list  # a warning would reach stderr outside pytest
+
+
+@pytest.mark.parametrize(
+    "dim", [None, {}, "x", True, 4.0, 3], ids=["null", "object", "string", "true", "float", "wrong-size"]
+)
+def test_bad_state_dim_gives_one_error_line(tmp_path, capsys, dim):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**qu.bell_pair_state().to_json_dict(), "dim": dim}))
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--rho", str(bad), "--sigma", str(bad), "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'dim'" in lines[0]
     assert not out.exists()
 
 

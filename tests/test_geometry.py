@@ -10,7 +10,12 @@ Core claims pinned here:
   * The matrix forms of APSP, coverage accounting and the edge list agree
     with the node-by-node walks kept below as references, on the canonical
     graphs and on generated graphs (connected or not).
+  * The blocked cover search, the bit-mask Bron-Kerbosch and the one-pass
+    classification agree with the big-int subset loop, the set-based
+    Bron-Kerbosch and a per-pair visibility_test count kept below.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -297,10 +302,46 @@ def reference_dot(graph):
     return "\n".join(lines) + "\n"
 
 
+def reference_first_cover(masks, size):
+    full = (1 << len(masks)) - 1
+    for combo in combinations(range(len(masks)), size):
+        union = 0
+        for i in combo:
+            union |= masks[i]
+        if union == full:
+            return combo
+    return None
+
+
+def reference_cliques(graph):
+    adjacency = [set(map(int, graph.neighbors(i))) for i in range(graph.node_count)]
+    cliques = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda u: len(adjacency[u] & p))
+        for v in sorted(p - adjacency[pivot]):
+            expand(r | {v}, p & adjacency[v], x & adjacency[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand(set(), set(range(graph.node_count)), set())
+    return sorted(cliques)
+
+
+def reference_classification(strategy, strategies):
+    counts = {status: 0 for status in ge.VisibilityStatus}
+    for other in strategies:
+        counts[ge.visibility_test(strategy, other)] += 1
+    return counts
+
+
 @hs.composite
-def adjacency_matrices(draw):
+def adjacency_matrices(draw, max_nodes=40):
     # Symmetric and loop-free; low densities give disconnected graphs.
-    n = draw(hs.integers(1, 40))
+    n = draw(hs.integers(1, max_nodes))
     density = draw(hs.floats(0.0, 1.0))
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
     upper = np.triu(rng.random((n, n)) < density, k=1)
@@ -337,7 +378,7 @@ def test_apsp_matches_per_source_bfs(adjacency):
 def test_coverage_matches_set_walk(adjacency, data):
     graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
     n = graph.node_count
-    assert ge._closed_neighborhood_masks(graph) == reference_masks(graph)
+    assert ge._row_masks(ge._closed_neighborhoods(graph)) == reference_masks(graph)
     if data is None:
         member_lists = [(0, 21, 42, 63), (0, 1, 2, 3), (0, 5, 10, 15), (3, 3, 0, 3)]
         member_lists = [m for m in member_lists if max(m) < n]
@@ -361,3 +402,52 @@ def test_dot_and_edges_match_neighbor_loop(adjacency):
     edges = graph.edges().tolist()
     assert edges == [[i, int(j)] for i in range(graph.node_count) for j in graph.neighbors(i) if i < j]
     assert len(edges) == graph.edge_count
+
+
+@oracle_settings
+@given(adjacency_matrices(max_nodes=12))
+def test_cover_search_matches_subset_loop(adjacency):
+    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    n = graph.node_count
+    closed = ge._closed_neighborhoods(graph)
+    masks = reference_masks(graph)
+    smallest = None
+    for size in range(n + 2):
+        expected = reference_first_cover(masks, size)
+        assert ge._first_cover(closed, size) == expected
+        assert ge.has_dominating_set(graph, size) == (expected is not None)
+        if smallest is None and size and expected is not None:
+            smallest = expected
+    generators = ge.minimum_generators(graph)
+    assert generators.members == smallest
+    assert all(type(m) is int for m in generators.members)
+
+
+@pytest.mark.parametrize("adjacency", CANONICAL, ids=["full-26", "reduced-8"])
+def test_cover_search_matches_subset_loop_on_canonical_graphs(adjacency):
+    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    closed = ge._closed_neighborhoods(graph)
+    masks = reference_masks(graph)
+    for size in range(5):
+        assert ge._first_cover(closed, size) == reference_first_cover(masks, size)
+    assert ge.minimum_generators(graph).members == reference_first_cover(masks, 4)
+
+
+@oracle_settings
+@given(adjacency_matrices(max_nodes=25))
+@example(CANONICAL[0])
+@example(CANONICAL[1])
+def test_cliques_match_set_bron_kerbosch(adjacency):
+    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    assert ge.maximal_convex_clusters(graph) == reference_cliques(graph)
+
+
+@oracle_settings
+@given(hs.lists(hs.integers(0, 63), max_size=150), hs.integers(0, 63))
+def test_classification_matches_pairwise_count(picks, index):
+    # A second enumeration, so equality is by value and not by identity.
+    listed, fresh = all_strategies(), all_strategies()
+    strategies = [fresh[k] for k in picks]
+    assert ge.classify_from(listed[index], strategies) == reference_classification(
+        listed[index], strategies
+    )

@@ -14,14 +14,19 @@ Core claims pinned here:
     projectors, and collapse matches a per-coordinate loop oracle on
     signalling tables.
   * Every numeric constructor rejects non-finite input.
+  * Random states survive a trip through their JSON text unchanged, and a
+    'dim' that is not the side of the matrix is rejected.
 """
 
+import json
 from itertools import product
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from p3poly import quantum as qu
 from p3poly import stats as sta
@@ -55,6 +60,19 @@ def test_density_matrix_json_roundtrip():
     assert np.allclose(again.matrix, state.matrix)
     with pytest.raises(ValueError):
         qu.DensityMatrix.from_json_dict({"re": [[1.0]]})
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(hs.integers(1, 8), hs.integers(0, 2**32 - 1))
+def test_density_matrix_json_text_roundtrip(dim, seed):
+    state = qu.random_density_matrix(dim, np.random.default_rng(seed))
+    data = json.loads(json.dumps(state.to_json_dict()))
+    assert data["dim"] == dim
+    again = qu.DensityMatrix.from_json_dict(data)
+    assert np.array_equal(again.matrix, state.matrix)
+    for wrong in (dim + 1, float(dim), True, None):
+        with pytest.raises(ValueError, match="'dim'"):
+            qu.DensityMatrix.from_json_dict({**data, "dim": wrong})
 
 
 def test_measurement_set_validation():

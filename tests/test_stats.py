@@ -11,6 +11,7 @@ Core claims pinned here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,22 @@ def test_two_sample_tests_reject_non_finite(two_sample, bad):
         two_sample([0.1, 0.2, 0.3], [0.1, bad, 0.3])
     with pytest.raises(ValueError, match="finite"):
         two_sample([0.1, bad, 0.3], [0.1, 0.2, 0.3])
+    # A finite sample whose variance overflows: the t-test says so, the
+    # rank-based KS test has nothing to overflow, and neither warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if two_sample is sta.two_sample_t:
+            with pytest.raises(ValueError, match="overflows"):
+                two_sample([0.1, 1e308, 0.3], [0.1, 0.2, 0.4])
+        else:
+            assert 0.0 <= two_sample([0.1, 1e308, 0.3], [0.1, 0.2, 0.4]) <= 1.0
+        # Far from unit scale, but with finite variances: the p-value is the
+        # unit-scale one, with no overflow reported.
+        unit = two_sample([1.0, 2.0, 4.0], [1.0, 3.0, 5.0])
+        for scale in (1e-100, 1e80):
+            xs = [scale * v for v in (1.0, 2.0, 4.0)]
+            ys = [scale * v for v in (1.0, 3.0, 5.0)]
+            assert two_sample(xs, ys) == pytest.approx(unit, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -9,12 +9,16 @@ Core claims pinned here:
     vertices.
   * Hamming-weight histogram matches the frozen reference.
   * Behaviour-space dimension formula gives 26 and 8 for the two scenarios.
+  * Behaviour points and vertex tables survive a trip through their JSON and
+    CSV text unchanged.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from p3poly import strategies as st
 
@@ -47,11 +51,17 @@ def test_wing_strategy_index_roundtrip():
 def test_full_table_bit_exact():
     rows = st.vertex_rows(st.FULL_26)
     assert rows == [tuple(row) for row in FULL_TABLE]
+    # Each call hands out a fresh list, so a caller's edit does not reach the table.
+    rows.clear()
+    assert st.vertex_rows(st.FULL_26) == [tuple(row) for row in FULL_TABLE]
 
 
 def test_reduced_table_bit_exact():
     rows = st.vertex_rows(st.REDUCED_8)
     assert rows == [tuple(row) for row in REDUCED_TABLE]
+    # Each call hands out a fresh list, so a caller's edit does not reach the table.
+    rows.clear()
+    assert st.vertex_rows(st.REDUCED_8) == [tuple(row) for row in REDUCED_TABLE]
 
 
 def test_vertex_blocks_are_products():
@@ -176,10 +186,21 @@ def test_csv_export_full():
     assert parsed == [tuple(row) for row in FULL_TABLE]
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(hs.sampled_from([(st.BehaviourPoint.full, 26), (st.BehaviourPoint.reduced, 8)]), hs.data())
+def test_behaviour_point_json_text_roundtrip(made, data):
+    build, width = made
+    point = build(data.draw(hs.lists(hs.floats(-1e-9, 1.0 + 1e-9), min_size=width, max_size=width)))
+    again = st.BehaviourPoint.from_json_dict(json.loads(json.dumps(point.to_json_dict())))
+    assert again == point
+
+
 def test_csv_export_reduced():
     lines = st.vertices_csv(st.REDUCED_8).strip().split("\n")
     assert len(lines) == 17
     assert lines[0] == "a0,a1,c0,c1,a0c0,a0c1,a1c0,a1c1"
+    parsed = [tuple(int(x) for x in line.split(",")) for line in lines[1:]]
+    assert parsed == [tuple(row) for row in REDUCED_TABLE]
 
 
 def test_json_export():
