@@ -36,13 +36,6 @@ NORMALIZATION_TOL = 1e-8
 NO_SIGNALLING_TOL = 1e-10
 
 
-def _as_complex_matrix(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    return m
-
-
 def _check_finite(name: str, array: np.ndarray) -> None:
     # NaN fails every tolerance comparison silently, so test for it first.
     if not np.isfinite(array).all():
@@ -61,7 +54,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _as_complex_matrix(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("expected a square matrix")
         _check_finite("density matrix", m)
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
@@ -104,48 +99,57 @@ class DensityMatrix:
         return cls(re + 1j * im)
 
 
+def _first_failure(failing: np.ndarray, message: str, **names) -> None:
+    # Name the first failing (setting, outcome) index in row-major order.
+    if failing.any():
+        raise ValueError(message.format(*np.argwhere(failing)[0], **names))
+
+
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Projective measurements, one list of settings per party.
+    """Projective measurements, one stacked projector array per party.
 
-    ``projectors[party][setting][outcome]`` is a projector on that party's
-    local space.  Every setting must be a complete orthogonal projective
-    measurement; all parties must share the same setting and outcome counts.
+    ``projectors[party]`` is a read-only complex ``(settings, outcomes, dim,
+    dim)`` array, so ``projectors[party][setting][outcome]`` is a projector on
+    that party's local space.  Every setting must be a complete orthogonal
+    projective measurement; all parties must share the same setting and
+    outcome counts, but each party may have its own ``dim``.
     """
 
-    projectors: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if not self.projectors:
+        parties = tuple(self.projectors)
+        if not parties:
             raise ValueError("measurement set has no parties")
-        frozen_parties = []
-        m = len(self.projectors[0])
-        d = len(self.projectors[0][0])
-        for p, party in enumerate(self.projectors):
-            if len(party) != m:
-                raise ValueError("all parties must have the same number of settings")
-            dim = None
-            frozen_settings = []
-            for s, setting in enumerate(party):
-                if len(setting) != d:
-                    raise ValueError("all settings must have the same number of outcomes")
-                ops = tuple(_as_complex_matrix(op) for op in setting)
-                for a, op in enumerate(ops):
-                    _check_finite(f"party {p} setting {s} outcome {a} projector", op)
-                    op.flags.writeable = False
-                if dim is None:
-                    dim = ops[0].shape[0]
-                if any(op.shape != (dim, dim) for op in ops):
-                    raise ValueError(f"party {p}: projector dimensions disagree across settings")
-                total = sum(ops)
-                if np.abs(total - np.eye(dim)).max() > COMPLETENESS_TOL:
-                    raise ValueError(f"party {p} setting {s}: projectors do not sum to identity")
-                for a, op in enumerate(ops):
-                    if np.abs(op @ op - op).max() > COMPLETENESS_TOL:
-                        raise ValueError(f"party {p} setting {s} outcome {a}: not a projector")
-                frozen_settings.append(ops)
-            frozen_parties.append(tuple(frozen_settings))
-        object.__setattr__(self, "projectors", tuple(frozen_parties))
+        if any(len(party) != len(parties[0]) for party in parties):
+            raise ValueError("all parties must have the same number of settings")
+        if len({len(setting) for party in parties for setting in party}) > 1:
+            raise ValueError("all settings must have the same number of outcomes")
+        stacked = []
+        for p, party in enumerate(parties):
+            try:
+                ops = np.array(party, dtype=complex)
+            except ValueError:
+                raise ValueError(f"party {p}: projector dimensions disagree") from None
+            if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
+                raise ValueError(f"party {p}: expected square projectors, got shape {ops.shape}")
+            # NaN fails every tolerance comparison silently, so test for it first.
+            _first_failure(
+                ~np.isfinite(ops).all(axis=(2, 3)),
+                "party {p} setting {0} outcome {1} projector has non-finite entries", p=p,
+            )
+            _first_failure(
+                np.abs(ops.sum(axis=1) - np.eye(ops.shape[2])).max(axis=(1, 2)) > COMPLETENESS_TOL,
+                "party {p} setting {0}: projectors do not sum to identity", p=p,
+            )
+            _first_failure(
+                np.abs(ops @ ops - ops).max(axis=(2, 3)) > COMPLETENESS_TOL,
+                "party {p} setting {0} outcome {1}: not a projector", p=p,
+            )
+            ops.flags.writeable = False
+            stacked.append(ops)
+        object.__setattr__(self, "projectors", tuple(stacked))
 
     @property
     def n_parties(self) -> int:
@@ -153,29 +157,29 @@ class MeasurementSet:
 
     @property
     def settings_per_party(self) -> int:
-        return len(self.projectors[0])
+        return self.projectors[0].shape[0]
 
     @property
     def outcomes_per_setting(self) -> int:
-        return len(self.projectors[0][0])
+        return self.projectors[0].shape[1]
 
     @property
     def party_dims(self) -> tuple[int, ...]:
-        return tuple(party[0][0].shape[0] for party in self.projectors)
+        return tuple(ops.shape[2] for ops in self.projectors)
 
     @property
     def total_dim(self) -> int:
         return int(np.prod(self.party_dims))
 
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
-_KET_PLUS = (_KET0 + _KET1) / np.sqrt(2.0)
-_KET_MINUS = (_KET0 - _KET1) / np.sqrt(2.0)
+_ZX_KETS = np.array([np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)], dtype=complex)
 
 
 def _projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
+
+
+_ZX = np.array([[_projector(ket) for ket in basis] for basis in _ZX_KETS])
 
 
 def zx_qubit_measurements(parties: int) -> MeasurementSet:
@@ -186,9 +190,10 @@ def zx_qubit_measurements(parties: int) -> MeasurementSet:
     """
     if parties < 1:
         raise ValueError("need at least one party")
-    z_basis = (_projector(_KET0), _projector(_KET1))
-    x_basis = (_projector(_KET_PLUS), _projector(_KET_MINUS))
-    return MeasurementSet(tuple((z_basis, x_basis) for _ in range(parties)))
+    return MeasurementSet((_ZX,) * parties)
+
+
+_ZX_PAIR = zx_qubit_measurements(2)
 
 
 @dataclass(frozen=True)
@@ -254,8 +259,8 @@ def behaviour_from_state(
     # Subscripts: i_k is k, j_k is n + k, x_k is 2n + k and a_k is 3n + k.
     n = shape.n
     operands = [rho.matrix.reshape(measurements.party_dims * 2), list(range(2 * n))]
-    for k, party in enumerate(measurements.projectors):
-        operands += [np.array(party), [2 * n + k, 3 * n + k, n + k, k]]
+    for k, ops in enumerate(measurements.projectors):
+        operands += [ops, [2 * n + k, 3 * n + k, n + k, k]]
     table = np.einsum(*operands, list(range(2 * n, 4 * n)))
     return FullDistribution(shape, np.clip(table.real, 0.0, None))
 
@@ -503,14 +508,13 @@ def qkd_scenario(kind: str, noise: float = 0.0) -> tuple[DensityMatrix, Measurem
     """
     if kind not in ("honest", "intercepted"):
         raise ValueError(f"kind must be 'honest' or 'intercepted', got {kind!r}")
-    measurements = zx_qubit_measurements(2)
     pair = depolarize(bell_pair_state(), noise)
     if kind == "honest":
-        return pair, measurements, REDUCED_SHAPE
+        return pair, _ZX_PAIR, REDUCED_SHAPE
     left = partial_trace(pair, (2, 2), "A")
     right = partial_trace(pair, (2, 2), "B")
     intercepted = DensityMatrix(np.kron(left.matrix, right.matrix))
-    return intercepted, measurements, REDUCED_SHAPE
+    return intercepted, _ZX_PAIR, REDUCED_SHAPE
 
 
 @dataclass(frozen=True)
@@ -531,34 +535,33 @@ def no_signalling_check(
 
     Returns a truthy result when every marginal varies by at most ``tol``
     across the co-parties' setting choices, otherwise records the first
-    offending party together with the worst deviation.
+    offending (party, co-party) pair together with the co-party setting whose
+    marginal deviates most from its setting 0, and that worst deviation.
     """
-    shape = distribution.shape
-    n, m = shape.n, shape.m
+    n = distribution.shape.n
     for party in range(n):
         # Marginal of this party's outcome for every joint setting choice.
         other_outcomes = tuple(n + i for i in range(n) if i != party)
         marginal = distribution.table.sum(axis=other_outcomes)
         # The marginal may depend on the party's own setting axis, but must be
-        # constant along every co-party's setting axis.
+        # constant along every co-party's setting axis: compare each of that
+        # co-party's settings with its setting 0 and keep the worst.
         for other in range(n):
             if other == party:
                 continue
-            reference = np.take(marginal, 0, axis=other)
-            for setting in range(1, m):
-                deviation = float(
-                    np.abs(np.take(marginal, setting, axis=other) - reference).max()
+            axes = tuple(i for i in range(n + 1) if i != other)
+            per_setting = abs(marginal - marginal.take([0], axis=other)).max(axis=axes)
+            setting = per_setting.argmax()
+            if per_setting[setting] > tol:
+                return NoSignallingResult(
+                    False,
+                    {
+                        "party": party,
+                        "varies_with_party": other,
+                        "settings_compared": (0, int(setting)),
+                        "max_deviation": float(per_setting[setting]),
+                    },
                 )
-                if deviation > tol:
-                    return NoSignallingResult(
-                        False,
-                        {
-                            "party": party,
-                            "varies_with_party": other,
-                            "settings_compared": (0, setting),
-                            "max_deviation": deviation,
-                        },
-                    )
     return NoSignallingResult(True, None)
 
 
@@ -596,25 +599,18 @@ class BoundReport:
         }
 
 
-def behaviour_bound_check(
-    rho: DensityMatrix, sigma: DensityMatrix, measurements: Optional[MeasurementSet] = None
-) -> BoundReport:
+def behaviour_bound_check(rho: DensityMatrix, sigma: DensityMatrix) -> BoundReport:
     """Compare two two-qubit states through their behaviour points.
 
-    Generates both behaviour points with the same (default standard/Hadamard)
+    Generates both behaviour points with the fixed standard/Hadamard pair of
     measurements and reports the l2 and l1 norms of the difference next to
     twice the sum of the marginal and joint trace distances.
     """
-    if measurements is None:
-        measurements = zx_qubit_measurements(2)
-    dims = measurements.party_dims
-    if len(dims) != 2:
-        raise ValueError("bound report needs a two-party measurement set")
-    p = collapse(behaviour_from_state(rho, measurements, REDUCED_SHAPE))
-    q = collapse(behaviour_from_state(sigma, measurements, REDUCED_SHAPE))
+    p = collapse(behaviour_from_state(rho, _ZX_PAIR, REDUCED_SHAPE))
+    q = collapse(behaviour_from_state(sigma, _ZX_PAIR, REDUCED_SHAPE))
     diff = p.as_array() - q.as_array()
-    delta_a = trace_distance(partial_trace(rho, dims, "A"), partial_trace(sigma, dims, "A"))
-    delta_b = trace_distance(partial_trace(rho, dims, "B"), partial_trace(sigma, dims, "B"))
+    delta_a = trace_distance(partial_trace(rho, (2, 2), "A"), partial_trace(sigma, (2, 2), "A"))
+    delta_b = trace_distance(partial_trace(rho, (2, 2), "B"), partial_trace(sigma, (2, 2), "B"))
     delta_ab = trace_distance(rho, sigma)
     return BoundReport(
         l2=float(np.linalg.norm(diff)),

@@ -32,10 +32,15 @@ class NoiseSpec:
             raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma}")
 
 
+def _scales(coords: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    # Per-coordinate standard deviation of the noise at ``coords``.
+    return np.full_like(coords, noise.sigma) if noise.absolute else noise.sigma * np.abs(coords)
+
+
 def perturb(point: BehaviourPoint, noise: NoiseSpec) -> BehaviourPoint:
     """Seeded noisy copy of a behaviour point, clamped back into [0, 1]."""
     coords = point.as_array()
-    scales = np.full_like(coords, noise.sigma) if noise.absolute else noise.sigma * np.abs(coords)
+    scales = _scales(coords, noise)
     rng = np.random.default_rng(noise.seed)
     noisy = np.clip(coords + rng.normal(0.0, 1.0, size=coords.size) * scales, 0.0, 1.0)
     return BehaviourPoint(tuple(noisy), point.shape, point.representation)
@@ -47,11 +52,7 @@ def distance_sigma(point: BehaviourPoint, sigma: float, absolute: bool = False) 
     For independent per-coordinate perturbations the distance to the
     unperturbed point has sigma_d = ||sigma_k||_2 to first order.
     """
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"noise sigma must be finite and non-negative, got {sigma}")
-    coords = point.as_array()
-    scales = np.full_like(coords, sigma) if absolute else sigma * np.abs(coords)
-    return float(np.linalg.norm(scales))
+    return float(np.linalg.norm(_scales(point.as_array(), NoiseSpec(sigma, absolute=absolute))))
 
 
 @dataclass(frozen=True)

@@ -266,11 +266,10 @@ class BehaviourPoint:
             raise ValueError("behaviour point JSON needs 'representation' and 'coords'")
         _check_representation(representation)
         shape = _REPRESENTATIONS[representation][0]
-        try:
-            values = tuple(float(x) for x in coords)
-        except TypeError:
+        # A string would iterate as digits, and bool is a subclass of int.
+        if not isinstance(coords, list) or not all(type(x) in (int, float) for x in coords):
             raise ValueError("behaviour point 'coords' must be a list of numbers")
-        return cls(values, shape, representation)
+        return cls(tuple(float(x) for x in coords), shape, representation)
 
 
 def behaviour_from_vertex(vertex) -> BehaviourPoint:

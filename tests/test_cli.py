@@ -350,12 +350,17 @@ def test_malformed_json_input(tmp_path, capsys):
         ("coords5", "project"),
         ("rep_list", "project"),
         ("rep_dict", "project"),
+        ("coords_str", "project"),
+        ("coords_bool", "project"),
+        ("coords_bool", "test"),
     ],
 )
 def test_malformed_point_gives_one_error_line(tmp_path, capsys, name, verb):
     points = {
         "nan": {"representation": REDUCED_8, "coords": [float("nan")] * 8},
         "coords5": {"representation": REDUCED_8, "coords": 5},
+        "coords_str": {"representation": REDUCED_8, "coords": "00000000"},
+        "coords_bool": {"representation": REDUCED_8, "coords": [True, False] * 4},
         "rep_list": {"representation": [REDUCED_8], "coords": [0] * 8},
         "rep_dict": {"representation": {}, "coords": [0] * 8},
     }

@@ -16,6 +16,10 @@ Core claims pinned here:
   * Every numeric constructor rejects non-finite input.
   * Random states survive a trip through their JSON text unchanged, and a
     'dim' that is not the side of the matrix is rejected.
+  * MeasurementSet names each kind of malformed input and stores one
+    read-only (settings, outcomes, dim, dim) array per party.
+  * no_signalling_check agrees with a per-setting loop oracle, and Born-rule
+    tables from random product measurements are normalized and pass it.
 """
 
 import json
@@ -33,6 +37,9 @@ from p3poly import stats as sta
 from p3poly import strategies as st
 
 from reference_tables import DELTA_BELL_PRODUCT, P_B, P_U, V_L1, V_L2
+
+
+_NAN_DIAG = np.diag([np.nan, 1.0])
 
 
 def bell():
@@ -90,6 +97,59 @@ def test_measurement_set_validation():
     not_proj = ((np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([[0.5, 0.0], [0.0, 0.5]])),)
     with pytest.raises(ValueError, match="not a projector"):
         qu.MeasurementSet((not_proj,))
+
+
+_Z = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+_X = (np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]]))
+_Z3 = tuple(np.diag(row) for row in np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "parties, message",
+    [
+        pytest.param(((_Z, _X), (_Z,)), "same number of settings", id="ragged-settings"),
+        pytest.param(((_Z, _X), (_Z, _X[:1])), "same number of outcomes", id="ragged-outcomes"),
+        pytest.param(((_Z, _X), (_Z, _Z3[:2])), "party 1: projector dimensions disagree", id="dims"),
+        pytest.param(
+            ((_Z, _X), ((np.ones((2, 3)),) * 2,) * 2), r"party 1: .* square projectors", id="non-square"
+        ),
+        pytest.param(
+            ((_Z, _X), (_Z, (_NAN_DIAG, np.eye(2) - _NAN_DIAG))),
+            "party 1 setting 1 outcome 0 projector has non-finite entries",
+            id="nan",
+        ),
+        pytest.param(
+            ((_Z, _X), (_Z, (_X[0], _Z[1]))),
+            "party 1 setting 1: projectors do not sum to identity",
+            id="incomplete",
+        ),
+        pytest.param(
+            ((_Z, (np.eye(2) / 2, np.eye(2) / 2)),),
+            "party 0 setting 1 outcome 0: not a projector",
+            id="not-idempotent",
+        ),
+    ],
+)
+def test_measurement_set_rejects_malformed_input(parties, message):
+    with pytest.raises(ValueError, match=message):
+        qu.MeasurementSet(parties)
+
+
+def test_measurement_set_stores_read_only_stacks():
+    rng = np.random.default_rng(5)
+    parties = tuple(
+        (random_basis_projectors(dim, rng), random_basis_projectors(dim, rng)) for dim in (3, 2)
+    )
+    measurements = qu.MeasurementSet(parties)
+    assert measurements.party_dims == (3, 2)
+    for ops, party, dim in zip(measurements.projectors, parties, (3, 2)):
+        assert isinstance(ops, np.ndarray) and ops.dtype == complex
+        assert ops.shape == (2, 2, dim, dim)
+        assert not ops.flags.writeable
+        assert np.array_equal(ops, np.array(party))
+        assert np.array_equal(ops[1][0], party[1][0])
+    with pytest.raises(ValueError):
+        measurements.projectors[0][0, 0, 0, 0] = 0.0
 
 
 def test_bell_matched_bases_perfectly_correlated():
@@ -352,6 +412,104 @@ def test_own_setting_dependence_is_not_signalling():
     assert qu.no_signalling_check(dist)
 
 
+def no_signalling_reference(table, n, m, tol):
+    # Loop over (party, co-party, co-party setting), comparing each setting's
+    # marginal with setting 0's; the first offending pair reports its worst.
+    for party in range(n):
+        marginal = table.sum(axis=tuple(n + i for i in range(n) if i != party))
+        for other in range(n):
+            if other == party:
+                continue
+            reference = np.take(marginal, 0, axis=other)
+            deviations = []
+            for setting in range(m):
+                deviations.append(
+                    float(np.abs(np.take(marginal, setting, axis=other) - reference).max())
+                )
+            worst = int(np.argmax(deviations))
+            if deviations[worst] > tol:
+                return {
+                    "party": party,
+                    "varies_with_party": other,
+                    "settings_compared": (0, worst),
+                    "max_deviation": deviations[worst],
+                }
+    return None
+
+
+def random_unitary_measurements(dims, m, rng):
+    # Each setting splits a random unitary basis into two outcome subspaces.
+    parties = []
+    for dim in dims:
+        settings = []
+        for _ in range(m):
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            split = int(rng.integers(1, dim))
+            low, high = q[:, :split], q[:, split:]
+            settings.append((low @ low.conj().T, high @ high.conj().T))
+        parties.append(tuple(settings))
+    return qu.MeasurementSet(tuple(parties))
+
+
+def oracle_table(kind, n, m, rng):
+    shape = st.ScenarioShape(n, m, 2)
+    if kind == "uniform":
+        raw = rng.uniform(size=(m**n, 2**n))
+        return (raw / raw.sum(axis=1, keepdims=True)).reshape((m,) * n + (2,) * n)
+    dims = tuple(int(dim) for dim in rng.integers(2, 4, size=n))
+    rho = qu.random_density_matrix(int(np.prod(dims)), rng)
+    table = qu.behaviour_from_state(rho, random_unitary_measurements(dims, m, rng), shape).table
+    if kind == "born":
+        return table
+    # Planted signal: party p's outcome copies co-party q's setting parity.
+    p, q = rng.choice(n, size=2, replace=False)
+    index = np.indices(table.shape)
+    planted = (index[n + p] == index[q] % 2) / 2.0 ** (n - 1)
+    weight = rng.uniform(0.01, 0.5)
+    return (1.0 - weight) * table + weight * planted
+
+
+@pytest.mark.parametrize("kind", ["born", "planted", "uniform"])
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_no_signalling_matches_loop_oracle(kind, n, m):
+    rng = np.random.default_rng([n, m, ord(kind[0])])
+    for _ in range(10):
+        table = oracle_table(kind, n, m, rng)
+        result = qu.no_signalling_check(qu.FullDistribution(st.ScenarioShape(n, m, 2), table))
+        expected = no_signalling_reference(table, n, m, qu.NO_SIGNALLING_TOL)
+        assert result.ok == (expected is None) == (kind == "born")
+        assert result.witness == expected
+
+
+def test_no_signalling_reports_worst_setting():
+    # The second party's outcome-0 probability is 0.5, 0.6, 0.9 at the
+    # first party's settings 0, 1, 2: setting 2 deviates most, not setting 1.
+    table = np.zeros((3, 3, 2, 2))
+    for x, q in enumerate((0.5, 0.6, 0.9)):
+        table[x, :, :, 0] = q / 2
+        table[x, :, :, 1] = (1 - q) / 2
+    result = qu.no_signalling_check(qu.FullDistribution(st.ScenarioShape(2, 3, 2), table))
+    assert not result
+    assert result.witness["party"] == 1
+    assert result.witness["varies_with_party"] == 0
+    assert result.witness["settings_compared"] == (0, 2)
+    assert result.witness["max_deviation"] == pytest.approx(0.4)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    hs.lists(hs.integers(2, 3), min_size=1, max_size=3), hs.integers(2, 3), hs.integers(0, 2**32 - 1)
+)
+def test_born_rule_tables_normalized_and_nonsignalling(dims, m, seed):
+    rng = np.random.default_rng(seed)
+    shape = st.ScenarioShape(len(dims), m, 2)
+    rho = qu.random_density_matrix(int(np.prod(dims)), rng)
+    dist = qu.behaviour_from_state(rho, random_unitary_measurements(dims, m, rng), shape)
+    sums = dist.table.reshape(m ** len(dims), -1).sum(axis=1)
+    assert np.abs(sums - 1.0).max() <= 1e-12
+    assert qu.no_signalling_check(dist)
+
+
 def test_behaviour_bound_bell_vs_product():
     report = qu.behaviour_bound_check(bell(), maximally_mixed(4))
     assert report.l1 == pytest.approx(V_L1)
@@ -518,9 +676,6 @@ def _lhv_with(field, value):
     }
     arrays[field] = arrays[field] * value
     return qu.LhvModel(**arrays)
-
-
-_NAN_DIAG = np.diag([np.nan, 1.0])
 
 
 @pytest.mark.parametrize(

@@ -172,8 +172,11 @@ def test_behaviour_point_json_roundtrip():
     assert again == point
     with pytest.raises(ValueError):
         st.BehaviourPoint.from_json_dict({"coords": [0.5] * 8})
-    with pytest.raises(ValueError, match="list of numbers"):
-        st.BehaviourPoint.from_json_dict({"representation": st.REDUCED_8, "coords": 5})
+    for coords in (5, "00000000", [True, False] * 4, (0.5,) * 8, [0.5] * 7 + ["0.5"]):
+        with pytest.raises(ValueError, match="list of numbers"):
+            st.BehaviourPoint.from_json_dict({"representation": st.REDUCED_8, "coords": coords})
+    again = st.BehaviourPoint.from_json_dict({"representation": st.REDUCED_8, "coords": [0, 1] * 4})
+    assert again.coords == (0.0, 1.0) * 4
 
 
 def test_csv_export_full():
