@@ -7,6 +7,16 @@ or on the last wing.  This module classifies strategy pairs, builds the
 visibility graph, and answers the structural questions about it: shortest
 paths, minimum generator (dominating) sets, coverage accounting for a given
 generator list, and maximal all-visible clusters.
+
+The generator and clique searches run on the closed-twin quotient.  Closed
+twins are nodes with the same closed neighbourhood (each sees the other and
+every node the other sees); they fall into classes, ordered by their smallest
+member, and the quotient graph has one node per class.  A minimum cover holds
+at most one node of a class, and a maximal clique holds every node of a class
+or none, so both answers on the quotient lift back to the graph unchanged.
+The full-26 graph is 16 classes of 4 twins (the strategies that differ only
+in the middle wing), and its quotient is the reduced-8 graph, which has no
+twins and is its own quotient.
 """
 
 from __future__ import annotations
@@ -50,19 +60,23 @@ def classify_from(strategy: DeterministicStrategy, strategies) -> dict[Visibilit
     """Count coincident / visible / hidden partners of one strategy.
 
     ``visibility_test`` defines the rule; it is inlined here as one pass with
-    three int counters, because a call per pair makes the full-26 structural
-    report about 40% slower.  A partner with the same first wing is coincident
-    or visible, else one with the same last wing is visible, else it is hidden.
+    three int counters over the strategies' ``wing_indices``, because a call
+    or a dataclass comparison per pair makes the classification several
+    times slower.  A partner with the same first wing is coincident
+    (all three wings equal) or visible, else one with the same last wing is
+    visible, else it is hidden.
     """
-    first, last = strategy.first, strategy.last
+    wings = strategy.wing_indices
+    first, _, last = wings
     coincident = visible = hidden = 0
     for other in strategies:
-        if other.first == first:
-            if other == strategy:
+        other_wings = other.wing_indices
+        if other_wings[0] == first:
+            if other_wings == wings:
                 coincident += 1
             else:
                 visible += 1
-        elif other.last == last:
+        elif other_wings[2] == last:
             visible += 1
         else:
             hidden += 1
@@ -73,12 +87,13 @@ def classify_from(strategy: DeterministicStrategy, strategies) -> dict[Visibilit
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilityGraph:
     """Undirected visibility graph over the canonical vertex order.
 
     ``adjacency`` is a boolean matrix; nodes are row indices of the vertex
-    table for ``representation``.
+    table for ``representation``.  Graphs compare by identity: an array field
+    has no single truth value.
     """
 
     representation: str
@@ -228,33 +243,64 @@ def _first_cover(closed: np.ndarray, size: int) -> tuple[int, ...] | None:
     return None
 
 
+def _twin_quotient(graph: VisibilityGraph) -> tuple[list[list[int]], np.ndarray, list[int]]:
+    # Closed-twin classes, each a list of its nodes, in order of smallest member;
+    # and the quotient's closed neighbourhoods, as a matrix over class indices
+    # and as its row masks.  Twins have equal rows of the closed-neighbourhood
+    # matrix, so the classes are the nodes grouped by row mask.  A twin-free
+    # graph is its own quotient, and its matrix and masks are returned as built.
+    closed = _closed_neighborhoods(graph)
+    classes: dict[int, list[int]] = {}
+    for node, mask in enumerate(_row_masks(closed)):
+        classes.setdefault(mask, []).append(node)
+    members = list(classes.values())
+    if len(members) == graph.node_count:
+        return members, closed, list(classes)
+    smallest = [nodes[0] for nodes in members]
+    quotient = closed[np.ix_(smallest, smallest)]
+    return members, quotient, _row_masks(quotient)
+
+
 def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
     """Whether some ``size``-subset of nodes covers every node.
 
-    Exhaustive: the (size - 1)-subsets are walked in lexicographic order, n at
-    a time, and one matrix product per block counts, for each of them and each
-    node that could complete it, the nodes left uncovered.  The walk stops at
-    the lexicographically first covering set.
+    Exhaustive, on the closed-twin quotient: a set covers the graph iff the
+    classes of its members cover the quotient, and adding nodes to a cover
+    keeps it one, so for 1 <= size <= n the answer is whether the quotient
+    with c classes has a cover of min(size, c) classes.  That search walks the
+    (k - 1)-subsets in lexicographic order, one block at a time, with one
+    matrix product per block counting the nodes each subset plus each
+    completing node leaves uncovered.  The empty set covers only the empty
+    graph, and no set has more than n nodes.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    return _first_cover(_closed_neighborhoods(graph), size) is not None
+    if not 1 <= size <= graph.node_count:
+        return size == graph.node_count == 0
+    members, quotient, _ = _twin_quotient(graph)
+    return _first_cover(quotient, min(size, len(members))) is not None
 
 
 def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
     """Smallest vertex set whose closed visibility neighbourhoods cover the graph.
 
     Sizes are tried in increasing order with the exhaustive search of
-    ``has_dominating_set``.  Within a size, candidate sets are examined in
-    lexicographic order of their sorted members, so the result is
-    deterministic: the lexicographically first complete set of minimum size.
+    ``has_dominating_set`` on the closed-twin quotient, and each class of the
+    quotient's first cover is lifted to its smallest member.  Within a size,
+    candidate sets are examined in lexicographic order of their sorted
+    members, so the result is deterministic: the lexicographically first
+    complete set of minimum size.  The lift gives that same set on the graph:
+    a minimum cover never holds two twins, since one of them could be dropped,
+    and putting each member's smallest twin in its place keeps it a cover that
+    is no later in that order; classes are numbered in order of their smallest
+    members, so the order of class sets and of their lifts agree.
     """
-    closed = _closed_neighborhoods(graph)
+    members, quotient, _ = _twin_quotient(graph)
     n = graph.node_count
-    for k in range(1, n + 1):
-        combo = _first_cover(closed, k)
+    for k in range(1, len(members) + 1):
+        combo = _first_cover(quotient, k)
         if combo is not None:
-            return GeneratorSet(combo, frozenset(range(n)), n)
+            return GeneratorSet(tuple(members[c][0] for c in combo), frozenset(range(n)), n)
     raise ValueError("graph has no dominating set")  # unreachable for n >= 1
 
 
@@ -309,17 +355,21 @@ def maximal_convex_clusters(graph: VisibilityGraph) -> list[tuple[int, ...]]:
     """All maximal cliques of the visibility graph, sorted for determinism.
 
     Inside a clique every pair of vertices is mutually visible, so the convex
-    hull of the clique stays locally realisable.  Bron-Kerbosch with pivoting
-    (the pivot has the most neighbours among the candidates), on node sets
-    held as int bit masks; each clique is listed with ascending members and
-    the list is sorted.
+    hull of the clique stays locally realisable.  A twin of a clique member
+    sees every other member, so a maximal clique is a union of whole
+    closed-twin classes, and the maximal cliques of the graph are exactly the
+    lifts of those of its quotient.  Bron-Kerbosch with pivoting (the pivot
+    has the most neighbours among the candidates) runs on the quotient, on
+    class sets held as int bit masks; each clique is lifted to the ascending
+    list of its classes' members, and the list is sorted.
     """
-    neighbors = _row_masks(graph.adjacency)
+    members, _, closed_masks = _twin_quotient(graph)
+    neighbors = [mask & ~(1 << c) for c, mask in enumerate(closed_masks)]
     cliques: list[tuple[int, ...]] = []
 
     def expand(r: int, p: int, x: int) -> None:
         if not p and not x:
-            cliques.append(tuple(_bits(r)))
+            cliques.append(tuple(sorted(chain.from_iterable(members[c] for c in _bits(r)))))
             return
         pivot = max(_bits(p | x), key=lambda u: (neighbors[u] & p).bit_count())
         for v in _bits(p & ~neighbors[pivot]):
@@ -327,7 +377,7 @@ def maximal_convex_clusters(graph: VisibilityGraph) -> list[tuple[int, ...]]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand(0, (1 << graph.node_count) - 1, 0)
+    expand(0, (1 << len(members)) - 1, 0)
     return sorted(cliques)
 
 

@@ -42,13 +42,15 @@ def _check_finite(name: str, array: np.ndarray) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated quantum state.
 
     Construction checks Hermiticity, unit trace and positivity (eigenvalues
     above -1e-10); each violation raises ValueError naming the failed
     property.
+
+    Instances compare by identity: an array field has no single truth value.
     """
 
     matrix: np.ndarray
@@ -85,10 +87,17 @@ class DensityMatrix:
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
         try:
             dim = data["dim"]
-            re = np.array(data["re"], dtype=float)
-            im = np.array(data["im"], dtype=float)
+            tables = {name: data[name] for name in ("re", "im")}
         except (KeyError, TypeError):
             raise ValueError("density matrix JSON needs 'dim' and the 're' and 'im' entry tables")
+        # np.array would also read booleans and numeric strings as numbers.
+        for name, rows in tables.items():
+            if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
+            ):
+                raise ValueError(f"density matrix {name!r} must be a list of rows of numbers")
+        re = np.array(tables["re"], dtype=float)
+        im = np.array(tables["im"], dtype=float)
         if re.shape != im.shape:
             raise ValueError("real and imaginary parts differ in shape")
         if isinstance(dim, bool) or not isinstance(dim, int) or re.shape != (dim, dim):
@@ -105,7 +114,7 @@ def _first_failure(failing: np.ndarray, message: str, **names) -> None:
         raise ValueError(message.format(*np.argwhere(failing)[0], **names))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Projective measurements, one stacked projector array per party.
 
@@ -114,6 +123,8 @@ class MeasurementSet:
     that party's local space.  Every setting must be a complete orthogonal
     projective measurement; all parties must share the same setting and
     outcome counts, but each party may have its own ``dim``.
+
+    Instances compare by identity: an array field has no single truth value.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -196,12 +207,14 @@ def zx_qubit_measurements(parties: int) -> MeasurementSet:
 _ZX_PAIR = zx_qubit_measurements(2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullDistribution:
     """Setting-conditional outcome distribution of an (n, m, d) scenario.
 
     ``table`` has n setting axes followed by n outcome axes; every
     setting-conditional slice must be a probability distribution.
+
+    Instances compare by identity: an array field has no single truth value.
     """
 
     shape: ScenarioShape
@@ -389,7 +402,7 @@ def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float =
     return bool(lower <= delta + tol and delta <= upper + tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LhvModel:
     """Two-source local hidden-variable model on the three-party chain.
 
@@ -397,6 +410,8 @@ class LhvModel:
     the middle wing reads both.  ``response_first`` has shape (m, L, d),
     ``response_middle`` (m, L, R, d), ``response_last`` (m, R, d); the weight
     vectors are the source distributions of length L and R.
+
+    Instances compare by identity: an array field has no single truth value.
     """
 
     weights_left: np.ndarray

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,11 +132,20 @@ class WingStrategy:
 
 @dataclass(frozen=True)
 class DeterministicStrategy:
-    """One deterministic strategy per wing: (first, middle, last)."""
+    """One deterministic strategy per wing: (first, middle, last).
+
+    ``wing_indices`` holds the three wing indices as plain ints, computed once
+    at construction; it takes no part in equality, hashing or repr.
+    """
 
     first: WingStrategy
     middle: WingStrategy
     last: WingStrategy
+    wing_indices: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        wings = (self.first.index, self.middle.index, self.last.index)
+        object.__setattr__(self, "wing_indices", wings)
 
     @classmethod
     def from_indices(cls, i: int, j: int, k: int) -> "DeterministicStrategy":
@@ -145,7 +154,8 @@ class DeterministicStrategy:
     @property
     def index(self) -> int:
         """Row index in the canonical 64-row table."""
-        return 16 * self.first.index + 4 * self.middle.index + self.last.index
+        first, middle, last = self.wing_indices
+        return 16 * first + 4 * middle + last
 
     @property
     def singles(self) -> tuple[int, ...]:
@@ -286,17 +296,19 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
 
     The order makes the singles block (a0, a1, b0, b1, c0, c1) count upward
     in binary, i.e. row n uses wing indices (n // 16, (n // 4) % 4, n % 4).
+    The list is new on every call; the frozen strategies in it are shared.
     """
-    return [
-        DeterministicStrategy.from_indices(n // 16, (n // 4) % 4, n % 4)
-        for n in range(64)
-    ]
+    return list(_STRATEGIES)
+
+
+def _full_vertex(strategy: DeterministicStrategy) -> VertexFull:
+    coords = _event_products(strategy.singles, FULL_26)
+    return VertexFull(coords[:6], coords[6:18], coords[18:])
 
 
 def vertex_from_strategy(strategy: DeterministicStrategy) -> VertexFull:
     """Map a deterministic strategy to its 26-coordinate extreme point."""
-    coords = _event_products(strategy.singles, FULL_26)
-    return VertexFull(coords[:6], coords[6:18], coords[18:])
+    return _FULL_VERTICES[strategy.index]
 
 
 def marginalize(vertex: VertexFull) -> VertexReduced:
@@ -308,12 +320,9 @@ def marginalize(vertex: VertexFull) -> VertexReduced:
 def enumerate_reduced() -> list[VertexReduced]:
     """The 16 distinct reduced vertices, ordered by their (a0, a1, c0, c1) bits.
 
-    Marginalizing drops the middle wing, so the strategies with middle wing
-    index 0 give each reduced vertex once, already in that order.
+    The list is new on every call; the frozen vertices in it are shared.
     """
-    return [
-        marginalize(vertex_from_strategy(s)) for s in enumerate_strategies() if s.middle.index == 0
-    ]
+    return list(_REDUCED_VERTICES)
 
 
 def hamming_histogram(vertices) -> dict[int, int]:
@@ -333,10 +342,19 @@ def scenario_dimension(shape: ScenarioShape) -> int:
     return ((shape.d - 1) * shape.m + 1) ** shape.n - 1
 
 
-# Both vertex tables, built once.
+# The strategies and both vertex tables, built once; every entry is frozen.
+_STRATEGIES = tuple(
+    DeterministicStrategy.from_indices(n // 16, (n // 4) % 4, n % 4) for n in range(64)
+)
+_FULL_VERTICES = tuple(_full_vertex(s) for s in _STRATEGIES)
+# Marginalizing drops the middle wing, so the strategies with middle wing
+# index 0 give each reduced vertex once, already in order of its bits.
+_REDUCED_VERTICES = tuple(
+    marginalize(v) for s, v in zip(_STRATEGIES, _FULL_VERTICES) if s.middle.index == 0
+)
 _VERTEX_ROWS = {
-    FULL_26: tuple(vertex_from_strategy(s).coords for s in enumerate_strategies()),
-    REDUCED_8: tuple(v.coords for v in enumerate_reduced()),
+    FULL_26: tuple(v.coords for v in _FULL_VERTICES),
+    REDUCED_8: tuple(v.coords for v in _REDUCED_VERTICES),
 }
 
 
@@ -361,6 +379,7 @@ def vertices_csv(representation: str) -> str:
 
 def vertices_json(representation: str) -> str:
     """Vertex table as a JSON document carrying shape and representation tags."""
+    _check_representation(representation)
     shape = _REPRESENTATIONS[representation][0]
     payload = {
         "shape": {"n": shape.n, "m": shape.m, "d": shape.d},

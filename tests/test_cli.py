@@ -2,10 +2,13 @@
 
 Each command is driven through main(argv); outputs are parsed back and
 checked against the frozen references.  Also pins the determinism contract
-(byte-identical repeated runs) and the structured-error exit paths.
+(byte-identical repeated runs, and recorded digests of the structural
+outputs) and the structured-error exit paths.
 """
 
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -130,6 +133,36 @@ def test_analyze_reduced(tmp_path):
     assert payload["apsp_max"] == 2
     assert payload["generator_constructions"]["diagonal"]["newly_covered"] == [7, 5, 3, 1]
     assert payload["cliques"]["sizes"] == [4]
+
+
+# SHA-256 of the standard output of each structural command.  These bytes are
+# part of the output contract, so a change to them must be deliberate and
+# re-record the digest.  The SVD layouts are left out: their floats depend on
+# the BLAS.
+STRUCTURAL_DIGESTS = {
+    ("vertices", "full", "csv"): "e559cb81f86ab6a5ed785f805104e79eac5698fddc0bb40542178bd06cfcb37e",
+    ("vertices", "full", "json"): "c8c0e2711218add96b864ecdf00743cb7d7168a7ec969f00517a3979fe05090d",
+    ("graph", "full", "dot"): "815ff23bf93b51037fa9d753ceaf8be68537996dbe4340e12a6e17be8600149d",
+    ("graph", "full", "json"): "6e182617017a6e6f26a88bc4971f3ff05a5106b2ed0ee710039e3d5ae218eed7",
+    ("analyze", "full", None): "2ab78f28afb6823d599c7947685e1cc606d5bdaec617c0f25c9faf10b55c8d76",
+    ("vertices", "reduced", "csv"): "149f3191a435ab907e57f205da5ecd17876e654c4eb0337ad504b17336cc414d",
+    ("vertices", "reduced", "json"): "b57ed8831b1f8ba79f20d1911188f9a2c734edbaf9a609d1006f0f79faaa545f",
+    ("graph", "reduced", "dot"): "22edb6ee2e519689e1eb43ad320df267749e2bd5b1e00ee301c46df4242fb005",
+    ("graph", "reduced", "json"): "abadc6bc676aa38bcef825775a68354f4335323347f8e29f557bf0b95f195753",
+    ("analyze", "reduced", None): "d817d0a28c833d67ee4ca8ff615a1d4a0fcf56fe403b76048142d2477b810c38",
+}
+
+
+@pytest.mark.parametrize(
+    "verb, rep, fmt",
+    list(STRUCTURAL_DIGESTS),
+    ids=["-".join(filter(None, key)) for key in STRUCTURAL_DIGESTS],
+)
+def test_structural_stdout_is_byte_identical(capsys, verb, rep, fmt):
+    argv = [verb, "--rep", rep, *(["--format", fmt] if fmt else [])]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == STRUCTURAL_DIGESTS[verb, rep, fmt]
 
 
 def test_simulate_honest_exact(tmp_path):
@@ -386,7 +419,6 @@ _ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
     "mode, observed, flags, message",
     [
         pytest.param("samples", "0.1\nnan\n0.3\n", [], "finite samples", id="samples-nan-cell"),
-        pytest.param("samples", "0.1\n1e308\n0.3\n", [], "overflows", id="samples-overflow"),
         pytest.param("point", None, ["--noise", "nan"], "finite and non-negative, got nan", id="noise-nan"),
         pytest.param("point", None, ["--noise", "inf"], "finite and non-negative, got inf", id="noise-inf"),
         *[
@@ -425,6 +457,40 @@ def test_bad_state_dim_gives_one_error_line(tmp_path, capsys, dim):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "'dim'" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["re", "im"])
+@pytest.mark.parametrize(
+    "table",
+    [[[True, False, False, False]] * 4, [["0.25", "0", "0", "0"]] * 4, [0.25] * 16, "0.25"],
+    ids=["booleans", "numeric-strings", "flat", "string"],
+)
+def test_bad_state_table_gives_one_error_line(tmp_path, capsys, name, table):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**qu.bell_pair_state().to_json_dict(), name: table}))
+    out = tmp_path / "bound.json"
+    assert main(["bound", "--rho", str(bad), "--sigma", str(bad), "--output", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and f"'{name}'" in lines[0]
+    assert not out.exists()
+
+
+def test_samples_far_from_unit_scale_get_a_p_value(tmp_path, recwarn):
+    # A sample near the top of the float range, whose variance is not a
+    # float: the Welch t-test works on a common power-of-two scale.
+    expected_file = tmp_path / "expected"
+    expected_file.write_text("0.1\n0.2\n0.4\n")
+    observed_file = tmp_path / "observed"
+    observed_file.write_text("0.1\n1e308\n0.3\n")
+    code, out = run(
+        tmp_path, "test", "--mode", "samples",
+        "--expected", str(expected_file), "--observed", str(observed_file),
+    )
+    assert code == 0
+    (column,) = read_json(out)["per_coordinate"]
+    # The small entries are negligible: t = 1 on 2 degrees of freedom.
+    assert column["t_p_value"] == pytest.approx(1.0 - 1.0 / math.sqrt(3.0), rel=1e-12)
+    assert not recwarn.list
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -13,6 +13,9 @@ Core claims pinned here:
   * The blocked cover search, the bit-mask Bron-Kerbosch and the one-pass
     classification agree with the big-int subset loop, the set-based
     Bron-Kerbosch and a per-pair visibility_test count kept below.
+  * The full graph's closed-twin quotient is the reduced graph, and the
+    generator and clique searches on the quotient agree with those
+    references on generated graphs with planted twins.
 """
 
 from itertools import combinations
@@ -445,9 +448,56 @@ def test_cliques_match_set_bron_kerbosch(adjacency):
 @oracle_settings
 @given(hs.lists(hs.integers(0, 63), max_size=150), hs.integers(0, 63))
 def test_classification_matches_pairwise_count(picks, index):
-    # A second enumeration, so equality is by value and not by identity.
-    listed, fresh = all_strategies(), all_strategies()
-    strategies = [fresh[k] for k in picks]
+    # Rebuilt strategies, so equality is by value and not by identity.
+    listed = all_strategies()
+    strategies = [st.DeterministicStrategy.from_indices(*listed[k].wing_indices) for k in picks]
     assert ge.classify_from(listed[index], strategies) == reference_classification(
         listed[index], strategies
     )
+
+
+def test_full_graph_quotient_is_the_reduced_graph():
+    # Twins differ only in the middle wing; class 4 * first + last holds the
+    # nodes 16 * first + 4 * middle + last, and the reduced graph is twin-free.
+    members, quotient, masks = ge._twin_quotient(ge.build_visibility_graph(st.FULL_26))
+    assert members == [[16 * f + 4 * m + l for m in range(4)] for f in range(4) for l in range(4)]
+    reduced = ge.build_visibility_graph(st.REDUCED_8)
+    assert np.array_equal(quotient, ge._closed_neighborhoods(reduced))
+    assert masks == ge._row_masks(quotient)
+    members, quotient, masks = ge._twin_quotient(reduced)
+    assert members == [[node] for node in range(16)]
+    assert np.array_equal(quotient, ge._closed_neighborhoods(reduced))
+    assert masks == ge._row_masks(quotient)
+
+
+@hs.composite
+def planted_twins(draw):
+    # Each node of a small generated graph becomes a clique of 1-4 closed twins,
+    # each seeing the node's neighbours, and the nodes are shuffled.  The base
+    # graph is small because the reference subset loop is exponential in n.
+    base = draw(adjacency_matrices(max_nodes=6))
+    copies = draw(hs.lists(hs.integers(1, 4), min_size=len(base), max_size=len(base)))
+    owner = np.repeat(np.arange(len(base)), copies)
+    owner = owner[np.random.default_rng(draw(hs.integers(0, 2**32 - 1))).permutation(owner.size)]
+    adjacency = base[np.ix_(owner, owner)] | (owner[:, None] == owner[None, :])
+    np.fill_diagonal(adjacency, False)
+    return adjacency
+
+
+@oracle_settings
+@given(planted_twins())
+@example(CANONICAL[0])
+@example(CANONICAL[1])
+def test_quotient_searches_match_reference_loops_on_planted_twins(adjacency):
+    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    masks = reference_masks(graph)
+    smallest = None
+    for size in range(graph.node_count + 2):
+        expected = reference_first_cover(masks, size)
+        assert ge.has_dominating_set(graph, size) == (expected is not None)
+        if smallest is None and size and expected is not None:
+            smallest = expected
+    generators = ge.minimum_generators(graph)
+    assert generators.members == smallest
+    assert all(type(m) is int for m in generators.members)
+    assert ge.maximal_convex_clusters(graph) == reference_cliques(graph)

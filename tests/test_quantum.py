@@ -15,7 +15,9 @@ Core claims pinned here:
     signalling tables.
   * Every numeric constructor rejects non-finite input.
   * Random states survive a trip through their JSON text unchanged, and a
-    'dim' that is not the side of the matrix is rejected.
+    'dim' that is not the side of the matrix, or entry tables that are not
+    lists of rows of numbers, are rejected.
+  * The dataclasses that hold arrays compare by identity and are hashable.
   * MeasurementSet names each kind of malformed input and stores one
     read-only (settings, outcomes, dim, dim) array per party.
   * no_signalling_check agrees with a per-setting loop oracle, and Born-rule
@@ -32,6 +34,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from p3poly import geometry as ge
 from p3poly import quantum as qu
 from p3poly import stats as sta
 from p3poly import strategies as st
@@ -67,6 +70,14 @@ def test_density_matrix_json_roundtrip():
     assert np.allclose(again.matrix, state.matrix)
     with pytest.raises(ValueError):
         qu.DensityMatrix.from_json_dict({"re": [[1.0]]})
+    # Integer entries are numbers; booleans, numeric strings and flat or
+    # non-list tables are not, though np.array would read them.
+    data = {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+    assert np.array_equal(qu.DensityMatrix.from_json_dict(data).matrix, np.diag([1.0, 0.0]))
+    for name in ("re", "im"):
+        for table in ([[True, False], [False, False]], [["1.0", "0"], ["0", "0"]], [1, 0, 0, 0], "1000"):
+            with pytest.raises(ValueError, match=f"'{name}' must be a list of rows of numbers"):
+                qu.DensityMatrix.from_json_dict({**data, name: table})
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -676,6 +687,24 @@ def _lhv_with(field, value):
     }
     arrays[field] = arrays[field] * value
     return qu.LhvModel(**arrays)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        bell,
+        lambda: qu.zx_qubit_measurements(2),
+        lambda: qu.FullDistribution(st.REDUCED_SHAPE, np.full((2, 2, 2, 2), 0.25)),
+        lambda: _lhv_with("weights_left", 1.0),
+        lambda: ge.build_visibility_graph(st.REDUCED_8),
+    ],
+    ids=["DensityMatrix", "MeasurementSet", "FullDistribution", "LhvModel", "VisibilityGraph"],
+)
+def test_array_holding_dataclasses_compare_by_identity(build):
+    # Field-wise == would ask an array comparison for one truth value.
+    first, second = build(), build()
+    assert first == first and first != second
+    assert len({first, first, second}) == 2
 
 
 @pytest.mark.parametrize(

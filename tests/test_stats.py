@@ -6,7 +6,8 @@ Core claims pinned here:
   * distance_sigma(P_B, 5%) equals the frozen oracle 0.0637...
   * gaussian_separability separates P_U from P_B at z ~ 5.5 and is monotone
     in distance.
-  * Welch t and KS implementations agree with scipy oracles.
+  * Welch t and KS implementations agree with scipy oracles; the Welch t
+    p-value is the same at every sample scale from 1e-300 to 1e300.
   * norms obeys l2 <= l1 and reproduces (0.5, sqrt(0.125)) on V.
 """
 
@@ -236,22 +237,44 @@ def test_two_sample_tests_reject_non_finite(two_sample, bad):
         two_sample([0.1, 0.2, 0.3], [0.1, bad, 0.3])
     with pytest.raises(ValueError, match="finite"):
         two_sample([0.1, bad, 0.3], [0.1, 0.2, 0.3])
-    # A finite sample whose variance overflows: the t-test says so, the
-    # rank-based KS test has nothing to overflow, and neither warns.
+    # A finite sample whose variance is past the float range: both tests give
+    # a p-value, and neither warns.  For the t-test the small entries are
+    # negligible, so t = 1 on 2 degrees of freedom.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        p = two_sample([0.1, 1e308, 0.3], [0.1, 0.2, 0.4])
         if two_sample is sta.two_sample_t:
-            with pytest.raises(ValueError, match="overflows"):
-                two_sample([0.1, 1e308, 0.3], [0.1, 0.2, 0.4])
+            assert p == pytest.approx(scipy.stats.t.sf(1.0, 2) * 2, rel=1e-12)
         else:
-            assert 0.0 <= two_sample([0.1, 1e308, 0.3], [0.1, 0.2, 0.4]) <= 1.0
+            assert 0.0 <= p <= 1.0
         # Far from unit scale, but with finite variances: the p-value is the
-        # unit-scale one, with no overflow reported.
+        # unit-scale one.
         unit = two_sample([1.0, 2.0, 4.0], [1.0, 3.0, 5.0])
         for scale in (1e-100, 1e80):
             xs = [scale * v for v in (1.0, 2.0, 4.0)]
             ys = [scale * v for v in (1.0, 3.0, 5.0)]
             assert two_sample(xs, ys) == pytest.approx(unit, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+def test_two_sample_t_is_scale_invariant(scale):
+    # Samples are divided by one common power of two before their variances
+    # are taken, so neither a tiny nor a huge scale loses the statistic.
+    expected = scipy.stats.ttest_ind([1.0, 2.0, 4.0], [1.0, 3.0, 5.0], equal_var=False).pvalue
+    assert expected == pytest.approx(0.6717372553305926, abs=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = sta.two_sample_t([scale * v for v in (1, 2, 4)], [scale * v for v in (1, 3, 5)])
+    assert p == pytest.approx(expected, abs=1e-12)
+
+
+def test_two_sample_t_standard_error_underflow_is_an_error():
+    # The variance of xs is one subnormal step above zero, and ys has none, so
+    # the standard error rounds to zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="standard error underflows"):
+            sta.two_sample_t([0.0, 0.0, 4.5e-162], [0.5, 0.5, 0.5])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

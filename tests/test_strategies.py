@@ -10,7 +10,9 @@ Core claims pinned here:
   * Hamming-weight histogram matches the frozen reference.
   * Behaviour-space dimension formula gives 26 and 8 for the two scenarios.
   * Behaviour points and vertex tables survive a trip through their JSON and
-    CSV text unchanged.
+    CSV text unchanged, and both exports reject an unknown representation.
+  * The enumerations return fresh lists of shared frozen entries, and a
+    strategy's cached wing indices leave its equality, hash and repr alone.
 """
 
 import json
@@ -223,6 +225,33 @@ def test_unknown_representation_rejected():
         st.vertex_rows("full")
     with pytest.raises(ValueError):
         st.vertices_csv("8")
+    for export in (st.vertices_csv, st.vertices_json):
+        for tag in ("bogus", None, [st.FULL_26]):
+            with pytest.raises(ValueError, match="unknown representation"):
+                export(tag)
+
+
+def test_enumerations_return_fresh_lists():
+    # The frozen entries are built once and shared; the lists are not.
+    for enumerate_table, count in ((st.enumerate_strategies, 64), (st.enumerate_reduced, 16)):
+        enumerate_table().clear()
+        again = enumerate_table()
+        assert len(again) == count and again is not enumerate_table()
+        assert again == enumerate_table()
+
+
+def test_strategy_wing_indices_take_no_part_in_equality_or_repr():
+    strategy = st.DeterministicStrategy.from_indices(2, 1, 3)
+    assert strategy.wing_indices == (2, 1, 3)
+    assert strategy.index == 39
+    assert repr(strategy) == (
+        "DeterministicStrategy(first=WingStrategy(out0=1, out1=0), "
+        "middle=WingStrategy(out0=0, out1=1), last=WingStrategy(out0=1, out1=1))"
+    )
+    rebuilt = st.DeterministicStrategy(strategy.first, strategy.middle, strategy.last)
+    assert rebuilt is not strategy
+    assert rebuilt == strategy and hash(rebuilt) == hash(strategy)
+    assert rebuilt != st.DeterministicStrategy.from_indices(2, 0, 3)
 
 
 def test_behaviour_from_vertex():
