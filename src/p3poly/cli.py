@@ -4,6 +4,11 @@ Verbs: vertices, graph, analyze, simulate, project, test, bound.  Every
 command is deterministic given its flags, writes a complete output file or
 standard output ("-"), and exits nonzero with a structured message on any
 validation failure without leaving partial files behind.
+
+Start-up is most of a command's time, so only ``strategies``, which every
+verb uses, is imported here; each verb imports the other layers it needs:
+``graph`` and ``analyze`` geometry, ``simulate`` and ``bound`` quantum,
+``project`` manifold, and ``test`` stats (plus manifold in point mode).
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ import sys
 import tempfile
 from contextlib import suppress
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import geometry, manifold, quantum, stats
 from .strategies import (
     BehaviourPoint,
     FULL_26,
@@ -31,6 +36,9 @@ from .strategies import (
     vertices_csv,
     vertices_json,
 )
+
+if TYPE_CHECKING:
+    from .quantum import DensityMatrix
 
 _REP_FLAGS = {"full": FULL_26, "reduced": REDUCED_8}
 
@@ -92,11 +100,13 @@ def _load_behaviour_point(path_str: str) -> BehaviourPoint:
     raise CliError(f"{path_str!r} does not contain a behaviour point")
 
 
-def _load_density_matrix(path_str: str) -> quantum.DensityMatrix:
+def _load_density_matrix(path_str: str) -> DensityMatrix:
+    from .quantum import DensityMatrix
+
     data = _load_json(path_str)
     if not isinstance(data, dict):
         raise CliError(f"{path_str!r} does not contain a density matrix")
-    return quantum.DensityMatrix.from_json_dict(data)
+    return DensityMatrix.from_json_dict(data)
 
 
 def _read_samples(path_str: str) -> np.ndarray:
@@ -156,6 +166,8 @@ def _cmd_vertices(args) -> str:
 
 
 def _cmd_graph(args) -> str:
+    from . import geometry
+
     representation = _REP_FLAGS[args.rep]
     graph = geometry.build_visibility_graph(representation)
     layout = None
@@ -183,6 +195,8 @@ def _cmd_graph(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
+    from . import geometry
+
     representation = _REP_FLAGS[args.rep]
     graph = geometry.build_visibility_graph(representation)
     _, apsp_max = geometry.all_pairs_shortest_paths(graph)
@@ -231,6 +245,8 @@ def _cmd_analyze(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
+    from . import quantum
+
     if args.shots < 0:
         raise CliError("shots must be non-negative")
     rho, measurements, shape = quantum.qkd_scenario(args.kind, args.noise)
@@ -258,11 +274,15 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_project(args) -> str:
+    from . import manifold
+
     point = _load_behaviour_point(args.input)
     return _json_text(manifold.project(point).to_json_dict())
 
 
 def _test_point_mode(args) -> dict:
+    from . import manifold, stats
+
     expected = _load_behaviour_point(args.expected)
     observed = _load_behaviour_point(args.observed)
     for name, point in (("expected", expected), ("observed", observed)):
@@ -285,6 +305,8 @@ def _test_point_mode(args) -> dict:
 
 
 def _test_samples_mode(args) -> dict:
+    from . import stats
+
     expected = _read_samples(args.expected)
     observed = _read_samples(args.observed)
     if expected.shape[1] != observed.shape[1]:
@@ -330,6 +352,8 @@ def _cmd_test(args) -> str:
 
 
 def _cmd_bound(args) -> str:
+    from . import quantum
+
     rho = _load_density_matrix(args.rho)
     sigma = _load_density_matrix(args.sigma)
     report = quantum.behaviour_bound_check(rho, sigma)

@@ -493,6 +493,112 @@ def test_samples_far_from_unit_scale_get_a_p_value(tmp_path, recwarn):
     assert not recwarn.list
 
 
+# Every malformed file each file-reading verb can be given, by the kind of
+# file it reads, with a fragment of the error it must give.  None stands for
+# a path with no file behind it.
+_BELL = qu.bell_pair_state().to_json_dict()
+
+
+def _point(coords, representation=REDUCED_8):
+    return json.dumps({"representation": representation, "coords": coords})
+
+
+def _qubit_state(re):
+    return json.dumps({"dim": 2, "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]})
+
+
+_MALFORMED_FILES = {
+    "point": {
+        "missing": (None, "cannot read"),
+        "not-json": ("{not json", "not valid JSON"),
+        "list": ("[]", "does not contain a behaviour point"),
+        "no-point": (json.dumps({"exact": {}}), "does not contain a behaviour point"),
+        "exact-point-number": (json.dumps({"exact_point": 5}), "needs 'representation'"),
+        "no-representation": (json.dumps({"coords": [0] * 8}), "needs 'representation'"),
+        "nan": (_point([float("nan")] * 8), "not finite"),
+        "coords5": (_point(5), "'coords' must be a list"),
+        "coords-str": (_point("00000000"), "'coords' must be a list"),
+        "coords-bool": (_point([True, False] * 4), "'coords' must be a list"),
+        "coords-short": (_point([0.5] * 7), "expected 8 coordinates"),
+        "coords-above-one": (_point([2.0] * 8), "outside [0, 1]"),
+        "rep-unknown": (_point([0] * 8, "bogus"), "unknown representation"),
+        "rep-list": (_point([0] * 8, [REDUCED_8]), "unknown representation"),
+        "rep-dict": (_point([0] * 8, {}), "unknown representation"),
+    },
+    "samples": {
+        "missing": (None, "cannot read"),
+        "empty": ("", "holds no samples"),
+        "blank": ("\n \n", "holds no samples"),
+        "header-only": ("x,y\n", "holds no numeric rows"),
+        "not-numeric": ("0.1\nabc\n0.3\n", "line 2 is not numeric"),
+        "ragged": ("0.1,0.2\n0.3\n0.4,0.5\n", "ragged rows"),
+        "nan-cell": ("0.1\nnan\n0.3\n", "finite samples"),
+        "inf-cell": ("0.1\ninf\n0.3\n", "finite samples"),
+    },
+    "state": {
+        "missing": (None, "cannot read"),
+        "not-json": ("{not json", "not valid JSON"),
+        "list": ("[]", "does not contain a density matrix"),
+        "no-im": (json.dumps({"dim": 4, "re": _BELL["re"]}), "needs 'dim' and the 're' and 'im'"),
+        "dim-null": (json.dumps({**_BELL, "dim": None}), "'dim' must be an integer"),
+        "dim-wrong": (json.dumps({**_BELL, "dim": 3}), "'dim' must be an integer"),
+        "re-booleans": (json.dumps({**_BELL, "re": [[True] * 4] * 4}), "'re' must be a list"),
+        "im-strings": (json.dumps({**_BELL, "im": [["0"] * 4] * 4}), "'im' must be a list"),
+        "shapes-differ": (json.dumps({**_BELL, "im": [[0.0] * 2] * 2}), "differ in shape"),
+        "trace": (_qubit_state([[0.45, 0.0], [0.0, 0.45]]), "trace is not 1"),
+        "not-hermitian": (_qubit_state([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+        "negative": (_qubit_state([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
+        "nan": (_qubit_state([[float("nan"), 0.0], [0.0, 0.5]]), "non-finite entries"),
+    },
+}
+_GOOD_FILES = {
+    "point": json.dumps({"representation": REDUCED_8, "coords": list(P_B)}),
+    "samples": "0.1\n0.2\n0.4\n",
+    "state": json.dumps(_BELL),
+}
+# The verbs that read files: (kind of file, argv before the two paths, flag of
+# the file under test, flag of the other file or None).
+_FILE_READERS = {
+    "project": ("point", ["project"], "--input", None),
+    "test-point-expected": ("point", ["test"], "--expected", "--observed"),
+    "test-point-observed": ("point", ["test"], "--observed", "--expected"),
+    "test-samples-expected": ("samples", ["test", "--mode", "samples"], "--expected", "--observed"),
+    "test-samples-observed": ("samples", ["test", "--mode", "samples"], "--observed", "--expected"),
+    "bound-rho": ("state", ["bound"], "--rho", "--sigma"),
+    "bound-sigma": ("state", ["bound"], "--sigma", "--rho"),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, name",
+    [
+        pytest.param(reader, name, id=f"{reader}-{name}")
+        for reader, (kind, *_) in _FILE_READERS.items()
+        for name in _MALFORMED_FILES[kind]
+    ],
+)
+def test_malformed_input_file_gives_one_error_line(tmp_path, capsys, recwarn, reader, name):
+    kind, argv, flag, other_flag = _FILE_READERS[reader]
+    bad = tmp_path / "bad"
+    content, message = _MALFORMED_FILES[kind][name]
+    if content is not None:
+        bad.write_text(content)
+    argv = [*argv, flag, str(bad)]
+    if other_flag is not None:
+        good = tmp_path / "good"
+        good.write_text(_GOOD_FILES[kind])
+        argv += [other_flag, str(good)]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert message in lines[0]
+    assert captured.out == ""
+    assert not out.exists()
+    assert not recwarn.list  # a warning would reach stderr outside pytest
+
+
 def test_missing_input_file(tmp_path, capsys):
     out = tmp_path / "x.json"
     code = main(["project", "--input", str(tmp_path / "absent.json"), "--output", str(out)])
