@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -215,50 +215,34 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _first_cover(closed: np.ndarray, size: int) -> tuple[int, ...] | None:
-    # First ``size``-subset, in lexicographic order, whose rows of ``closed`` cover
-    # every node; None if none.  The (size - 1)-subsets ("prefixes") come in
-    # lexicographic order, n at a time.  missed[p, l] counts the nodes covered by
-    # neither prefix p nor node l; counts up to n are exact in float32 for any n
-    # below 2**24.  Prefix p plus l is a cover iff the count is 0 and l lies above the
-    # prefix's last member, and the first such pair in row-major order is the
-    # first cover.  A zero with l not above the last member is skipped: either
-    # the prefix covers alone, or its set also has a valid pair in an earlier row.
-    n = closed.shape[0]
-    if size == 0:
-        return () if n == 0 else None
-    left = ~closed
-    left_by = np.ascontiguousarray(left.T, dtype=np.float32)  # column l: what l misses
-    subsets = combinations(range(n), size - 1)
-    while prefixes := list(islice(subsets, n)):
-        block = np.fromiter(chain.from_iterable(prefixes), np.intp)
-        uncovered = np.logical_and.reduce(left[block.reshape(len(prefixes), size - 1)], axis=1)
-        missed = uncovered @ left_by
-        if missed.min() > 0:
-            continue
-        for flat in np.flatnonzero(missed == 0):
-            p, last = divmod(int(flat), n)
-            if last > max(prefixes[p], default=-1):
-                return (*prefixes[p], last)
+def _first_cover(masks: list[int], size: int) -> tuple[int, ...] | None:
+    # First ``size``-subset, in lexicographic order, whose closed-neighbourhood
+    # masks cover every node; None if none.
+    full = (1 << len(masks)) - 1
+    for combo in combinations(range(len(masks)), size):
+        union = 0
+        for i in combo:
+            union |= masks[i]
+        if union == full:
+            return combo
     return None
 
 
-def _twin_quotient(graph: VisibilityGraph) -> tuple[list[list[int]], np.ndarray, list[int]]:
+def _twin_quotient(graph: VisibilityGraph) -> tuple[list[list[int]], list[int]]:
     # Closed-twin classes, each a list of its nodes, in order of smallest member;
-    # and the quotient's closed neighbourhoods, as a matrix over class indices
-    # and as its row masks.  Twins have equal rows of the closed-neighbourhood
-    # matrix, so the classes are the nodes grouped by row mask.  A twin-free
-    # graph is its own quotient, and its matrix and masks are returned as built.
+    # and the quotient's closed neighbourhoods as masks over class indices.
+    # Twins have equal rows of the closed-neighbourhood matrix, so the classes
+    # are the nodes grouped by row mask.  A twin-free graph is its own quotient,
+    # and its masks are returned as built.
     closed = _closed_neighborhoods(graph)
     classes: dict[int, list[int]] = {}
     for node, mask in enumerate(_row_masks(closed)):
         classes.setdefault(mask, []).append(node)
     members = list(classes.values())
     if len(members) == graph.node_count:
-        return members, closed, list(classes)
+        return members, list(classes)
     smallest = [nodes[0] for nodes in members]
-    quotient = closed[np.ix_(smallest, smallest)]
-    return members, quotient, _row_masks(quotient)
+    return members, _row_masks(closed[np.ix_(smallest, smallest)])
 
 
 def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
@@ -267,38 +251,38 @@ def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
     Exhaustive, on the closed-twin quotient: a set covers the graph iff the
     classes of its members cover the quotient, and adding nodes to a cover
     keeps it one, so for 1 <= size <= n the answer is whether the quotient
-    with c classes has a cover of min(size, c) classes.  That search walks the
-    (k - 1)-subsets in lexicographic order, one block at a time, with one
-    matrix product per block counting the nodes each subset plus each
-    completing node leaves uncovered.  The empty set covers only the empty
-    graph, and no set has more than n nodes.
+    with c classes has a cover of min(size, c) classes.  That search is a
+    plain loop over the k-subsets of classes in lexicographic order, OR-ing
+    the int bit masks of their closed neighbourhoods until one union holds
+    every class.  The empty set covers only the empty graph, and no set has
+    more than n nodes.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
     if not 1 <= size <= graph.node_count:
         return size == graph.node_count == 0
-    members, quotient, _ = _twin_quotient(graph)
-    return _first_cover(quotient, min(size, len(members))) is not None
+    members, masks = _twin_quotient(graph)
+    return _first_cover(masks, min(size, len(members))) is not None
 
 
 def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
     """Smallest vertex set whose closed visibility neighbourhoods cover the graph.
 
-    Sizes are tried in increasing order with the exhaustive search of
-    ``has_dominating_set`` on the closed-twin quotient, and each class of the
-    quotient's first cover is lifted to its smallest member.  Within a size,
-    candidate sets are examined in lexicographic order of their sorted
-    members, so the result is deterministic: the lexicographically first
+    Sizes are tried in increasing order with the exhaustive subset loop of
+    ``has_dominating_set`` over the bit masks of the closed-twin quotient, and
+    each class of the quotient's first cover is lifted to its smallest member.
+    Within a size, candidate sets are examined in lexicographic order of their
+    sorted members, so the result is deterministic: the lexicographically first
     complete set of minimum size.  The lift gives that same set on the graph:
     a minimum cover never holds two twins, since one of them could be dropped,
     and putting each member's smallest twin in its place keeps it a cover that
     is no later in that order; classes are numbered in order of their smallest
     members, so the order of class sets and of their lifts agree.
     """
-    members, quotient, _ = _twin_quotient(graph)
+    members, masks = _twin_quotient(graph)
     n = graph.node_count
     for k in range(1, len(members) + 1):
-        combo = _first_cover(quotient, k)
+        combo = _first_cover(masks, k)
         if combo is not None:
             return GeneratorSet(tuple(members[c][0] for c in combo), frozenset(range(n)), n)
     raise ValueError("graph has no dominating set")  # unreachable for n >= 1
@@ -363,8 +347,8 @@ def maximal_convex_clusters(graph: VisibilityGraph) -> list[tuple[int, ...]]:
     class sets held as int bit masks; each clique is lifted to the ascending
     list of its classes' members, and the list is sorted.
     """
-    members, _, closed_masks = _twin_quotient(graph)
-    neighbors = [mask & ~(1 << c) for c, mask in enumerate(closed_masks)]
+    members, masks = _twin_quotient(graph)
+    neighbors = [mask & ~(1 << c) for c, mask in enumerate(masks)]
     cliques: list[tuple[int, ...]] = []
 
     def expand(r: int, p: int, x: int) -> None:

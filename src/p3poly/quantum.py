@@ -63,7 +63,7 @@ class DensityMatrix:
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise ValueError(f"density matrix is not Hermitian (residual {herm:.3e})")
-        trace = m.trace()
+        trace = m.trace().real  # Hermitian, so the imaginary part is below 1e-10
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace is not 1 (got {trace:.12g})")
         smallest = float(np.linalg.eigvalsh(m).min())

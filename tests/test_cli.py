@@ -351,30 +351,6 @@ def test_bound_identical_states(tmp_path):
     assert payload["fidelity"] == pytest.approx(1.0)
 
 
-def test_bound_malformed_trace(tmp_path, capsys):
-    bad_file = tmp_path / "bad.json"
-    bad_file.write_text(json.dumps({
-        "dim": 2,
-        "re": [[0.45, 0.0], [0.0, 0.45]],
-        "im": [[0.0, 0.0], [0.0, 0.0]],
-    }))
-    out = tmp_path / "bound.json"
-    code = main(["bound", "--rho", str(bad_file), "--sigma", str(bad_file), "--output", str(out)])
-    assert code == 1
-    assert "trace" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_malformed_json_input(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    out = tmp_path / "x.json"
-    code = main(["project", "--input", str(bad), "--output", str(out)])
-    assert code == 1
-    assert "not valid JSON" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "name, verb",
     [
@@ -418,7 +394,6 @@ _ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
 @pytest.mark.parametrize(
     "mode, observed, flags, message",
     [
-        pytest.param("samples", "0.1\nnan\n0.3\n", [], "finite samples", id="samples-nan-cell"),
         pytest.param("point", None, ["--noise", "nan"], "finite and non-negative, got nan", id="noise-nan"),
         pytest.param("point", None, ["--noise", "inf"], "finite and non-negative, got inf", id="noise-inf"),
         *[
@@ -542,10 +517,20 @@ _MALFORMED_FILES = {
         "no-im": (json.dumps({"dim": 4, "re": _BELL["re"]}), "needs 'dim' and the 're' and 'im'"),
         "dim-null": (json.dumps({**_BELL, "dim": None}), "'dim' must be an integer"),
         "dim-wrong": (json.dumps({**_BELL, "dim": 3}), "'dim' must be an integer"),
+        "dim-object": (json.dumps({**_BELL, "dim": {}}), "'dim' must be an integer"),
+        "dim-string": (json.dumps({**_BELL, "dim": "x"}), "'dim' must be an integer"),
+        "dim-true": (json.dumps({**_BELL, "dim": True}), "'dim' must be an integer"),
+        "dim-float": (json.dumps({**_BELL, "dim": 4.0}), "'dim' must be an integer"),
         "re-booleans": (json.dumps({**_BELL, "re": [[True] * 4] * 4}), "'re' must be a list"),
+        "re-strings": (json.dumps({**_BELL, "re": [["0.25"] * 4] * 4}), "'re' must be a list"),
+        "re-flat": (json.dumps({**_BELL, "re": [0.25] * 16}), "'re' must be a list"),
+        "re-scalar-string": (json.dumps({**_BELL, "re": "0.25"}), "'re' must be a list"),
+        "im-booleans": (json.dumps({**_BELL, "im": [[False] * 4] * 4}), "'im' must be a list"),
         "im-strings": (json.dumps({**_BELL, "im": [["0"] * 4] * 4}), "'im' must be a list"),
+        "im-flat": (json.dumps({**_BELL, "im": [0.0] * 16}), "'im' must be a list"),
+        "im-scalar-string": (json.dumps({**_BELL, "im": "0"}), "'im' must be a list"),
         "shapes-differ": (json.dumps({**_BELL, "im": [[0.0] * 2] * 2}), "differ in shape"),
-        "trace": (_qubit_state([[0.45, 0.0], [0.0, 0.45]]), "trace is not 1"),
+        "trace": (_qubit_state([[0.45, 0.0], [0.0, 0.45]]), "trace is not 1 (got 0.9)"),
         "not-hermitian": (_qubit_state([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
         "negative": (_qubit_state([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
         "nan": (_qubit_state([[float("nan"), 0.0], [0.0, 0.5]]), "non-finite entries"),
@@ -597,13 +582,6 @@ def test_malformed_input_file_gives_one_error_line(tmp_path, capsys, recwarn, re
     assert captured.out == ""
     assert not out.exists()
     assert not recwarn.list  # a warning would reach stderr outside pytest
-
-
-def test_missing_input_file(tmp_path, capsys):
-    out = tmp_path / "x.json"
-    code = main(["project", "--input", str(tmp_path / "absent.json"), "--output", str(out)])
-    assert code == 1
-    assert "cannot read" in capsys.readouterr().err
 
 
 def test_unwritable_output(tmp_path, capsys):

@@ -10,9 +10,10 @@ Core claims pinned here:
   * The matrix forms of APSP, coverage accounting and the edge list agree
     with the node-by-node walks kept below as references, on the canonical
     graphs and on generated graphs (connected or not).
-  * The blocked cover search, the bit-mask Bron-Kerbosch and the one-pass
+  * The cover search, the bit-mask Bron-Kerbosch and the one-pass
     classification agree with the big-int subset loop, the set-based
-    Bron-Kerbosch and a per-pair visibility_test count kept below.
+    Bron-Kerbosch and a per-pair visibility_test count kept below; on the
+    empty graph the empty set is the only cover.
   * The full graph's closed-twin quotient is the reduced graph, and the
     generator and clique searches on the quotient agree with those
     references on generated graphs with planted twins.
@@ -412,12 +413,11 @@ def test_dot_and_edges_match_neighbor_loop(adjacency):
 def test_cover_search_matches_subset_loop(adjacency):
     graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
     n = graph.node_count
-    closed = ge._closed_neighborhoods(graph)
     masks = reference_masks(graph)
     smallest = None
     for size in range(n + 2):
         expected = reference_first_cover(masks, size)
-        assert ge._first_cover(closed, size) == expected
+        assert ge._first_cover(masks, size) == expected
         assert ge.has_dominating_set(graph, size) == (expected is not None)
         if smallest is None and size and expected is not None:
             smallest = expected
@@ -429,11 +429,20 @@ def test_cover_search_matches_subset_loop(adjacency):
 @pytest.mark.parametrize("adjacency", CANONICAL, ids=["full-26", "reduced-8"])
 def test_cover_search_matches_subset_loop_on_canonical_graphs(adjacency):
     graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
-    closed = ge._closed_neighborhoods(graph)
     masks = reference_masks(graph)
     for size in range(5):
-        assert ge._first_cover(closed, size) == reference_first_cover(masks, size)
+        assert ge._first_cover(masks, size) == reference_first_cover(masks, size)
     assert ge.minimum_generators(graph).members == reference_first_cover(masks, 4)
+
+
+def test_empty_graph_has_only_the_empty_cover():
+    graph = ge.VisibilityGraph(st.REDUCED_8, np.zeros((0, 0), dtype=bool))
+    assert ge._first_cover([], 0) == ()
+    assert ge._first_cover([], 1) is None
+    assert ge.has_dominating_set(graph, 0)
+    assert not ge.has_dominating_set(graph, 1)
+    with pytest.raises(ValueError, match="no dominating set"):
+        ge.minimum_generators(graph)
 
 
 @oracle_settings
@@ -459,15 +468,13 @@ def test_classification_matches_pairwise_count(picks, index):
 def test_full_graph_quotient_is_the_reduced_graph():
     # Twins differ only in the middle wing; class 4 * first + last holds the
     # nodes 16 * first + 4 * middle + last, and the reduced graph is twin-free.
-    members, quotient, masks = ge._twin_quotient(ge.build_visibility_graph(st.FULL_26))
+    members, masks = ge._twin_quotient(ge.build_visibility_graph(st.FULL_26))
     assert members == [[16 * f + 4 * m + l for m in range(4)] for f in range(4) for l in range(4)]
     reduced = ge.build_visibility_graph(st.REDUCED_8)
-    assert np.array_equal(quotient, ge._closed_neighborhoods(reduced))
-    assert masks == ge._row_masks(quotient)
-    members, quotient, masks = ge._twin_quotient(reduced)
+    assert masks == reference_masks(reduced)
+    members, masks = ge._twin_quotient(reduced)
     assert members == [[node] for node in range(16)]
-    assert np.array_equal(quotient, ge._closed_neighborhoods(reduced))
-    assert masks == ge._row_masks(quotient)
+    assert masks == reference_masks(reduced)
 
 
 @hs.composite
