@@ -14,6 +14,7 @@ every node the other sees); they fall into classes, ordered by their smallest
 member, and the quotient graph has one node per class.  A minimum cover holds
 at most one node of a class, and a maximal clique holds every node of a class
 or none, so both answers on the quotient lift back to the graph unchanged.
+Each graph computes its quotient once, on first use.
 The full-26 graph is 16 classes of 4 twins (the strategies that differ only
 in the middle wing), and its quotient is the reduced-8 graph, which has no
 twins and is its own quotient.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -92,15 +94,17 @@ class VisibilityGraph:
     """Undirected visibility graph over the canonical vertex order.
 
     ``adjacency`` is a boolean matrix; nodes are row indices of the vertex
-    table for ``representation``.  Graphs compare by identity: an array field
-    has no single truth value.
+    table for ``representation``.  The graph owns a read-only copy of the
+    array it is given, so its closed-twin quotient, which the generator and
+    clique searches read, is computed once per graph.  Graphs compare by
+    identity: an array field has no single truth value.
     """
 
     representation: str
     adjacency: np.ndarray
 
     def __post_init__(self) -> None:
-        adj = np.asarray(self.adjacency, dtype=bool)
+        adj = np.array(self.adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
         if adj.diagonal().any():
@@ -127,6 +131,23 @@ class VisibilityGraph:
     def edges(self) -> np.ndarray:
         """Node pairs ``(i, j)`` with ``i < j`` of every edge, in row-major order."""
         return np.argwhere(np.triu(self.adjacency))
+
+    @cached_property
+    def _twin_quotient(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        # Closed-twin classes, each a tuple of its nodes, in order of smallest
+        # member; and the quotient's closed neighbourhoods as masks over class
+        # indices.  Twins have equal rows of the closed-neighbourhood matrix, so
+        # the classes are the nodes grouped by row mask.  A twin-free graph is
+        # its own quotient, and its masks are returned as built.
+        closed = _closed_neighborhoods(self)
+        classes: dict[int, list[int]] = {}
+        for node, mask in enumerate(_row_masks(closed)):
+            classes.setdefault(mask, []).append(node)
+        members = tuple(map(tuple, classes.values()))
+        if len(members) == self.node_count:
+            return members, tuple(classes)
+        smallest = [nodes[0] for nodes in members]
+        return members, tuple(_row_masks(closed[np.ix_(smallest, smallest)]))
 
 
 def _wing_classes(representation: str) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +183,13 @@ def all_pairs_shortest_paths(graph: VisibilityGraph) -> tuple[np.ndarray, int]:
     every node adjacent to a reached node and not yet reached itself.
     Raises ValueError with the offending pair if the graph is disconnected.
     """
+    # The product counts reached neighbours, at most n, so float32 holds it
+    # exactly and the matmul runs on BLAS, which a bool matmul does not.
+    adjacency = graph.adjacency.astype(np.float32)
     reached = np.eye(graph.node_count, dtype=bool)
     dist = np.where(reached, 0, -1)
     for level in range(1, graph.node_count):
-        frontier = (reached @ graph.adjacency) & ~reached
+        frontier = (reached.astype(np.float32) @ adjacency > 0) & ~reached
         if not frontier.any():
             break
         dist[frontier] = level
@@ -228,23 +252,6 @@ def _first_cover(masks: list[int], size: int) -> tuple[int, ...] | None:
     return None
 
 
-def _twin_quotient(graph: VisibilityGraph) -> tuple[list[list[int]], list[int]]:
-    # Closed-twin classes, each a list of its nodes, in order of smallest member;
-    # and the quotient's closed neighbourhoods as masks over class indices.
-    # Twins have equal rows of the closed-neighbourhood matrix, so the classes
-    # are the nodes grouped by row mask.  A twin-free graph is its own quotient,
-    # and its masks are returned as built.
-    closed = _closed_neighborhoods(graph)
-    classes: dict[int, list[int]] = {}
-    for node, mask in enumerate(_row_masks(closed)):
-        classes.setdefault(mask, []).append(node)
-    members = list(classes.values())
-    if len(members) == graph.node_count:
-        return members, list(classes)
-    smallest = [nodes[0] for nodes in members]
-    return members, _row_masks(closed[np.ix_(smallest, smallest)])
-
-
 def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
     """Whether some ``size``-subset of nodes covers every node.
 
@@ -261,7 +268,7 @@ def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
         raise ValueError("size must be non-negative")
     if not 1 <= size <= graph.node_count:
         return size == graph.node_count == 0
-    members, masks = _twin_quotient(graph)
+    members, masks = graph._twin_quotient
     return _first_cover(masks, min(size, len(members))) is not None
 
 
@@ -279,7 +286,7 @@ def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
     is no later in that order; classes are numbered in order of their smallest
     members, so the order of class sets and of their lifts agree.
     """
-    members, masks = _twin_quotient(graph)
+    members, masks = graph._twin_quotient
     n = graph.node_count
     for k in range(1, len(members) + 1):
         combo = _first_cover(masks, k)
@@ -347,7 +354,7 @@ def maximal_convex_clusters(graph: VisibilityGraph) -> list[tuple[int, ...]]:
     class sets held as int bit masks; each clique is lifted to the ascending
     list of its classes' members, and the list is sorted.
     """
-    members, masks = _twin_quotient(graph)
+    members, masks = graph._twin_quotient
     neighbors = [mask & ~(1 << c) for c, mask in enumerate(masks)]
     cliques: list[tuple[int, ...]] = []
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -371,19 +372,32 @@ def column_names(representation: str) -> tuple[str, ...]:
 
 def vertices_csv(representation: str) -> str:
     """Vertex table as CSV text with a named header row."""
-    rows = vertex_rows(representation)
-    lines = [",".join(column_names(representation))]
-    lines.extend(",".join(str(bit) for bit in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    _check_representation(representation)
+    return _csv_text(representation)
 
 
 def vertices_json(representation: str) -> str:
     """Vertex table as a JSON document carrying shape and representation tags."""
     _check_representation(representation)
+    return _json_text(representation)
+
+
+# The export texts depend on the tag alone, so each is built on first use and
+# kept; callers check the tag first, since a cache lookup raises TypeError on
+# an unhashable one.
+@cache
+def _csv_text(representation: str) -> str:
+    lines = [",".join(column_names(representation))]
+    lines.extend(",".join(str(bit) for bit in row) for row in _VERTEX_ROWS[representation])
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _json_text(representation: str) -> str:
     shape = _REPRESENTATIONS[representation][0]
     payload = {
         "shape": {"n": shape.n, "m": shape.m, "d": shape.d},
         "representation": representation,
-        "vertices": [list(row) for row in vertex_rows(representation)],
+        "vertices": [list(row) for row in _VERTEX_ROWS[representation]],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -421,19 +421,6 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, ob
     assert not recwarn.list  # a warning would reach stderr outside pytest
 
 
-@pytest.mark.parametrize(
-    "dim", [None, {}, "x", True, 4.0, 3], ids=["null", "object", "string", "true", "float", "wrong-size"]
-)
-def test_bad_state_dim_gives_one_error_line(tmp_path, capsys, dim):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**qu.bell_pair_state().to_json_dict(), "dim": dim}))
-    out = tmp_path / "bound.json"
-    assert main(["bound", "--rho", str(bad), "--sigma", str(bad), "--output", str(out)]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "'dim'" in lines[0]
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("name", ["re", "im"])
 @pytest.mark.parametrize(
     "table",

@@ -17,6 +17,8 @@ Core claims pinned here:
   * The full graph's closed-twin quotient is the reduced graph, and the
     generator and clique searches on the quotient agree with those
     references on generated graphs with planted twins.
+  * A graph owns a read-only copy of its adjacency: the caller's array stays
+    writeable, and mutating it leaves the graph and its answers unchanged.
 """
 
 from itertools import combinations
@@ -97,6 +99,20 @@ def test_graph_validation():
         ge.VisibilityGraph(st.FULL_26, asym)
     with pytest.raises(ValueError):
         ge.build_visibility_graph("full")
+
+
+def test_graph_owns_a_copy_of_its_adjacency():
+    adjacency = np.array(ge.build_visibility_graph(st.REDUCED_8).adjacency)
+    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    assert adjacency.flags.writeable and not graph.adjacency.flags.writeable
+    assert not np.shares_memory(adjacency, graph.adjacency)
+    before = graph.adjacency.copy()
+    generators = ge.minimum_generators(graph)
+    # Node 0 sees every node: one node now dominates the caller's graph.
+    adjacency[0, 1:] = adjacency[1:, 0] = True
+    assert ge.minimum_generators(ge.VisibilityGraph(st.REDUCED_8, adjacency)).members == (0,)
+    assert np.array_equal(graph.adjacency, before)
+    assert ge.minimum_generators(graph) == generators
 
 
 def test_apsp_max_two():
@@ -251,26 +267,28 @@ def test_generator_set_report_dicts():
 # References: the node-by-node walks the matrix forms replaced.
 
 def reference_apsp(graph):
+    # Per-source breadth-first search on Python lists.
     n = graph.node_count
-    neighbor_lists = [graph.neighbors(i) for i in range(n)]
-    dist = np.full((n, n), -1, dtype=int)
+    rows = graph.adjacency.tolist()
+    dist = [[-1] * n for _ in range(n)]
     for source in range(n):
-        dist[source, source] = 0
+        dist[source][source] = 0
         frontier = [source]
         level = 0
         while frontier:
             level += 1
             nxt = []
             for u in frontier:
-                for v in neighbor_lists[u]:
-                    if dist[source, v] < 0:
-                        dist[source, v] = level
-                        nxt.append(int(v))
+                for v in range(n):
+                    if rows[u][v] and dist[source][v] < 0:
+                        dist[source][v] = level
+                        nxt.append(v)
             frontier = nxt
-    if (dist < 0).any():
-        i, j = map(int, np.argwhere(dist < 0)[0])
-        raise ValueError(f"graph is disconnected: no path between nodes {i} and {j}")
-    return dist, int(dist.max())
+    for i in range(n):
+        for j in range(n):
+            if dist[i][j] < 0:
+                raise ValueError(f"graph is disconnected: no path between nodes {i} and {j}")
+    return np.array(dist), max(map(max, dist))
 
 
 def reference_masks(graph):
@@ -361,18 +379,35 @@ oracle_settings = settings(derandomize=True, database=None, deadline=None)
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_apsp_matches_per_source_bfs(adjacency):
-    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    check_apsp(ge.VisibilityGraph(st.REDUCED_8, adjacency))
+
+
+def check_apsp(graph):
+    # Whether the graph is connected, after checking APSP against the reference:
+    # the same matrix and maximum, or the same error naming the first
+    # unreachable pair in row-major order.
     try:
         expected = reference_apsp(graph)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
             ge.all_pairs_shortest_paths(graph)
         assert str(raised.value) == str(exc)
-        return
+        return False
     dist, longest = ge.all_pairs_shortest_paths(graph)
     assert dist.dtype == expected[0].dtype
     assert np.array_equal(dist, expected[0])
     assert longest == expected[1]
+    return True
+
+
+def test_apsp_matches_per_source_bfs_on_seeded_small_graphs():
+    connected = []
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        upper = np.triu(rng.random((n, n)) < rng.choice([0.1, 0.3, 0.6]), k=1)
+        connected.append(check_apsp(ge.VisibilityGraph(st.REDUCED_8, upper | upper.T)))
+    assert 50 <= sum(connected) <= 250
 
 
 @oracle_settings
@@ -468,13 +503,15 @@ def test_classification_matches_pairwise_count(picks, index):
 def test_full_graph_quotient_is_the_reduced_graph():
     # Twins differ only in the middle wing; class 4 * first + last holds the
     # nodes 16 * first + 4 * middle + last, and the reduced graph is twin-free.
-    members, masks = ge._twin_quotient(ge.build_visibility_graph(st.FULL_26))
-    assert members == [[16 * f + 4 * m + l for m in range(4)] for f in range(4) for l in range(4)]
+    members, masks = ge.build_visibility_graph(st.FULL_26)._twin_quotient
+    assert members == tuple(
+        tuple(16 * f + 4 * m + l for m in range(4)) for f in range(4) for l in range(4)
+    )
     reduced = ge.build_visibility_graph(st.REDUCED_8)
-    assert masks == reference_masks(reduced)
-    members, masks = ge._twin_quotient(reduced)
-    assert members == [[node] for node in range(16)]
-    assert masks == reference_masks(reduced)
+    assert list(masks) == reference_masks(reduced)
+    members, masks = reduced._twin_quotient
+    assert members == tuple((node,) for node in range(16))
+    assert list(masks) == reference_masks(reduced)
 
 
 @hs.composite

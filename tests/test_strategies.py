@@ -11,6 +11,7 @@ Core claims pinned here:
   * Behaviour-space dimension formula gives 26 and 8 for the two scenarios.
   * Behaviour points and vertex tables survive a trip through their JSON and
     CSV text unchanged, and both exports reject an unknown representation.
+  * Each export returns the same text on every call.
   * The enumerations return fresh lists of shared frozen entries, and a
     strategy's cached wing indices leave its equality, hash and repr alone.
 """
@@ -220,13 +221,29 @@ def test_json_export():
     assert reduced["shape"] == {"n": 2, "m": 2, "d": 2}
 
 
+@pytest.mark.parametrize("representation", [st.FULL_26, st.REDUCED_8])
+def test_exports_are_the_same_text_on_every_call(representation):
+    # The texts are built once and kept; the JSON one is the sorted, indented
+    # dump of the tagged table, rebuilt here from its parts.
+    shape = st.FULL_SHAPE if representation == st.FULL_26 else st.REDUCED_SHAPE
+    payload = {
+        "shape": {"n": shape.n, "m": shape.m, "d": shape.d},
+        "representation": representation,
+        "vertices": [list(row) for row in st.vertex_rows(representation)],
+    }
+    text = st.vertices_json(representation)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert st.vertices_json(representation) == text
+    assert st.vertices_csv(representation) == st.vertices_csv(representation)
+
+
 def test_unknown_representation_rejected():
     with pytest.raises(ValueError):
         st.vertex_rows("full")
-    with pytest.raises(ValueError):
-        st.vertices_csv("8")
     for export in (st.vertices_csv, st.vertices_json):
-        for tag in ("bogus", None, [st.FULL_26]):
+        # An unhashable tag must not reach the cache lookup, which would
+        # raise TypeError.
+        for tag in ("bogus", "8", None, [st.FULL_26]):
             with pytest.raises(ValueError, match="unknown representation"):
                 export(tag)
 
