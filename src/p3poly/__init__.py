@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "geometry": (
         "CoverageReport", "GeneratorSet", "VisibilityGraph", "VisibilityStatus",
-        "all_pairs_shortest_paths", "build_visibility_graph", "classify_from",
+        "all_pairs_shortest_paths", "build_visibility_graph", "classify_from", "diameter",
         "graph_to_dot", "has_dominating_set", "maximal_convex_clusters",
         "minimum_generators", "segment", "verify_generator_set", "visibility_test",
     ),

@@ -9,20 +9,23 @@ Start-up is most of a command's time, so only ``strategies``, which every
 verb uses, is imported here; each verb imports the other layers it needs:
 ``graph`` and ``analyze`` geometry, ``simulate`` and ``bound`` quantum,
 ``project`` manifold, and ``test`` stats (plus manifold in point mode).
+``project`` and ``test`` read and check their input files before they import
+a layer.  numpy is imported only by the layers and functions that compute
+with it, so ``vertices``, ``graph`` without a layout and ``analyze`` run
+without it, and so does a verb whose point file is rejected.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .strategies import (
     BehaviourPoint,
@@ -38,6 +41,8 @@ from .strategies import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .quantum import DensityMatrix
 
 _REP_FLAGS = {"full": FULL_26, "reduced": REDUCED_8}
@@ -111,6 +116,8 @@ def _load_density_matrix(path_str: str) -> DensityMatrix:
 
 def _read_samples(path_str: str) -> np.ndarray:
     """Sample CSV: one real per line, or rows of comma-separated coordinates."""
+    import numpy as np
+
     try:
         with open(path_str) as handle:
             lines = [line.strip() for line in handle if line.strip()]
@@ -144,6 +151,8 @@ def svd_layout(rows) -> np.ndarray:
     direction's sign is fixed by making its largest-magnitude entry positive,
     so the layout is fully deterministic.
     """
+    import numpy as np
+
     matrix = np.array(rows, dtype=float)
     zero_rows = ~matrix.any(axis=1)
     matrix[zero_rows] = 1e-6
@@ -187,7 +196,7 @@ def _cmd_graph(args) -> str:
         "representation": representation,
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
-        "edges": graph.edges().tolist(),
+        "edges": [list(edge) for edge in graph.edges()],
     }
     if layout is not None:
         payload["layout"] = [[float(v) for v in row] for row in layout]
@@ -199,7 +208,6 @@ def _cmd_analyze(args) -> str:
 
     representation = _REP_FLAGS[args.rep]
     graph = geometry.build_visibility_graph(representation)
-    _, apsp_max = geometry.all_pairs_shortest_paths(graph)
     generators = geometry.minimum_generators(graph)
     cliques = geometry.maximal_convex_clusters(graph)
     if representation == FULL_26:
@@ -216,7 +224,7 @@ def _cmd_analyze(args) -> str:
         "representation": representation,
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
-        "apsp_max": apsp_max,
+        "apsp_max": geometry.diameter(graph),
         "min_generators": generators.to_json_dict(),
         "generator_constructions": {
             "diagonal": geometry.verify_generator_set(
@@ -274,45 +282,47 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_project(args) -> str:
+    point = _load_behaviour_point(args.input)
     from . import manifold
 
-    point = _load_behaviour_point(args.input)
     return _json_text(manifold.project(point).to_json_dict())
 
 
 def _test_point_mode(args) -> dict:
-    from . import manifold, stats
-
     expected = _load_behaviour_point(args.expected)
     observed = _load_behaviour_point(args.observed)
     for name, point in (("expected", expected), ("observed", observed)):
         if point.representation != REDUCED_8:
             raise CliError(f"{name} point must be reduced-8, got {point.representation}")
+    from . import manifold, stats
+
     sigma_d = stats.distance_sigma(expected, args.noise, absolute=args.absolute)
     report = stats.gaussian_separability(expected, observed, sigma_d, args.alpha)
     projection_observed = manifold.project(observed)
     projection_expected = manifold.project(expected)
-    score = None  # reference already on the manifold
-    if projection_expected.distance > manifold.DEGENERATE_TOL:
-        score = projection_observed.distance / projection_expected.distance
     return {
         "mode": "point",
         "report": report.to_json_dict(),
         "projection_distance_observed": projection_observed.distance,
         "projection_distance_expected": projection_expected.distance,
-        "normalized_score": score,
+        # None when the reference already lies on the manifold.
+        "normalized_score": manifold.distance_ratio(
+            projection_observed.distance, projection_expected.distance
+        ),
     }
 
 
 def _test_samples_mode(args) -> dict:
-    from . import stats
-
     expected = _read_samples(args.expected)
     observed = _read_samples(args.observed)
     if expected.shape[1] != observed.shape[1]:
         raise CliError(
             f"sample files disagree on column count ({expected.shape[1]} vs {observed.shape[1]})"
         )
+    import numpy as np
+
+    from . import stats
+
     per_coordinate = [
         {
             "t_p_value": stats.two_sample_t(expected[:, k], observed[:, k]),
@@ -362,8 +372,8 @@ def _cmd_bound(args) -> str:
     payload = {
         "behaviour": report.to_json_dict(),
         "fidelity": f,
-        "fidelity_lower_bound": 1.0 - float(np.sqrt(f)),
-        "fidelity_upper_bound": float(np.sqrt(max(1.0 - f, 0.0))),
+        "fidelity_lower_bound": 1.0 - math.sqrt(f),
+        "fidelity_upper_bound": math.sqrt(max(1.0 - f, 0.0)),
         "trace_distance": report.delta_ab,
         "fidelity_bounds_hold": bounds_hold,
     }

@@ -17,7 +17,14 @@ or none, so both answers on the quotient lift back to the graph unchanged.
 Each graph computes its quotient once, on first use.
 The full-26 graph is 16 classes of 4 twins (the strategies that differ only
 in the middle wing), and its quotient is the reduced-8 graph, which has no
-twins and is its own quotient.
+twins and is its own quotient.  Shortest paths run on the quotient as well:
+twins are at distance 1, and two nodes of different classes are as far
+apart as their classes.
+
+A graph holds one representation, the int bit masks of its adjacency rows,
+and every search, listing and export reads them, so nothing here imports
+numpy until a caller asks for an array: the adjacency matrix, the shortest
+path matrix, or a graph built from a matrix.
 """
 
 from __future__ import annotations
@@ -26,8 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .strategies import (
     BehaviourPoint,
@@ -36,6 +42,9 @@ from .strategies import (
     REDUCED_8,
     _check_representation,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class VisibilityStatus(Enum):
@@ -89,74 +98,134 @@ def classify_from(strategy: DeterministicStrategy, strategies) -> dict[Visibilit
     }
 
 
+def _bits(mask: int):
+    # Indices of the set bits of a mask, in ascending order.
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True, eq=False)
 class VisibilityGraph:
     """Undirected visibility graph over the canonical vertex order.
 
-    ``adjacency`` is a boolean matrix; nodes are row indices of the vertex
-    table for ``representation``.  The graph owns a read-only copy of the
-    array it is given, so its closed-twin quotient, which the generator and
-    clique searches read, is computed once per graph.  Graphs compare by
-    identity: an array field has no single truth value.
+    Nodes are row indices of the vertex table for ``representation``, and
+    bit j of the int ``row_masks[i]`` is set iff nodes i and j see each
+    other.  The masks are the graph's only representation: construction
+    checks them (ints, no bit beyond the last node, no self-loops,
+    symmetric), and ``adjacency`` is a read-only boolean matrix built from
+    them on first use.  ``from_adjacency`` builds a graph from a matrix.  The
+    closed-twin quotient, which the generator, clique and shortest-path
+    searches read, is computed once per graph.  Graphs compare by identity.
     """
 
     representation: str
-    adjacency: np.ndarray
+    row_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        adj = np.array(self.adjacency, dtype=bool)
+        _check_representation(self.representation)
+        masks = tuple(self.row_masks)
+        n = len(masks)
+        for node, mask in enumerate(masks):
+            if type(mask) is not int:
+                raise ValueError("row masks must be ints")
+            if not 0 <= mask < 1 << n:
+                raise ValueError(f"row masks must name nodes of the {n}-node graph only")
+            if mask >> node & 1:
+                raise ValueError("visibility graph has no self-loops")
+        # Symmetric iff the n x n table of bits, written out row after row as
+        # one string (bit j of row i at i * n + j), reads the same column by
+        # column: column j is every n-th character from j.
+        table = "".join([format(mask, f"0{n}b")[::-1] for mask in masks])
+        if "".join([table[j::n] for j in range(n)]) != table:
+            raise ValueError("adjacency must be symmetric")
+        object.__setattr__(self, "row_masks", masks)
+
+    @classmethod
+    def from_adjacency(cls, representation: str, adjacency) -> VisibilityGraph:
+        """Graph from a square boolean adjacency matrix (any array-like)."""
+        import numpy as np
+
+        adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        if adj.diagonal().any():
-            raise ValueError("visibility graph has no self-loops")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric")
+        packed = np.packbits(adj, axis=1, bitorder="little")
+        return cls(representation, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only boolean adjacency matrix, built from the masks."""
+        adj = _bit_matrix(self.row_masks, self.node_count)
         adj.flags.writeable = False
-        object.__setattr__(self, "adjacency", adj)
+        return adj
 
     @property
     def node_count(self) -> int:
-        return self.adjacency.shape[0]
+        return len(self.row_masks)
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return sum(mask.bit_count() for mask in self.row_masks) // 2
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[node])
+    def neighbors(self, node: int) -> tuple[int, ...]:
+        return tuple(_bits(self.row_masks[node]))
 
     def degree(self, node: int) -> int:
-        return int(self.adjacency[node].sum())
+        return self.row_masks[node].bit_count()
 
-    def edges(self) -> np.ndarray:
+    def edges(self) -> tuple[tuple[int, int], ...]:
         """Node pairs ``(i, j)`` with ``i < j`` of every edge, in row-major order."""
-        return np.argwhere(np.triu(self.adjacency))
+        return tuple(
+            (i, j) for i, mask in enumerate(self.row_masks) for j in _bits(mask >> (i + 1) << (i + 1))
+        )
 
     @cached_property
     def _twin_quotient(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         # Closed-twin classes, each a tuple of its nodes, in order of smallest
         # member; and the quotient's closed neighbourhoods as masks over class
-        # indices.  Twins have equal rows of the closed-neighbourhood matrix, so
-        # the classes are the nodes grouped by row mask.  A twin-free graph is
-        # its own quotient, and its masks are returned as built.
-        closed = _closed_neighborhoods(self)
+        # indices.  Twins have equal closed-neighbourhood masks, so the classes
+        # are the nodes grouped by that mask.  A twin-free graph is its own
+        # quotient, and its masks are returned as built.
         classes: dict[int, list[int]] = {}
-        for node, mask in enumerate(_row_masks(closed)):
-            classes.setdefault(mask, []).append(node)
+        for node, mask in enumerate(self.row_masks):
+            classes.setdefault(mask | 1 << node, []).append(node)
         members = tuple(map(tuple, classes.values()))
         if len(members) == self.node_count:
             return members, tuple(classes)
+        # Class d is in class c's closed neighbourhood iff d's smallest member is.
         smallest = [nodes[0] for nodes in members]
-        return members, tuple(_row_masks(closed[np.ix_(smallest, smallest)]))
+        masks = tuple(
+            sum(1 << d for d, node in enumerate(smallest) if closed >> node & 1) for closed in classes
+        )
+        return members, masks
 
 
-def _wing_classes(representation: str) -> tuple[np.ndarray, np.ndarray]:
-    # First-wing and last-wing class labels per canonical row index.
-    if representation == FULL_26:
-        idx = np.arange(64)
-        return idx // 16, idx % 4
-    idx = np.arange(16)
-    return idx // 4, idx % 4
+def _bit_matrix(masks, width: int) -> np.ndarray:
+    # Boolean matrix whose row i holds the low ``width`` bits of masks[i].
+    import numpy as np
+
+    size = (width + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(size, "little") for mask in masks), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
+    return bits.astype(bool)
+
+
+def _canonical_masks(representation: str) -> tuple[int, ...]:
+    # Rows that share the first-wing class or the last-wing class see each
+    # other.  Each class is the mask of its rows, and a row's neighbours are
+    # the union of its two classes without the row itself.
+    n = 64 if representation == FULL_26 else 16
+    first = [0] * 4
+    last = [0] * 4
+    for node in range(n):
+        first[4 * node // n] |= 1 << node
+        last[node % 4] |= 1 << node
+    return tuple((first[4 * node // n] | last[node % 4]) & ~(1 << node) for node in range(n))
+
+
+# Both canonical graphs' masks, built once.
+_CANONICAL_MASKS = {rep: _canonical_masks(rep) for rep in (FULL_26, REDUCED_8)}
 
 
 def build_visibility_graph(representation: str) -> VisibilityGraph:
@@ -168,35 +237,79 @@ def build_visibility_graph(representation: str) -> VisibilityGraph:
     class.
     """
     _check_representation(representation)
-    first, last = _wing_classes(representation)
-    same_first = first[:, None] == first[None, :]
-    same_last = last[:, None] == last[None, :]
-    adjacency = same_first | same_last
-    np.fill_diagonal(adjacency, False)
-    return VisibilityGraph(representation, adjacency)
+    return VisibilityGraph(representation, _CANONICAL_MASKS[representation])
+
+
+def _class_rings(graph: VisibilityGraph) -> list[list[int]]:
+    # For each class of the closed-twin quotient, the masks of the classes at
+    # distance 1, 2, ... from it, found breadth-first: the next ring is every
+    # class that a class of the last ring sees and that is not yet reached.
+    if graph.node_count == 0:
+        raise ValueError("shortest paths need a graph with at least one node")
+    members, masks = graph._twin_quotient
+    full = (1 << len(members)) - 1
+    all_rings = []
+    for source in range(len(members)):
+        reached = ring = 1 << source
+        rings = []
+        while reached != full:
+            grown = 0
+            for c in _bits(ring):
+                grown |= masks[c]
+            ring = grown & ~reached
+            if not ring:
+                # Classes are ordered by smallest member, and the first source
+                # is node 0's class, so this names the first unreachable node
+                # pair in row-major order.
+                missing = members[next(_bits(full & ~reached))][0]
+                raise ValueError(
+                    f"graph is disconnected: no path between nodes {members[source][0]} and {missing}"
+                )
+            reached |= ring
+            rings.append(ring)
+        all_rings.append(rings)
+    return all_rings
+
+
+def diameter(graph: VisibilityGraph) -> int:
+    """Largest shortest-path distance between two nodes of a connected graph.
+
+    The number of breadth-first rings around the farthest class of the
+    closed-twin quotient, and at least 1 when some class holds two twins.
+    Raises ValueError, naming the first unreachable pair, if the graph is
+    disconnected, and on a graph with no nodes.
+    """
+    all_rings = _class_rings(graph)
+    return max(max(map(len, all_rings)), int(graph.node_count > len(all_rings)))
 
 
 def all_pairs_shortest_paths(graph: VisibilityGraph) -> tuple[np.ndarray, int]:
-    """Breadth-first APSP matrix and its maximum entry.
+    """Breadth-first APSP matrix and its maximum entry, the ``diameter``.
 
-    All sources advance together one level at a time: the next frontier is
-    every node adjacent to a reached node and not yet reached itself.
-    Raises ValueError with the offending pair if the graph is disconnected.
+    The class distances of the closed-twin quotient, lifted to the nodes:
+    distinct twins are at distance 1, and other pairs at the distance of
+    their classes.  Raises ValueError like ``diameter``.
     """
-    # The product counts reached neighbours, at most n, so float32 holds it
-    # exactly and the matmul runs on BLAS, which a bool matmul does not.
-    adjacency = graph.adjacency.astype(np.float32)
-    reached = np.eye(graph.node_count, dtype=bool)
-    dist = np.where(reached, 0, -1)
-    for level in range(1, graph.node_count):
-        frontier = (reached.astype(np.float32) @ adjacency > 0) & ~reached
-        if not frontier.any():
-            break
-        dist[frontier] = level
-        reached |= frontier
-    if (dist < 0).any():
-        i, j = map(int, np.argwhere(dist < 0)[0])
-        raise ValueError(f"graph is disconnected: no path between nodes {i} and {j}")
+    import numpy as np
+
+    all_rings = _class_rings(graph)
+    members, _ = graph._twin_quotient
+    classes = len(members)
+    depth = max(map(len, all_rings))
+    # Row (s, k) of the bit matrix marks the classes at distance k + 1 from s.
+    padded = [ring for rings in all_rings for ring in rings + [0] * (depth - len(rings))]
+    ring_bits = _bit_matrix(padded, classes).reshape(classes, depth, classes)
+    class_dist = np.arange(1, depth + 1) @ ring_bits
+    if classes == graph.node_count:  # twin-free: the graph is its own quotient
+        return class_dist, int(class_dist.max())
+    class_of = [0] * graph.node_count
+    for c, nodes in enumerate(members):
+        for node in nodes:
+            class_of[node] = c
+    class_of = np.array(class_of)
+    dist = class_dist[class_of[:, None], class_of]
+    dist[dist == 0] = 1  # twins, and the diagonal, which is reset next
+    np.fill_diagonal(dist, 0)
     return dist, int(dist.max())
 
 
@@ -218,25 +331,6 @@ class GeneratorSet:
             "covered_count": len(self.covered),
             "complete": self.complete,
         }
-
-
-def _closed_neighborhoods(graph: VisibilityGraph) -> np.ndarray:
-    # Row i marks node i and every node it sees.
-    return graph.adjacency | np.eye(graph.node_count, dtype=bool)
-
-
-def _row_masks(matrix: np.ndarray) -> list[int]:
-    # Bit j of mask i is entry (i, j) of a boolean matrix.
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _bits(mask: int):
-    # Indices of the set bits of a mask, in ascending order.
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _first_cover(masks: list[int], size: int) -> tuple[int, ...] | None:
@@ -326,10 +420,15 @@ def verify_generator_set(graph: VisibilityGraph, members) -> CoverageReport:
     for m in members:
         if not 0 <= m < graph.node_count:
             raise ValueError(f"node index {m} out of range for {graph.node_count} nodes")
-    covered = np.logical_or.accumulate(_closed_neighborhoods(graph)[list(members)])
-    totals = covered.sum(axis=1).tolist()
-    newly = np.diff(totals, prepend=0).tolist()
-    return CoverageReport(members, tuple(newly), tuple(totals), bool(covered[-1].all()))
+    covered = 0
+    newly = []
+    totals = []
+    for m in members:
+        before = covered.bit_count()
+        covered |= graph.row_masks[m] | 1 << m
+        totals.append(covered.bit_count())
+        newly.append(totals[-1] - before)
+    return CoverageReport(members, tuple(newly), tuple(totals), covered == (1 << graph.node_count) - 1)
 
 
 def segment(p: BehaviourPoint, q: BehaviourPoint, omega: float) -> BehaviourPoint:

@@ -32,7 +32,7 @@ _STEP_TOL = 1e-12
 _KKT_TOL = 1e-9
 
 # A reference point closer than this to the manifold has no meaningful scale
-# for normalized_score.
+# for distance_ratio.
 DEGENERATE_TOL = 1e-8
 
 
@@ -199,15 +199,25 @@ def project(point: BehaviourPoint) -> ProjectionResult:
     )
 
 
+def distance_ratio(observed_distance: float, reference_distance: float) -> float | None:
+    """Projection distance of an observed point relative to a reference's.
+
+    1.0 means "as far from uncorrelated as the reference".  None for a
+    reference already on the manifold (distance at most ``DEGENERATE_TOL``),
+    which has no meaningful scale.
+    """
+    if reference_distance <= DEGENERATE_TOL:
+        return None
+    return observed_distance / reference_distance
+
+
 def normalized_score(observed: BehaviourPoint, reference: BehaviourPoint) -> float:
     """Projection distance of ``observed`` relative to a reference point.
 
-    Both points are projected onto the uncorrelated manifold; the score is
-    the ratio of their distances, 1.0 meaning "as far from uncorrelated as
-    the reference".  A reference already on the manifold (distance at most
-    ``DEGENERATE_TOL``) has no meaningful scale and raises ValueError.
+    Both points are projected onto the uncorrelated manifold, and the score
+    is their ``distance_ratio``.  A degenerate reference raises ValueError.
     """
-    reference_distance = project(reference).distance
-    if reference_distance <= DEGENERATE_TOL:
+    score = distance_ratio(project(observed).distance, project(reference).distance)
+    if score is None:
         raise ValueError("degenerate reference: it already lies on the manifold")
-    return project(observed).distance / reference_distance
+    return score

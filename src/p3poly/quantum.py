@@ -371,25 +371,31 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.abs(eigs).sum())
 
 
-def _sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
-    # Hermitian square root via eigendecomposition; negative dust is clipped.
-    vals, vecs = np.linalg.eigh(matrix)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Lies in [0, 1]; equals 1 iff the states coincide and 0 iff their
-    supports are orthogonal.
+    supports are orthogonal.  Computed as ||sqrt(rho) sqrt(sigma)||_1^2, the
+    squared sum of the singular values of the product of the two PSD roots,
+    from one eigendecomposition of the stacked pair: with rho = U diag(r) U+
+    and sigma = V diag(s) V+, that product has the singular values of
+    diag(sqrt r) U+ V diag(sqrt s), so the roots are never formed.  The
+    eigenvalues of sqrt(rho) sigma sqrt(rho) would not do: for a pure state
+    their rounding noise of ~1e-17 becomes ~3e-9 under the square root, more
+    than the tolerance of ``fidelity_bounds_check``, which pure states
+    saturate.
     """
     if rho.dim != sigma.dim:
         raise ValueError("states live on spaces of different dimension")
-    root = _sqrtm_psd(rho.matrix)
-    inner = root @ sigma.matrix @ root
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    value = float(np.sqrt(vals).sum() ** 2)
+    vals, vecs = np.linalg.eigh(np.array([rho.matrix, sigma.matrix]))
+    # An eigenvalue within the solver's rounding of zero is zero, with the
+    # rank tolerance of numpy.linalg.matrix_rank (dim * eps of the largest):
+    # its root would put ~3e-9 in a null direction, which adds to the trace
+    # norm at first order when the two ranks differ.
+    floor = rho.dim * np.finfo(float).eps * vals[:, -1:]
+    sqrt_r, sqrt_s = np.sqrt(np.where(vals > floor, vals, 0.0))
+    core = sqrt_r[:, None] * (vecs[0].conj().T @ vecs[1]) * sqrt_s
+    value = float(np.linalg.svd(core, compute_uv=False).sum() ** 2)
     return min(max(value, 0.0), 1.0)
 
 

@@ -15,8 +15,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Representation tags for behaviour points and graphs.
 FULL_26 = "full-26"
@@ -253,6 +255,8 @@ class BehaviourPoint:
         return cls(tuple(float(x) for x in coords), REDUCED_SHAPE, REDUCED_8)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.coords, dtype=float)
 
     def isclose(self, other: "BehaviourPoint", tol: float = 1e-12) -> bool:

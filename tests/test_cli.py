@@ -351,6 +351,24 @@ def test_bound_identical_states(tmp_path):
     assert payload["fidelity"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_bound_holds_for_two_pure_states(tmp_path, seed):
+    # Pure states saturate trace distance <= sqrt(1 - F): the fidelity must
+    # be exact to well inside the check's 1e-9 tolerance.
+    rng = np.random.default_rng(seed)
+    files = []
+    for name in ("a.json", "b.json"):
+        ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ket /= np.linalg.norm(ket)
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(qu.DensityMatrix(np.outer(ket, ket.conj())).to_json_dict()))
+    code, out = run(tmp_path, "bound", "--rho", str(files[0]), "--sigma", str(files[1]))
+    assert code == 0
+    payload = read_json(out)
+    assert payload["fidelity_bounds_hold"] is True
+    assert payload["trace_distance"] == pytest.approx(payload["fidelity_upper_bound"], abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "name, verb",
     [

@@ -7,9 +7,10 @@ Core claims pinned here:
   * Minimum generator sets have size 4 on both graphs; the diagonal and
     same-row constructions cover with the frozen increment patterns.
   * Maximal cliques are the 8 wing classes (size 16 full, size 4 reduced).
-  * The matrix forms of APSP, coverage accounting and the edge list agree
-    with the node-by-node walks kept below as references, on the canonical
-    graphs and on generated graphs (connected or not).
+  * APSP and the diameter (from the quotient), coverage accounting, the
+    edge and neighbour listings and the DOT text (from the masks) agree with
+    the node-by-node walks kept below as references, on the canonical graphs
+    and on generated graphs (connected or not).
   * The cover search, the bit-mask Bron-Kerbosch and the one-pass
     classification agree with the big-int subset loop, the set-based
     Bron-Kerbosch and a per-pair visibility_test count kept below; on the
@@ -17,8 +18,11 @@ Core claims pinned here:
   * The full graph's closed-twin quotient is the reduced graph, and the
     generator and clique searches on the quotient agree with those
     references on generated graphs with planted twins.
-  * A graph owns a read-only copy of its adjacency: the caller's array stays
-    writeable, and mutating it leaves the graph and its answers unchanged.
+  * A graph holds its adjacency as int row masks, checked at construction;
+    its matrix round-trips the one it was built from and is read-only, and
+    mutating the caller's array leaves the graph and its answers unchanged.
+  * Shortest paths and the diameter reject the 0-node graph with a message
+    of their own.
 """
 
 from itertools import combinations
@@ -91,26 +95,61 @@ def test_reduced_graph_structure():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        ge.VisibilityGraph(st.FULL_26, np.ones((2, 2), dtype=bool))  # self-loops
+    with pytest.raises(ValueError, match="self-loops"):
+        ge.VisibilityGraph.from_adjacency(st.FULL_26, np.ones((2, 2), dtype=bool))
     asym = np.zeros((3, 3), dtype=bool)
     asym[0, 1] = True
-    with pytest.raises(ValueError):
-        ge.VisibilityGraph(st.FULL_26, asym)
+    with pytest.raises(ValueError, match="symmetric"):
+        ge.VisibilityGraph.from_adjacency(st.FULL_26, asym)
+    with pytest.raises(ValueError, match="square"):
+        ge.VisibilityGraph.from_adjacency(st.FULL_26, np.zeros((2, 3), dtype=bool))
     with pytest.raises(ValueError):
         ge.build_visibility_graph("full")
 
 
+@pytest.mark.parametrize(
+    "masks, message",
+    [
+        ((0b10, 0b01), None),
+        ((0b10, 0b00), "symmetric"),
+        ((0b110, 0b001, 0b000), "symmetric"),
+        ((0b110, 0b001, 0b001), None),
+        ((0b01, 0b00), "self-loops"),
+        ((0b100, 0b000), "nodes of the 2-node graph"),
+        ((-1, 0), "nodes of the 2-node graph"),
+        ((True, False), "must be ints"),
+        ((2.0, 1), "must be ints"),
+        ((np.int64(2), 1), "must be ints"),
+    ],
+)
+def test_graph_validates_its_row_masks(masks, message):
+    if message is None:
+        assert ge.VisibilityGraph(st.REDUCED_8, list(masks)).row_masks == masks
+    else:
+        with pytest.raises(ValueError, match=message):
+            ge.VisibilityGraph(st.REDUCED_8, masks)
+
+
+@pytest.mark.parametrize("representation", ["bogus", None, [st.REDUCED_8]])
+def test_graph_rejects_an_unknown_representation(representation):
+    # Only the tag is checked: generated graphs of any size are tagged reduced-8.
+    with pytest.raises(ValueError, match="unknown representation"):
+        ge.VisibilityGraph(representation, (0b10, 0b01))
+    with pytest.raises(ValueError, match="unknown representation"):
+        ge.VisibilityGraph.from_adjacency(representation, np.zeros((2, 2), dtype=bool))
+
+
 def test_graph_owns_a_copy_of_its_adjacency():
     adjacency = np.array(ge.build_visibility_graph(st.REDUCED_8).adjacency)
-    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
+    assert graph.row_masks == ge.build_visibility_graph(st.REDUCED_8).row_masks
     assert adjacency.flags.writeable and not graph.adjacency.flags.writeable
     assert not np.shares_memory(adjacency, graph.adjacency)
     before = graph.adjacency.copy()
     generators = ge.minimum_generators(graph)
     # Node 0 sees every node: one node now dominates the caller's graph.
     adjacency[0, 1:] = adjacency[1:, 0] = True
-    assert ge.minimum_generators(ge.VisibilityGraph(st.REDUCED_8, adjacency)).members == (0,)
+    assert ge.minimum_generators(ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)).members == (0,)
     assert np.array_equal(graph.adjacency, before)
     assert ge.minimum_generators(graph) == generators
 
@@ -127,9 +166,11 @@ def test_apsp_max_two():
 
 
 def test_apsp_disconnected_raises():
-    graph = ge.VisibilityGraph("reduced-8", np.zeros((2, 2), dtype=bool))
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, np.zeros((2, 2), dtype=bool))
     with pytest.raises(ValueError, match="disconnected"):
         ge.all_pairs_shortest_paths(graph)
+    with pytest.raises(ValueError, match="disconnected"):
+        ge.diameter(graph)
 
 
 def test_minimum_generators_both_graphs():
@@ -264,7 +305,12 @@ def test_generator_set_report_dicts():
     assert report["running_totals"][-1] == 16
 
 
-# References: the node-by-node walks the matrix forms replaced.
+# References: node-by-node walks over the rows of the adjacency matrix, which
+# the tests on generated graphs check against the matrix each graph came from.
+
+def reference_neighbors(graph, i):
+    return np.flatnonzero(graph.adjacency[i]).tolist()
+
 
 def reference_apsp(graph):
     # Per-source breadth-first search on Python lists.
@@ -295,7 +341,7 @@ def reference_masks(graph):
     masks = []
     for i in range(graph.node_count):
         mask = 1 << i
-        for j in graph.neighbors(i):
+        for j in reference_neighbors(graph, i):
             mask |= 1 << int(j)
         masks.append(mask)
     return masks
@@ -306,7 +352,7 @@ def reference_coverage(graph, members):
     newly = []
     totals = []
     for m in members:
-        closed = {m} | {int(j) for j in graph.neighbors(m)}
+        closed = {m} | {int(j) for j in reference_neighbors(graph, m)}
         newly.append(len(closed - covered))
         covered |= closed
         totals.append(len(covered))
@@ -317,7 +363,7 @@ def reference_dot(graph):
     lines = ["graph visibility {"]
     lines.extend(f"  {i};" for i in range(graph.node_count))
     for i in range(graph.node_count):
-        for j in graph.neighbors(i):
+        for j in reference_neighbors(graph, i):
             if i < j:
                 lines.append(f"  {i} -- {int(j)};")
     lines.append("}")
@@ -336,7 +382,7 @@ def reference_first_cover(masks, size):
 
 
 def reference_cliques(graph):
-    adjacency = [set(map(int, graph.neighbors(i))) for i in range(graph.node_count)]
+    adjacency = [set(map(int, reference_neighbors(graph, i))) for i in range(graph.node_count)]
     cliques = []
 
     def expand(r, p, x):
@@ -379,7 +425,7 @@ oracle_settings = settings(derandomize=True, database=None, deadline=None)
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_apsp_matches_per_source_bfs(adjacency):
-    check_apsp(ge.VisibilityGraph(st.REDUCED_8, adjacency))
+    check_apsp(ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency))
 
 
 def check_apsp(graph):
@@ -389,14 +435,15 @@ def check_apsp(graph):
     try:
         expected = reference_apsp(graph)
     except ValueError as exc:
-        with pytest.raises(ValueError) as raised:
-            ge.all_pairs_shortest_paths(graph)
-        assert str(raised.value) == str(exc)
+        for search in (ge.all_pairs_shortest_paths, ge.diameter):
+            with pytest.raises(ValueError) as raised:
+                search(graph)
+            assert str(raised.value) == str(exc)
         return False
     dist, longest = ge.all_pairs_shortest_paths(graph)
     assert dist.dtype == expected[0].dtype
     assert np.array_equal(dist, expected[0])
-    assert longest == expected[1]
+    assert longest == ge.diameter(graph) == expected[1]
     return True
 
 
@@ -406,7 +453,7 @@ def test_apsp_matches_per_source_bfs_on_seeded_small_graphs():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 13))
         upper = np.triu(rng.random((n, n)) < rng.choice([0.1, 0.3, 0.6]), k=1)
-        connected.append(check_apsp(ge.VisibilityGraph(st.REDUCED_8, upper | upper.T)))
+        connected.append(check_apsp(ge.VisibilityGraph.from_adjacency(st.REDUCED_8, upper | upper.T)))
     assert 50 <= sum(connected) <= 250
 
 
@@ -415,9 +462,10 @@ def test_apsp_matches_per_source_bfs_on_seeded_small_graphs():
 @example(CANONICAL[0], None)
 @example(CANONICAL[1], None)
 def test_coverage_matches_set_walk(adjacency, data):
-    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
     n = graph.node_count
-    assert ge._row_masks(ge._closed_neighborhoods(graph)) == reference_masks(graph)
+    assert np.array_equal(graph.adjacency, adjacency)
+    assert [mask | 1 << i for i, mask in enumerate(graph.row_masks)] == reference_masks(graph)
     if data is None:
         member_lists = [(0, 21, 42, 63), (0, 1, 2, 3), (0, 5, 10, 15), (3, 3, 0, 3)]
         member_lists = [m for m in member_lists if max(m) < n]
@@ -436,17 +484,20 @@ def test_coverage_matches_set_walk(adjacency, data):
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_dot_and_edges_match_neighbor_loop(adjacency):
-    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
     assert ge.graph_to_dot(graph) == reference_dot(graph)
-    edges = graph.edges().tolist()
-    assert edges == [[i, int(j)] for i in range(graph.node_count) for j in graph.neighbors(i) if i < j]
+    edges = graph.edges()
+    assert edges == tuple(map(tuple, np.argwhere(np.triu(adjacency)).tolist()))
     assert len(edges) == graph.edge_count
+    for i in range(graph.node_count):
+        assert graph.neighbors(i) == tuple(reference_neighbors(graph, i))
+        assert graph.degree(i) == len(graph.neighbors(i))
 
 
 @oracle_settings
 @given(adjacency_matrices(max_nodes=12))
 def test_cover_search_matches_subset_loop(adjacency):
-    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
     n = graph.node_count
     masks = reference_masks(graph)
     smallest = None
@@ -463,7 +514,7 @@ def test_cover_search_matches_subset_loop(adjacency):
 
 @pytest.mark.parametrize("adjacency", CANONICAL, ids=["full-26", "reduced-8"])
 def test_cover_search_matches_subset_loop_on_canonical_graphs(adjacency):
-    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
     masks = reference_masks(graph)
     for size in range(5):
         assert ge._first_cover(masks, size) == reference_first_cover(masks, size)
@@ -471,7 +522,8 @@ def test_cover_search_matches_subset_loop_on_canonical_graphs(adjacency):
 
 
 def test_empty_graph_has_only_the_empty_cover():
-    graph = ge.VisibilityGraph(st.REDUCED_8, np.zeros((0, 0), dtype=bool))
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, np.zeros((0, 0), dtype=bool))
+    assert graph.row_masks == () and graph.adjacency.shape == (0, 0)
     assert ge._first_cover([], 0) == ()
     assert ge._first_cover([], 1) is None
     assert ge.has_dominating_set(graph, 0)
@@ -480,12 +532,19 @@ def test_empty_graph_has_only_the_empty_cover():
         ge.minimum_generators(graph)
 
 
+def test_empty_graph_has_no_shortest_paths():
+    graph = ge.VisibilityGraph(st.REDUCED_8, ())
+    for search in (ge.all_pairs_shortest_paths, ge.diameter):
+        with pytest.raises(ValueError, match="at least one node"):
+            search(graph)
+
+
 @oracle_settings
 @given(adjacency_matrices(max_nodes=25))
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_cliques_match_set_bron_kerbosch(adjacency):
-    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
     assert ge.maximal_convex_clusters(graph) == reference_cliques(graph)
 
 
@@ -533,7 +592,7 @@ def planted_twins(draw):
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_quotient_searches_match_reference_loops_on_planted_twins(adjacency):
-    graph = ge.VisibilityGraph(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
     masks = reference_masks(graph)
     smallest = None
     for size in range(graph.node_count + 2):

@@ -180,6 +180,14 @@ def test_normalized_score():
         mf.normalized_score(pb, pu)
 
 
+def test_distance_ratio_is_none_for_a_reference_on_the_manifold():
+    # The one definition of the score that `test` also reports.
+    assert mf.distance_ratio(0.3, 0.6) == 0.5
+    assert mf.distance_ratio(0.3, 2 * mf.DEGENERATE_TOL) == 0.15 / mf.DEGENERATE_TOL
+    assert mf.distance_ratio(0.3, mf.DEGENERATE_TOL) is None
+    assert mf.distance_ratio(0.0, 0.0) is None
+
+
 def test_normalized_score_shrinks_with_depolarizing_noise():
     measurements = qu.zx_qubit_measurements(2)
     pb = st.BehaviourPoint.reduced(P_B)

@@ -8,7 +8,8 @@ Core claims pinned here:
   * collapse produces the frozen expected points P_B / P_U and tracks the
     flagged outcome 0.
   * Trace distance and fidelity agree with a scipy-based oracle and satisfy
-    the Fuchs-van-de-Graaf style bounds.
+    the Fuchs-van-de-Graaf style bounds; fidelity is exact to 1e-12 on pure
+    and rank-deficient states, which saturate or nearly saturate them.
   * collapse(lhv_evaluate(model)) reproduces every vertex bit-exactly.
   * The Born-rule contraction matches the kron/trace formula on complex
     projectors, and collapse matches a per-coordinate loop oracle on
@@ -344,6 +345,46 @@ def test_fidelity_bounds_fuzz():
     for _ in range(100):
         rho = qu.random_density_matrix(4, rng)
         sigma = qu.random_density_matrix(4, rng)
+        assert qu.fidelity_bounds_check(rho, sigma)
+
+
+def random_factor(rng, rank, dim=4):
+    # A dim x rank factor with unit Frobenius norm: A A+ is a state of that rank.
+    factor = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return factor / np.linalg.norm(factor)
+
+
+def state_of(factor):
+    return qu.DensityMatrix(factor @ factor.conj().T)
+
+
+def test_fidelity_of_pure_states_is_the_squared_overlap():
+    # Pure states saturate D <= sqrt(1 - F), so the bound check needs F to
+    # about 1e-12; random, near-identical and orthogonal pairs.
+    rng = np.random.default_rng(37)
+    pairs = [(random_factor(rng, 1), random_factor(rng, 1)) for _ in range(200)]
+    for a, _ in pairs[:50]:
+        nudge = 1e-4 * random_factor(rng, 1)
+        pairs.append((a, (a + nudge) / np.linalg.norm(a + nudge)))
+    for a, b in pairs[50:100]:
+        orthogonal = b - np.vdot(a, b) * a
+        pairs.append((a, orthogonal / np.linalg.norm(orthogonal)))
+    for a, b in pairs:
+        rho, sigma = state_of(a), state_of(b)
+        assert abs(qu.fidelity(rho, sigma) - abs(np.vdot(a, b)) ** 2) <= 1e-12
+        assert qu.fidelity_bounds_check(rho, sigma)
+
+
+@pytest.mark.parametrize("rank_rho, rank_sigma", [(1, 2), (2, 2), (2, 3), (3, 1), (1, 4)])
+def test_fidelity_of_rank_deficient_states_against_scipy(rank_rho, rank_sigma):
+    # Uhlmann: for rho = A A+ and sigma = B B+, F = ||A+ B||_1^2, the squared
+    # sum of the singular values of A+ B, here taken by scipy.
+    rng = np.random.default_rng(41 + 10 * rank_rho + rank_sigma)
+    for _ in range(40):
+        a, b = random_factor(rng, rank_rho), random_factor(rng, rank_sigma)
+        expected = scipy.linalg.svdvals(a.conj().T @ b).sum() ** 2
+        rho, sigma = state_of(a), state_of(b)
+        assert abs(qu.fidelity(rho, sigma) - expected) <= 1e-12
         assert qu.fidelity_bounds_check(rho, sigma)
 
 

@@ -1,6 +1,8 @@
 """What importing the package costs: numpy and nothing else outside the standard
 library, no layer for a bare ``import p3poly``, and for each CLI verb only the
-layers it uses.  Also the lazily filled ``p3poly`` namespace itself."""
+layers it uses, with numpy only for the verbs that compute with it (not for
+the vertex tables, the graph listings, the structural report, nor a point
+file that is rejected).  Also the lazily filled ``p3poly`` namespace itself."""
 
 import json
 import os
@@ -32,12 +34,15 @@ loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(",".join(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "p3poly"})))
 """
 
-# Runs main(argv) and prints the p3poly submodules loaded by then.
+# Runs main(argv) and prints its exit code, the p3poly submodules loaded by
+# then, whether numpy was loaded, and what it wrote to stderr.
 _VERB_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 from p3poly.cli import main
-code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("p3poly."))]))
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("p3poly."))
+print(json.dumps([code, loaded, "numpy" in sys.modules, err.getvalue()]))
 """
 
 
@@ -69,31 +74,65 @@ def test_bare_import_loads_no_layer_and_not_numpy():
     assert after_name == "['p3poly', 'p3poly.stats', 'p3poly.strategies']"
 
 
+# A malformed point file (a NaN coordinate), which the loader rejects before
+# a layer is imported.
+_REJECTED = "error: coordinate nan is not finite\n"
+
+
 @pytest.mark.parametrize(
-    "argv, layers",
+    "argv, layers, numpy, stderr",
     [
-        (["vertices"], []),
-        (["graph", "--rep", "reduced"], ["geometry"]),
-        (["analyze", "--rep", "reduced"], ["geometry"]),
-        (["simulate", "--kind", "honest"], ["quantum"]),
-        (["project", "--input", "point.json"], ["manifold"]),
-        (["test", "--expected", "point.json", "--observed", "point.json"], ["manifold", "stats"]),
-        (["test", "--mode", "samples", "--expected", "a.csv", "--observed", "a.csv"], ["stats"]),
-        (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["quantum"]),
+        (["vertices"], [], False, ""),
+        (["vertices", "--rep", "reduced", "--format", "csv"], [], False, ""),
+        (["graph", "--rep", "reduced"], ["geometry"], False, ""),
+        (["graph", "--rep", "full", "--format", "dot"], ["geometry"], False, ""),
+        (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry"], True, ""),
+        (["analyze", "--rep", "reduced"], ["geometry"], False, ""),
+        (["analyze", "--rep", "full"], ["geometry"], False, ""),
+        (["simulate", "--kind", "honest"], ["quantum"], True, ""),
+        (["project", "--input", "point.json"], ["manifold"], True, ""),
+        (["project", "--input", "nan.json"], [], False, _REJECTED),
+        (["test", "--expected", "point.json", "--observed", "point.json"], ["manifold", "stats"], True, ""),
+        (["test", "--expected", "point.json", "--observed", "nan.json"], [], False, _REJECTED),
+        (["test", "--expected", "nan.json", "--observed", "point.json"], [], False, _REJECTED),
+        (["test", "--mode", "samples", "--expected", "a.csv", "--observed", "a.csv"], ["stats"], True, ""),
+        (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["quantum"], True, ""),
     ],
-    ids=["vertices", "graph", "analyze", "simulate", "project", "test-point", "test-samples", "bound"],
+    ids=[
+        "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "analyze", "analyze-full",
+        "simulate", "project", "project-rejected", "test-point", "test-point-rejected-observed",
+        "test-point-rejected-expected", "test-samples", "bound",
+    ],
 )
-def test_each_verb_loads_only_its_layers(tmp_path, argv, layers):
+def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, numpy, stderr):
     (tmp_path / "point.json").write_text(
         json.dumps({"representation": REDUCED_8, "coords": list(P_B)})
+    )
+    (tmp_path / "nan.json").write_text(
+        json.dumps({"representation": REDUCED_8, "coords": [float("nan")] * 8})
     )
     (tmp_path / "a.csv").write_text("0.1\n0.2\n0.4\n")
     (tmp_path / "bell.json").write_text(json.dumps(qu.bell_pair_state().to_json_dict()))
     out = _python(_VERB_PROBE, *argv, "--output", "out", cwd=tmp_path)
-    code, loaded = json.loads(out)
-    assert code == 0
+    code, loaded, numpy_loaded, err = json.loads(out)
+    assert (code, err) == ((1, stderr) if stderr else (0, ""))
     assert loaded == sorted(f"p3poly.{m}" for m in ["cli", "strategies", *layers])
-    assert (tmp_path / "out").exists()
+    assert numpy_loaded == numpy
+    assert (tmp_path / "out").exists() == (not stderr)
+
+
+def test_strategies_and_geometry_run_without_numpy():
+    probe = (
+        "import sys\n"
+        "import p3poly.strategies, p3poly.geometry as ge\n"
+        "for rep in ('full-26', 'reduced-8'):\n"
+        "    g = ge.build_visibility_graph(rep)\n"
+        "    ge.diameter(g), ge.minimum_generators(g), ge.maximal_convex_clusters(g)\n"
+        "    ge.verify_generator_set(g, (0, 1)), ge.graph_to_dot(g), g.edges()\n"
+        "    p3poly.strategies.vertices_json(rep), p3poly.strategies.vertices_csv(rep)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _python(probe).strip() == "False"
 
 
 def test_public_names_resolve_to_their_home_layer():
