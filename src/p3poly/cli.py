@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 from contextlib import suppress
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -54,10 +55,6 @@ _DIAGONAL_MEMBERS = {FULL_26: (0, 21, 42, 63), REDUCED_8: (0, 5, 10, 15)}
 _SAME_ROW_MEMBERS = {FULL_26: (0, 1, 2, 3), REDUCED_8: (0, 1, 2, 3)}
 
 
-class CliError(Exception):
-    """Validation failure surfaced to the user with exit code 1."""
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -83,7 +80,7 @@ def _write_output(path_str: str, payload: str) -> None:
         if tmp is not None:
             with suppress(OSError):
                 os.unlink(tmp)
-        raise CliError(f"cannot write output file {path_str!r}: {exc}")
+        raise ValueError(f"cannot write output file {path_str!r}: {exc.strerror}")
 
 
 def _load_json(path_str: str) -> dict:
@@ -91,9 +88,9 @@ def _load_json(path_str: str) -> dict:
         with open(path_str) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise CliError(f"cannot read {path_str!r}: {exc}")
+        raise ValueError(f"cannot read {path_str!r}: {exc}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path_str!r} is not valid JSON: {exc}")
+        raise ValueError(f"{path_str!r} is not valid JSON: {exc}")
 
 
 def _load_behaviour_point(path_str: str) -> BehaviourPoint:
@@ -102,7 +99,7 @@ def _load_behaviour_point(path_str: str) -> BehaviourPoint:
         return BehaviourPoint.from_json_dict(data)
     if isinstance(data, dict) and "exact_point" in data:
         return BehaviourPoint.from_json_dict(data["exact_point"])
-    raise CliError(f"{path_str!r} does not contain a behaviour point")
+    raise ValueError(f"{path_str!r} does not contain a behaviour point")
 
 
 def _load_density_matrix(path_str: str) -> DensityMatrix:
@@ -110,7 +107,7 @@ def _load_density_matrix(path_str: str) -> DensityMatrix:
 
     data = _load_json(path_str)
     if not isinstance(data, dict):
-        raise CliError(f"{path_str!r} does not contain a density matrix")
+        raise ValueError(f"{path_str!r} does not contain a density matrix")
     return DensityMatrix.from_json_dict(data)
 
 
@@ -122,9 +119,9 @@ def _read_samples(path_str: str) -> np.ndarray:
         with open(path_str) as handle:
             lines = [line.strip() for line in handle if line.strip()]
     except OSError as exc:
-        raise CliError(f"cannot read {path_str!r}: {exc}")
+        raise ValueError(f"cannot read {path_str!r}: {exc}")
     if not lines:
-        raise CliError(f"{path_str!r} holds no samples")
+        raise ValueError(f"{path_str!r} holds no samples")
     rows = []
     for index, line in enumerate(lines):
         cells = [cell.strip() for cell in line.split(",")]
@@ -133,12 +130,12 @@ def _read_samples(path_str: str) -> np.ndarray:
         except ValueError:
             if index == 0:
                 continue  # header row
-            raise CliError(f"{path_str!r} line {index + 1} is not numeric")
+            raise ValueError(f"{path_str!r} line {index + 1} is not numeric")
     if not rows:
-        raise CliError(f"{path_str!r} holds no numeric rows")
+        raise ValueError(f"{path_str!r} holds no numeric rows")
     widths = {len(row) for row in rows}
     if len(widths) != 1:
-        raise CliError(f"{path_str!r} has ragged rows (widths {sorted(widths)})")
+        raise ValueError(f"{path_str!r} has ragged rows (widths {sorted(widths)})")
     return np.array(rows, dtype=float)
 
 
@@ -166,12 +163,8 @@ def svd_layout(rows) -> np.ndarray:
 
 
 def _cmd_vertices(args) -> str:
-    representation = _REP_FLAGS[args.rep]
-    if args.format == "csv":
-        return vertices_csv(representation)
-    if args.format == "json":
-        return vertices_json(representation)
-    raise CliError(f"vertices does not support format {args.format!r}")
+    export = vertices_csv if args.format == "csv" else vertices_json
+    return export(_REP_FLAGS[args.rep])
 
 
 def _cmd_graph(args) -> str:
@@ -184,11 +177,11 @@ def _cmd_graph(args) -> str:
         layout = svd_layout(vertex_rows(representation))
     if args.format == "dot":
         if layout is not None:
-            raise CliError("svd layout output requires json or csv format")
+            raise ValueError("svd layout output requires json or csv format")
         return geometry.graph_to_dot(graph)
     if args.format == "csv":
         if layout is None:
-            raise CliError("csv format for graph requires --layout svd")
+            raise ValueError("csv format for graph requires --layout svd")
         lines = ["x,y,z"]
         lines.extend(",".join(f"{value:.12g}" for value in row) for row in layout)
         return "\n".join(lines) + "\n"
@@ -256,7 +249,7 @@ def _cmd_simulate(args) -> str:
     from . import quantum
 
     if args.shots < 0:
-        raise CliError("shots must be non-negative")
+        raise ValueError("shots must be non-negative")
     rho, measurements, shape = quantum.qkd_scenario(args.kind, args.noise)
     distribution = quantum.behaviour_from_state(rho, measurements, shape)
     audit = quantum.no_signalling_check(distribution)
@@ -271,7 +264,7 @@ def _cmd_simulate(args) -> str:
         "noise": args.noise,
         "shots": args.shots,
         "seed": args.seed,
-        "shape": {"n": shape.n, "m": shape.m, "d": shape.d},
+        "shape": asdict(shape),
         "exact_point": exact.to_json_dict(),
         "distribution": distribution.to_json_dict(),
         "sampled_point": sampled,
@@ -293,7 +286,7 @@ def _test_point_mode(args) -> dict:
     observed = _load_behaviour_point(args.observed)
     for name, point in (("expected", expected), ("observed", observed)):
         if point.representation != REDUCED_8:
-            raise CliError(f"{name} point must be reduced-8, got {point.representation}")
+            raise ValueError(f"{name} point must be reduced-8, got {point.representation}")
     from . import manifold, stats
 
     sigma_d = stats.distance_sigma(expected, args.noise, absolute=args.absolute)
@@ -316,7 +309,7 @@ def _test_samples_mode(args) -> dict:
     expected = _read_samples(args.expected)
     observed = _read_samples(args.observed)
     if expected.shape[1] != observed.shape[1]:
-        raise CliError(
+        raise ValueError(
             f"sample files disagree on column count ({expected.shape[1]} vs {observed.shape[1]})"
         )
     import numpy as np
@@ -355,7 +348,7 @@ def _test_samples_mode(args) -> dict:
 
 def _cmd_test(args) -> str:
     if not 0.0 < args.alpha < 1.0:
-        raise CliError("alpha must lie strictly between 0 and 1")
+        raise ValueError("alpha must lie strictly between 0 and 1")
     if args.mode == "point":
         return _json_text(_test_point_mode(args))
     return _json_text(_test_samples_mode(args))
@@ -449,7 +442,7 @@ def main(argv=None) -> int:
     try:
         payload = _DISPATCH[args.command](args)
         _write_output(args.output, payload)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -29,7 +29,7 @@ path matrix, or a graph built from a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations
@@ -399,12 +399,7 @@ class CoverageReport:
     complete: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "members": list(self.members),
-            "newly_covered": list(self.newly_covered),
-            "running_totals": list(self.running_totals),
-            "complete": self.complete,
-        }
+        return asdict(self)
 
 
 def verify_generator_set(graph: VisibilityGraph, members) -> CoverageReport:

@@ -55,26 +55,22 @@ class ManifoldParams:
         return np.array([self.a0, self.a1, self.c0, self.c1])
 
 
+def _embed_array(x: np.ndarray) -> np.ndarray:
+    a0, a1, c0, c1 = x
+    return np.array([a0, a1, c0, c1, a0 * c0, a0 * c1, a1 * c0, a1 * c1])
+
+
 def embed(params: ManifoldParams) -> BehaviourPoint:
     """Uncorrelated behaviour point with the given marginals."""
-    a0, a1, c0, c1 = params.a0, params.a1, params.c0, params.c1
-    return BehaviourPoint.reduced(
-        (a0, a1, c0, c1, a0 * c0, a0 * c1, a1 * c0, a1 * c1)
-    )
+    return BehaviourPoint.reduced(_embed_array(params.as_array()))
 
 
 def on_manifold(point: BehaviourPoint, tol: float = 1e-9) -> bool:
     """Whether every composite coordinate equals the product of its marginals."""
     if point.representation != REDUCED_8:
         raise ValueError("manifold membership is defined for reduced-8 points")
-    a0, a1, c0, c1 = point.coords[:4]
-    products = (a0 * c0, a0 * c1, a1 * c0, a1 * c1)
-    return all(abs(x - y) <= tol for x, y in zip(point.coords[4:], products))
-
-
-def _embed_array(x: np.ndarray) -> np.ndarray:
-    a0, a1, c0, c1 = x
-    return np.array([a0, a1, c0, c1, a0 * c0, a0 * c1, a1 * c0, a1 * c1])
+    coords = point.as_array()
+    return bool((np.abs(_embed_array(coords[:4]) - coords) <= tol).all())
 
 
 def projection_objective(x: np.ndarray, target: np.ndarray) -> float:

@@ -11,7 +11,7 @@ distances of the underlying states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Optional
 
@@ -248,7 +248,7 @@ class FullDistribution:
             block = self.table[settings].reshape(d**n)
             entries[",".join(map(str, settings))] = block.tolist()
         return {
-            "shape": {"n": n, "m": m, "d": d},
+            "shape": asdict(self.shape),
             "outcome_order": "row-major over outcome tuples",
             "table": entries,
         }
@@ -400,12 +400,14 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-9) -> bool:
-    """Verify 1 - sqrt(F) <= trace distance <= sqrt(1 - F) for a state pair."""
+    """Verify 1 - sqrt(F) <= trace distance <= sqrt(1 - F) for a state pair.
+
+    The upper bound is checked squared, as D**2 <= 1 - F: near F = 1 a square
+    root would multiply the rounding of F by 1 / (2 sqrt(1 - F)).
+    """
     f = fidelity(rho, sigma)
     delta = trace_distance(rho, sigma)
-    lower = 1.0 - np.sqrt(f)
-    upper = np.sqrt(max(1.0 - f, 0.0))
-    return bool(lower <= delta + tol and delta <= upper + tol)
+    return bool(1.0 - np.sqrt(f) <= delta + tol and delta * delta <= 1.0 - f + tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,15 +611,7 @@ class BoundReport:
         return self.l2 <= self.l1 + 1e-9 and self.l1 <= self.rhs + 1e-9
 
     def to_json_dict(self) -> dict:
-        return {
-            "l2": self.l2,
-            "l1": self.l1,
-            "delta_a": self.delta_a,
-            "delta_b": self.delta_b,
-            "delta_ab": self.delta_ab,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
+        return {**asdict(self), "rhs": self.rhs, "holds": self.holds}
 
 
 def behaviour_bound_check(rho: DensityMatrix, sigma: DensityMatrix) -> BoundReport:

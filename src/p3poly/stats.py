@@ -10,7 +10,7 @@ p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,15 +68,7 @@ class TestReport:
     reject: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "sigma_d": self.sigma_d,
-            "z": self.z,
-            "p_value": self.p_value,
-            "overlap": self.overlap,
-            "alpha": self.alpha,
-            "reject": self.reject,
-        }
+        return asdict(self)
 
 
 def _normal_cdf(x: float) -> float:
@@ -119,34 +111,25 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     max_iterations = 300
     eps = 3e-16
     tiny = 1e-300
+
+    def nonzero(v: float) -> float:
+        return tiny if abs(v) < tiny else v
+
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, max_iterations + 1):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # Step m applies the even partial numerator, then the odd one.
+        for numerator in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 / nonzero(1.0 + numerator * d)
+            c = nonzero(1.0 + numerator / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -268,7 +268,7 @@ class BehaviourPoint:
     def to_json_dict(self) -> dict:
         return {
             "representation": self.representation,
-            "shape": {"n": self.shape.n, "m": self.shape.m, "d": self.shape.d},
+            "shape": asdict(self.shape),
             "coords": list(self.coords),
         }
 
@@ -398,9 +398,8 @@ def _csv_text(representation: str) -> str:
 
 @cache
 def _json_text(representation: str) -> str:
-    shape = _REPRESENTATIONS[representation][0]
     payload = {
-        "shape": {"n": shape.n, "m": shape.m, "d": shape.d},
+        "shape": asdict(_REPRESENTATIONS[representation][0]),
         "representation": representation,
         "vertices": [list(row) for row in _VERTEX_ROWS[representation]],
     }

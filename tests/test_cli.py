@@ -369,43 +369,6 @@ def test_bound_holds_for_two_pure_states(tmp_path, seed):
     assert payload["trace_distance"] == pytest.approx(payload["fidelity_upper_bound"], abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "name, verb",
-    [
-        ("nan", "project"),
-        ("nan", "test"),
-        ("coords5", "project"),
-        ("rep_list", "project"),
-        ("rep_dict", "project"),
-        ("coords_str", "project"),
-        ("coords_bool", "project"),
-        ("coords_bool", "test"),
-    ],
-)
-def test_malformed_point_gives_one_error_line(tmp_path, capsys, name, verb):
-    points = {
-        "nan": {"representation": REDUCED_8, "coords": [float("nan")] * 8},
-        "coords5": {"representation": REDUCED_8, "coords": 5},
-        "coords_str": {"representation": REDUCED_8, "coords": "00000000"},
-        "coords_bool": {"representation": REDUCED_8, "coords": [True, False] * 4},
-        "rep_list": {"representation": [REDUCED_8], "coords": [0] * 8},
-        "rep_dict": {"representation": {}, "coords": [0] * 8},
-    }
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(points[name]))
-    good = tmp_path / "pb.json"
-    good.write_text(json.dumps({"representation": REDUCED_8, "coords": list(P_B)}))
-    out = tmp_path / "out.json"
-    if verb == "project":
-        argv = ["project", "--input", str(bad)]
-    else:
-        argv = ["test", "--expected", str(good), "--observed", str(bad)]
-    assert main([*argv, "--output", str(out)]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert not out.exists()
-
-
 _ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
 
 
@@ -439,20 +402,35 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, ob
     assert not recwarn.list  # a warning would reach stderr outside pytest
 
 
-@pytest.mark.parametrize("name", ["re", "im"])
 @pytest.mark.parametrize(
-    "table",
-    [[[True, False, False, False]] * 4, [["0.25", "0", "0", "0"]] * 4, [0.25] * 16, "0.25"],
-    ids=["booleans", "numeric-strings", "flat", "string"],
+    "argv, message",
+    [
+        pytest.param(
+            ["graph", "--format", "csv"], "csv format for graph requires --layout svd",
+            id="graph-csv-without-layout",
+        ),
+        pytest.param(
+            ["simulate", "--kind", "honest", "--shots", "-1"], "shots must be non-negative",
+            id="simulate-negative-shots",
+        ),
+        pytest.param(
+            ["test", "--mode", "samples", "--expected", "one.csv", "--observed", "two.csv"],
+            "sample files disagree on column count (1 vs 2)",
+            id="samples-column-counts-differ",
+        ),
+    ],
 )
-def test_bad_state_table_gives_one_error_line(tmp_path, capsys, name, table):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**qu.bell_pair_state().to_json_dict(), name: table}))
-    out = tmp_path / "bound.json"
-    assert main(["bound", "--rho", str(bad), "--sigma", str(bad), "--output", str(out)]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and f"'{name}'" in lines[0]
+def test_rejected_flags_give_one_error_line(tmp_path, monkeypatch, capsys, recwarn, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one.csv").write_text("0.1\n0.2\n0.4\n")
+    (tmp_path / "two.csv").write_text("0.1,0.2\n0.3,0.5\n0.4,0.1\n")
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
     assert not out.exists()
+    assert not recwarn.list  # a warning would reach stderr outside pytest
 
 
 def test_samples_far_from_unit_scale_get_a_p_value(tmp_path, recwarn):
@@ -589,10 +567,23 @@ def test_malformed_input_file_gives_one_error_line(tmp_path, capsys, recwarn, re
     assert not recwarn.list  # a warning would reach stderr outside pytest
 
 
+def assert_write_error(argv, capsys):
+    # The error names the user's path and the reason, never the temporary
+    # file, so it is the same on every run.
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: cannot write output file ")
+    assert ".tmp" not in errors[0]
+    return errors[0]
+
+
 def test_unwritable_output(tmp_path, capsys):
-    code = main(["vertices", "--output", str(tmp_path / "nodir" / "out.csv")])
-    assert code == 1
-    assert "cannot write" in capsys.readouterr().err
+    target = str(tmp_path / "nodir" / "out.csv")
+    error = assert_write_error(["vertices", "--output", target], capsys)
+    assert error == f"error: cannot write output file {target!r}: No such file or directory\n"
 
 
 def test_output_write_keeps_neighbouring_tmp_file(tmp_path, capsys):
@@ -609,7 +600,6 @@ def test_output_write_keeps_neighbouring_tmp_file(tmp_path, capsys):
     # leaves no temporary file behind.
     blocked = tmp_path / "blocked"
     blocked.mkdir()
-    assert main(["vertices", "--output", str(blocked)]) == 1
-    assert "cannot write" in capsys.readouterr().err
+    assert_write_error(["vertices", "--output", str(blocked)], capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "v.csv", "v.csv.tmp"]
     assert not any(blocked.iterdir())

@@ -187,6 +187,8 @@ def test_no_size_three_dominating_set_reduced():
     graph = ge.build_visibility_graph(st.REDUCED_8)
     assert not ge.has_dominating_set(graph, 3)
     assert ge.has_dominating_set(graph, 4)
+    with pytest.raises(ValueError, match="size must be non-negative"):
+        ge.has_dominating_set(graph, -1)
 
 
 def test_coverage_diagonal_full():

@@ -342,7 +342,7 @@ def test_fidelity_against_scipy_oracle():
 
 def test_fidelity_bounds_fuzz():
     rng = np.random.default_rng(31)
-    for _ in range(100):
+    for _ in range(2000):
         rho = qu.random_density_matrix(4, rng)
         sigma = qu.random_density_matrix(4, rng)
         assert qu.fidelity_bounds_check(rho, sigma)
@@ -373,6 +373,34 @@ def test_fidelity_of_pure_states_is_the_squared_overlap():
         rho, sigma = state_of(a), state_of(b)
         assert abs(qu.fidelity(rho, sigma) - abs(np.vdot(a, b)) ** 2) <= 1e-12
         assert qu.fidelity_bounds_check(rho, sigma)
+
+
+@pytest.mark.parametrize("nudge", [1e-6, 1e-7, 1e-8])
+def test_fidelity_bounds_hold_for_near_identical_pure_states(nudge):
+    # Pure pairs saturate D <= sqrt(1 - F).  Near F = 1 a square root would
+    # multiply F's ~1e-15 rounding by 1 / (2 sqrt(1 - F)), so the check
+    # compares D**2 with 1 - F.
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        a = random_factor(rng, 1)
+        b = a + nudge * random_factor(rng, 1)
+        assert qu.fidelity_bounds_check(state_of(a), state_of(b / np.linalg.norm(b)))
+
+
+def test_fidelity_bounds_check_rejects_a_distance_outside_either_bound(monkeypatch):
+    rng = np.random.default_rng(43)
+    rho, sigma = qu.random_density_matrix(4, rng), qu.random_density_matrix(4, rng)
+    f = qu.fidelity(rho, sigma)
+    tol = 1e-9
+    lower, upper = 1.0 - np.sqrt(f), np.sqrt(1.0 - f)
+    for delta, holds in [
+        (lower, True),
+        (upper, True),
+        (lower - 2.0 * tol, False),
+        (np.sqrt(1.0 - f + 2.0 * tol), False),
+    ]:
+        monkeypatch.setattr(qu, "trace_distance", lambda rho, sigma: delta)
+        assert qu.fidelity_bounds_check(rho, sigma, tol) is holds
 
 
 @pytest.mark.parametrize("rank_rho, rank_sigma", [(1, 2), (2, 2), (2, 3), (3, 1), (1, 4)])
