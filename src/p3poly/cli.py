@@ -88,7 +88,7 @@ def _load_json(path_str: str) -> dict:
         with open(path_str) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise ValueError(f"cannot read {path_str!r}: {exc}")
+        raise ValueError(f"cannot read {path_str!r}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path_str!r} is not valid JSON: {exc}")
 
@@ -119,7 +119,7 @@ def _read_samples(path_str: str) -> np.ndarray:
         with open(path_str) as handle:
             lines = [line.strip() for line in handle if line.strip()]
     except OSError as exc:
-        raise ValueError(f"cannot read {path_str!r}: {exc}")
+        raise ValueError(f"cannot read {path_str!r}: {exc.strerror}")
     if not lines:
         raise ValueError(f"{path_str!r} holds no samples")
     rows = []
@@ -240,7 +240,7 @@ def _cmd_analyze(args) -> str:
                 {status.value: counts[status] for status in geometry.VisibilityStatus}
                 for counts in per_vertex
             ],
-            "uniform": len({tuple(sorted(c.items(), key=lambda kv: kv[0].value)) for c in per_vertex}) == 1,
+            "uniform": all(counts == per_vertex[0] for counts in per_vertex),
         }
     return _json_text(payload)
 

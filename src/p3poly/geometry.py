@@ -21,8 +21,8 @@ twins and is its own quotient.  Shortest paths run on the quotient as well:
 twins are at distance 1, and two nodes of different classes are as far
 apart as their classes.
 
-A graph holds one representation, the int bit masks of its adjacency rows,
-and every search, listing and export reads them, so nothing here imports
+A graph holds nothing but the int bit masks of its adjacency rows, and
+every search, listing and export reads them, so nothing here imports
 numpy until a caller asks for an array: the adjacency matrix, the shortest
 path matrix, or a graph built from a matrix.
 """
@@ -108,23 +108,22 @@ def _bits(mask: int):
 
 @dataclass(frozen=True, eq=False)
 class VisibilityGraph:
-    """Undirected visibility graph over the canonical vertex order.
+    """Undirected visibility graph on nodes 0 .. n - 1.
 
-    Nodes are row indices of the vertex table for ``representation``, and
-    bit j of the int ``row_masks[i]`` is set iff nodes i and j see each
-    other.  The masks are the graph's only representation: construction
-    checks them (ints, no bit beyond the last node, no self-loops,
-    symmetric), and ``adjacency`` is a read-only boolean matrix built from
-    them on first use.  ``from_adjacency`` builds a graph from a matrix.  The
-    closed-twin quotient, which the generator, clique and shortest-path
-    searches read, is computed once per graph.  Graphs compare by identity.
+    Bit j of the int ``row_masks[i]`` is set iff nodes i and j see each
+    other; in a graph from ``build_visibility_graph`` the nodes are the rows
+    of that representation's vertex table.  The masks are all the graph
+    holds: construction checks them (ints, no bit beyond the last node, no
+    self-loops, symmetric), and ``adjacency`` is a read-only boolean matrix
+    built from them on first use.  ``from_adjacency`` builds a graph from a
+    matrix.  The closed-twin quotient, which the generator, clique and
+    shortest-path searches read, is computed once per graph.  Graphs compare
+    by identity.
     """
 
-    representation: str
     row_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_representation(self.representation)
         masks = tuple(self.row_masks)
         n = len(masks)
         for node, mask in enumerate(masks):
@@ -143,7 +142,7 @@ class VisibilityGraph:
         object.__setattr__(self, "row_masks", masks)
 
     @classmethod
-    def from_adjacency(cls, representation: str, adjacency) -> VisibilityGraph:
+    def from_adjacency(cls, adjacency) -> VisibilityGraph:
         """Graph from a square boolean adjacency matrix (any array-like)."""
         import numpy as np
 
@@ -151,7 +150,7 @@ class VisibilityGraph:
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
         packed = np.packbits(adj, axis=1, bitorder="little")
-        return cls(representation, tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+        return cls(tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -237,7 +236,7 @@ def build_visibility_graph(representation: str) -> VisibilityGraph:
     class.
     """
     _check_representation(representation)
-    return VisibilityGraph(representation, _CANONICAL_MASKS[representation])
+    return VisibilityGraph(_CANONICAL_MASKS[representation])
 
 
 def _class_rings(graph: VisibilityGraph) -> list[list[int]]:
@@ -433,7 +432,7 @@ def segment(p: BehaviourPoint, q: BehaviourPoint, omega: float) -> BehaviourPoin
     if not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     coords = tuple(omega * x + (1.0 - omega) * y for x, y in zip(p.coords, q.coords))
-    return BehaviourPoint(coords, p.shape, p.representation)
+    return BehaviourPoint(coords, p.representation)
 
 
 def maximal_convex_clusters(graph: VisibilityGraph) -> list[tuple[int, ...]]:

@@ -65,12 +65,12 @@ def embed(params: ManifoldParams) -> BehaviourPoint:
     return BehaviourPoint.reduced(_embed_array(params.as_array()))
 
 
-def on_manifold(point: BehaviourPoint, tol: float = 1e-9) -> bool:
-    """Whether every composite coordinate equals the product of its marginals."""
+def on_manifold(point: BehaviourPoint) -> bool:
+    """Whether every composite coordinate equals the product of its marginals, to 1e-9."""
     if point.representation != REDUCED_8:
         raise ValueError("manifold membership is defined for reduced-8 points")
     coords = point.as_array()
-    return bool((np.abs(_embed_array(coords[:4]) - coords) <= tol).all())
+    return bool((np.abs(_embed_array(coords[:4]) - coords) <= 1e-9).all())
 
 
 def projection_objective(x: np.ndarray, target: np.ndarray) -> float:

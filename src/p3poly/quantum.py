@@ -34,6 +34,7 @@ POSITIVITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
 NORMALIZATION_TOL = 1e-8
 NO_SIGNALLING_TOL = 1e-10
+_BOUND_TOL = 1e-9
 
 
 def _check_finite(name: str, array: np.ndarray) -> None:
@@ -312,7 +313,7 @@ def collapse(distribution: FullDistribution) -> BehaviourPoint:
     if shape not in _COLLAPSE:
         raise ValueError(f"no canonical behaviour representation for scenario {shape}")
     matrix, representation = _COLLAPSE[shape]
-    return BehaviourPoint(tuple(matrix @ distribution.table.ravel()), shape, representation)
+    return BehaviourPoint(tuple(matrix @ distribution.table.ravel()), representation)
 
 
 def sample_behaviour(
@@ -382,7 +383,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     diag(sqrt r) U+ V diag(sqrt s), so the roots are never formed.  The
     eigenvalues of sqrt(rho) sigma sqrt(rho) would not do: for a pure state
     their rounding noise of ~1e-17 becomes ~3e-9 under the square root, more
-    than the tolerance of ``fidelity_bounds_check``, which pure states
+    than the 1e-9 slack of ``fidelity_bounds_check``, which pure states
     saturate.
     """
     if rho.dim != sigma.dim:
@@ -399,15 +400,15 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-9) -> bool:
-    """Verify 1 - sqrt(F) <= trace distance <= sqrt(1 - F) for a state pair.
+def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
+    """Verify 1 - sqrt(F) <= trace distance <= sqrt(1 - F), each to within 1e-9.
 
     The upper bound is checked squared, as D**2 <= 1 - F: near F = 1 a square
     root would multiply the rounding of F by 1 / (2 sqrt(1 - F)).
     """
     f = fidelity(rho, sigma)
     delta = trace_distance(rho, sigma)
-    return bool(1.0 - np.sqrt(f) <= delta + tol and delta * delta <= 1.0 - f + tol)
+    return bool(1.0 - np.sqrt(f) <= delta + _BOUND_TOL and delta * delta <= 1.0 - f + _BOUND_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,7 +418,8 @@ class LhvModel:
     The first wing reads the left source, the last wing the right source, and
     the middle wing reads both.  ``response_first`` has shape (m, L, d),
     ``response_middle`` (m, L, R, d), ``response_last`` (m, R, d); the weight
-    vectors are the source distributions of length L and R.
+    vectors are the source distributions of length L and R.  Construction
+    rejects wings that disagree on the setting count m or the outcome count d.
 
     Instances compare by identity: an array field has no single truth value.
     """
@@ -449,6 +451,10 @@ class LhvModel:
             raise ValueError(
                 "response_middle must have shape (settings, left states, right states, outcomes)"
             )
+        if b.shape[0] != a.shape[0] or c.shape[0] != a.shape[0]:
+            raise ValueError("wings disagree on setting count")
+        if b.shape[-1] != a.shape[-1] or c.shape[-1] != a.shape[-1]:
+            raise ValueError("wings disagree on outcome count")
         for name, table in (("response_first", a), ("response_middle", b), ("response_last", c)):
             _check_finite(name, table)
             if table.min() < 0 or np.abs(table.sum(axis=-1) - 1.0).max() > 1e-9:
@@ -475,10 +481,6 @@ def lhv_evaluate(model: LhvModel) -> FullDistribution:
     p(x, y, z | s, t, u) is the product of the three wing responses averaged
     over both sources independently.
     """
-    if model.response_middle.shape[0] != model.settings or model.response_last.shape[0] != model.settings:
-        raise ValueError("wings disagree on setting count")
-    if model.response_middle.shape[-1] != model.outcomes or model.response_last.shape[-1] != model.outcomes:
-        raise ValueError("wings disagree on outcome count")
     table = np.einsum(
         "slx,tlry,urz,l,r->stuxyz",
         model.response_first,
@@ -542,21 +544,22 @@ def qkd_scenario(kind: str, noise: float = 0.0) -> tuple[DensityMatrix, Measurem
 
 @dataclass(frozen=True)
 class NoSignallingResult:
-    """Outcome of a no-signalling audit; truthy iff every marginal is stable."""
+    """Outcome of a no-signalling audit; ok and truthy iff it found no witness."""
 
-    ok: bool
     witness: Optional[dict]
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def no_signalling_check(
-    distribution: FullDistribution, tol: float = NO_SIGNALLING_TOL
-) -> NoSignallingResult:
+def no_signalling_check(distribution: FullDistribution) -> NoSignallingResult:
     """Check that each party's outcome marginals ignore the other parties' settings.
 
-    Returns a truthy result when every marginal varies by at most ``tol``
+    Returns a truthy result when every marginal varies by at most 1e-10
     across the co-parties' setting choices, otherwise records the first
     offending (party, co-party) pair together with the co-party setting whose
     marginal deviates most from its setting 0, and that worst deviation.
@@ -575,17 +578,16 @@ def no_signalling_check(
             axes = tuple(i for i in range(n + 1) if i != other)
             per_setting = abs(marginal - marginal.take([0], axis=other)).max(axis=axes)
             setting = per_setting.argmax()
-            if per_setting[setting] > tol:
+            if per_setting[setting] > NO_SIGNALLING_TOL:
                 return NoSignallingResult(
-                    False,
                     {
                         "party": party,
                         "varies_with_party": other,
                         "settings_compared": (0, int(setting)),
                         "max_deviation": float(per_setting[setting]),
-                    },
+                    }
                 )
-    return NoSignallingResult(True, None)
+    return NoSignallingResult(None)
 
 
 @dataclass(frozen=True)
@@ -608,7 +610,7 @@ class BoundReport:
 
     @property
     def holds(self) -> bool:
-        return self.l2 <= self.l1 + 1e-9 and self.l1 <= self.rhs + 1e-9
+        return self.l2 <= self.l1 + _BOUND_TOL and self.l1 <= self.rhs + _BOUND_TOL
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "rhs": self.rhs, "holds": self.holds}

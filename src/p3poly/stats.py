@@ -43,7 +43,7 @@ def perturb(point: BehaviourPoint, noise: NoiseSpec) -> BehaviourPoint:
     scales = _scales(coords, noise)
     rng = np.random.default_rng(noise.seed)
     noisy = np.clip(coords + rng.normal(0.0, 1.0, size=coords.size) * scales, 0.0, 1.0)
-    return BehaviourPoint(tuple(noisy), point.shape, point.representation)
+    return BehaviourPoint(tuple(noisy), point.representation)
 
 
 def distance_sigma(point: BehaviourPoint, sigma: float, absolute: bool = False) -> float:

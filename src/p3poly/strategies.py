@@ -221,19 +221,14 @@ class VertexReduced:
 @dataclass(frozen=True)
 class BehaviourPoint:
     """A point of the behaviour space: probabilities in one of the two
-    canonical coordinate orders, tagged with its scenario shape."""
+    canonical coordinate orders; the representation tag fixes ``shape``."""
 
     coords: tuple[float, ...]
-    shape: ScenarioShape
     representation: str
 
     def __post_init__(self) -> None:
         _check_representation(self.representation)
-        expected_shape, width = _REPRESENTATIONS[self.representation]
-        if self.shape != expected_shape:
-            raise ValueError(
-                f"representation {self.representation!r} requires shape {expected_shape}, got {self.shape}"
-            )
+        width = _REPRESENTATIONS[self.representation][1]
         if len(self.coords) != width:
             raise ValueError(f"expected {width} coordinates, got {len(self.coords)}")
         cleaned = []
@@ -248,11 +243,15 @@ class BehaviourPoint:
 
     @classmethod
     def full(cls, coords) -> "BehaviourPoint":
-        return cls(tuple(float(x) for x in coords), FULL_SHAPE, FULL_26)
+        return cls(tuple(float(x) for x in coords), FULL_26)
 
     @classmethod
     def reduced(cls, coords) -> "BehaviourPoint":
-        return cls(tuple(float(x) for x in coords), REDUCED_SHAPE, REDUCED_8)
+        return cls(tuple(float(x) for x in coords), REDUCED_8)
+
+    @property
+    def shape(self) -> ScenarioShape:
+        return _REPRESENTATIONS[self.representation][0]
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -280,11 +279,10 @@ class BehaviourPoint:
         except (KeyError, TypeError):
             raise ValueError("behaviour point JSON needs 'representation' and 'coords'")
         _check_representation(representation)
-        shape = _REPRESENTATIONS[representation][0]
         # A string would iterate as digits, and bool is a subclass of int.
         if not isinstance(coords, list) or not all(type(x) in (int, float) for x in coords):
             raise ValueError("behaviour point 'coords' must be a list of numbers")
-        return cls(tuple(float(x) for x in coords), shape, representation)
+        return cls(tuple(float(x) for x in coords), representation)
 
 
 def behaviour_from_vertex(vertex) -> BehaviourPoint:

@@ -43,7 +43,7 @@ def _finish(number: int, started: float, budget: float, label: str) -> None:
 
 
 def _point(coords) -> BehaviourPoint:
-    return BehaviourPoint(np.asarray(coords, dtype=float), REDUCED_SHAPE, REDUCED_8)
+    return BehaviourPoint(np.asarray(coords, dtype=float), REDUCED_8)
 
 
 def test_c01_vertex_tables_bit_exact():
@@ -288,5 +288,5 @@ def test_c11_gradient_and_distribution_hygiene():
         outcome_axes = tuple(range(shape.n, 2 * shape.n))
         totals = distribution.table.sum(axis=outcome_axes)
         assert np.all(np.abs(totals - 1.0) <= 1e-10)
-        assert qu.no_signalling_check(distribution, tol=1e-10).ok
+        assert qu.no_signalling_check(distribution).ok
     _finish(11, t0, 30.0, "gradient matches finite differences; distributions stay physical")

@@ -453,8 +453,14 @@ def test_samples_far_from_unit_scale_get_a_p_value(tmp_path, recwarn):
 
 # Every malformed file each file-reading verb can be given, by the kind of
 # file it reads, with a fragment of the error it must give.  None stands for
-# a path with no file behind it.
+# a path with no file behind it and _DIRECTORY for a directory; for these two
+# the fragment is the reason, and the test checks the whole line.
 _BELL = qu.bell_pair_state().to_json_dict()
+_DIRECTORY = object()
+_UNREADABLE = {
+    "missing": (None, "No such file or directory"),
+    "directory": (_DIRECTORY, "Is a directory"),
+}
 
 
 def _point(coords, representation=REDUCED_8):
@@ -467,7 +473,7 @@ def _qubit_state(re):
 
 _MALFORMED_FILES = {
     "point": {
-        "missing": (None, "cannot read"),
+        **_UNREADABLE,
         "not-json": ("{not json", "not valid JSON"),
         "list": ("[]", "does not contain a behaviour point"),
         "no-point": (json.dumps({"exact": {}}), "does not contain a behaviour point"),
@@ -484,7 +490,7 @@ _MALFORMED_FILES = {
         "rep-dict": (_point([0] * 8, {}), "unknown representation"),
     },
     "samples": {
-        "missing": (None, "cannot read"),
+        **_UNREADABLE,
         "empty": ("", "holds no samples"),
         "blank": ("\n \n", "holds no samples"),
         "header-only": ("x,y\n", "holds no numeric rows"),
@@ -494,7 +500,7 @@ _MALFORMED_FILES = {
         "inf-cell": ("0.1\ninf\n0.3\n", "finite samples"),
     },
     "state": {
-        "missing": (None, "cannot read"),
+        **_UNREADABLE,
         "not-json": ("{not json", "not valid JSON"),
         "list": ("[]", "does not contain a density matrix"),
         "no-im": (json.dumps({"dim": 4, "re": _BELL["re"]}), "needs 'dim' and the 're' and 'im'"),
@@ -549,7 +555,9 @@ def test_malformed_input_file_gives_one_error_line(tmp_path, capsys, recwarn, re
     kind, argv, flag, other_flag = _FILE_READERS[reader]
     bad = tmp_path / "bad"
     content, message = _MALFORMED_FILES[kind][name]
-    if content is not None:
+    if content is _DIRECTORY:
+        bad.mkdir()
+    elif content is not None:
         bad.write_text(content)
     argv = [*argv, flag, str(bad)]
     if other_flag is not None:
@@ -561,7 +569,10 @@ def test_malformed_input_file_gives_one_error_line(tmp_path, capsys, recwarn, re
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
-    assert message in lines[0]
+    if name in _UNREADABLE:
+        assert lines[0] == f"error: cannot read {str(bad)!r}: {message}"
+    else:
+        assert message in lines[0]
     assert captured.out == ""
     assert not out.exists()
     assert not recwarn.list  # a warning would reach stderr outside pytest

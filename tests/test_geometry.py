@@ -96,13 +96,13 @@ def test_reduced_graph_structure():
 
 def test_graph_validation():
     with pytest.raises(ValueError, match="self-loops"):
-        ge.VisibilityGraph.from_adjacency(st.FULL_26, np.ones((2, 2), dtype=bool))
+        ge.VisibilityGraph.from_adjacency(np.ones((2, 2), dtype=bool))
     asym = np.zeros((3, 3), dtype=bool)
     asym[0, 1] = True
     with pytest.raises(ValueError, match="symmetric"):
-        ge.VisibilityGraph.from_adjacency(st.FULL_26, asym)
+        ge.VisibilityGraph.from_adjacency(asym)
     with pytest.raises(ValueError, match="square"):
-        ge.VisibilityGraph.from_adjacency(st.FULL_26, np.zeros((2, 3), dtype=bool))
+        ge.VisibilityGraph.from_adjacency(np.zeros((2, 3), dtype=bool))
     with pytest.raises(ValueError):
         ge.build_visibility_graph("full")
 
@@ -124,24 +124,15 @@ def test_graph_validation():
 )
 def test_graph_validates_its_row_masks(masks, message):
     if message is None:
-        assert ge.VisibilityGraph(st.REDUCED_8, list(masks)).row_masks == masks
+        assert ge.VisibilityGraph(list(masks)).row_masks == masks
     else:
         with pytest.raises(ValueError, match=message):
-            ge.VisibilityGraph(st.REDUCED_8, masks)
-
-
-@pytest.mark.parametrize("representation", ["bogus", None, [st.REDUCED_8]])
-def test_graph_rejects_an_unknown_representation(representation):
-    # Only the tag is checked: generated graphs of any size are tagged reduced-8.
-    with pytest.raises(ValueError, match="unknown representation"):
-        ge.VisibilityGraph(representation, (0b10, 0b01))
-    with pytest.raises(ValueError, match="unknown representation"):
-        ge.VisibilityGraph.from_adjacency(representation, np.zeros((2, 2), dtype=bool))
+            ge.VisibilityGraph(masks)
 
 
 def test_graph_owns_a_copy_of_its_adjacency():
     adjacency = np.array(ge.build_visibility_graph(st.REDUCED_8).adjacency)
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(adjacency)
     assert graph.row_masks == ge.build_visibility_graph(st.REDUCED_8).row_masks
     assert adjacency.flags.writeable and not graph.adjacency.flags.writeable
     assert not np.shares_memory(adjacency, graph.adjacency)
@@ -149,7 +140,7 @@ def test_graph_owns_a_copy_of_its_adjacency():
     generators = ge.minimum_generators(graph)
     # Node 0 sees every node: one node now dominates the caller's graph.
     adjacency[0, 1:] = adjacency[1:, 0] = True
-    assert ge.minimum_generators(ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)).members == (0,)
+    assert ge.minimum_generators(ge.VisibilityGraph.from_adjacency(adjacency)).members == (0,)
     assert np.array_equal(graph.adjacency, before)
     assert ge.minimum_generators(graph) == generators
 
@@ -166,7 +157,7 @@ def test_apsp_max_two():
 
 
 def test_apsp_disconnected_raises():
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, np.zeros((2, 2), dtype=bool))
+    graph = ge.VisibilityGraph.from_adjacency(np.zeros((2, 2), dtype=bool))
     with pytest.raises(ValueError, match="disconnected"):
         ge.all_pairs_shortest_paths(graph)
     with pytest.raises(ValueError, match="disconnected"):
@@ -427,7 +418,7 @@ oracle_settings = settings(derandomize=True, database=None, deadline=None)
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_apsp_matches_per_source_bfs(adjacency):
-    check_apsp(ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency))
+    check_apsp(ge.VisibilityGraph.from_adjacency(adjacency))
 
 
 def check_apsp(graph):
@@ -455,7 +446,7 @@ def test_apsp_matches_per_source_bfs_on_seeded_small_graphs():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 13))
         upper = np.triu(rng.random((n, n)) < rng.choice([0.1, 0.3, 0.6]), k=1)
-        connected.append(check_apsp(ge.VisibilityGraph.from_adjacency(st.REDUCED_8, upper | upper.T)))
+        connected.append(check_apsp(ge.VisibilityGraph.from_adjacency(upper | upper.T)))
     assert 50 <= sum(connected) <= 250
 
 
@@ -464,7 +455,7 @@ def test_apsp_matches_per_source_bfs_on_seeded_small_graphs():
 @example(CANONICAL[0], None)
 @example(CANONICAL[1], None)
 def test_coverage_matches_set_walk(adjacency, data):
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(adjacency)
     n = graph.node_count
     assert np.array_equal(graph.adjacency, adjacency)
     assert [mask | 1 << i for i, mask in enumerate(graph.row_masks)] == reference_masks(graph)
@@ -486,7 +477,7 @@ def test_coverage_matches_set_walk(adjacency, data):
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_dot_and_edges_match_neighbor_loop(adjacency):
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(adjacency)
     assert ge.graph_to_dot(graph) == reference_dot(graph)
     edges = graph.edges()
     assert edges == tuple(map(tuple, np.argwhere(np.triu(adjacency)).tolist()))
@@ -499,7 +490,7 @@ def test_dot_and_edges_match_neighbor_loop(adjacency):
 @oracle_settings
 @given(adjacency_matrices(max_nodes=12))
 def test_cover_search_matches_subset_loop(adjacency):
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(adjacency)
     n = graph.node_count
     masks = reference_masks(graph)
     smallest = None
@@ -516,7 +507,7 @@ def test_cover_search_matches_subset_loop(adjacency):
 
 @pytest.mark.parametrize("adjacency", CANONICAL, ids=["full-26", "reduced-8"])
 def test_cover_search_matches_subset_loop_on_canonical_graphs(adjacency):
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(adjacency)
     masks = reference_masks(graph)
     for size in range(5):
         assert ge._first_cover(masks, size) == reference_first_cover(masks, size)
@@ -524,7 +515,7 @@ def test_cover_search_matches_subset_loop_on_canonical_graphs(adjacency):
 
 
 def test_empty_graph_has_only_the_empty_cover():
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, np.zeros((0, 0), dtype=bool))
+    graph = ge.VisibilityGraph.from_adjacency(np.zeros((0, 0), dtype=bool))
     assert graph.row_masks == () and graph.adjacency.shape == (0, 0)
     assert ge._first_cover([], 0) == ()
     assert ge._first_cover([], 1) is None
@@ -535,7 +526,7 @@ def test_empty_graph_has_only_the_empty_cover():
 
 
 def test_empty_graph_has_no_shortest_paths():
-    graph = ge.VisibilityGraph(st.REDUCED_8, ())
+    graph = ge.VisibilityGraph(())
     for search in (ge.all_pairs_shortest_paths, ge.diameter):
         with pytest.raises(ValueError, match="at least one node"):
             search(graph)
@@ -546,7 +537,7 @@ def test_empty_graph_has_no_shortest_paths():
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_cliques_match_set_bron_kerbosch(adjacency):
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(adjacency)
     assert ge.maximal_convex_clusters(graph) == reference_cliques(graph)
 
 
@@ -594,7 +585,7 @@ def planted_twins(draw):
 @example(CANONICAL[0])
 @example(CANONICAL[1])
 def test_quotient_searches_match_reference_loops_on_planted_twins(adjacency):
-    graph = ge.VisibilityGraph.from_adjacency(st.REDUCED_8, adjacency)
+    graph = ge.VisibilityGraph.from_adjacency(adjacency)
     masks = reference_masks(graph)
     smallest = None
     for size in range(graph.node_count + 2):

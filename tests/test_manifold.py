@@ -61,7 +61,7 @@ def test_project_expected_point():
     assert result.squared_distance == pytest.approx(PROJECTION_SQUARED, abs=1e-8)
     assert result.distance == pytest.approx(PROJECTION_DISTANCE, abs=1e-8)
     assert result.converged
-    assert mf.on_manifold(result.point, tol=1e-9)
+    assert mf.on_manifold(result.point)
 
 
 def test_project_point_on_manifold_returns_zero():

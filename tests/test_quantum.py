@@ -282,6 +282,18 @@ def test_lhv_model_validation():
         qu.LhvModel(np.array([1.0]), np.array([1.0]), bad_rows, b, c)
 
 
+@pytest.mark.parametrize("wing", ["response_middle", "response_last"])
+@pytest.mark.parametrize("axis, count", [(0, "setting"), (-1, "outcome")], ids=["settings", "outcomes"])
+def test_lhv_model_rejects_wings_that_disagree(wing, axis, count):
+    # Uniform responses, so each wing alone is valid; only one count differs
+    # from the first wing's 2 settings and 2 outcomes.
+    shapes = {"response_first": [2, 1, 2], "response_middle": [2, 1, 1, 2], "response_last": [2, 1, 2]}
+    shapes[wing][axis] = 3
+    responses = {name: np.full(shape, 1.0 / shape[-1]) for name, shape in shapes.items()}
+    with pytest.raises(ValueError, match=f"wings disagree on {count} count"):
+        qu.LhvModel(np.array([1.0]), np.array([1.0]), **responses)
+
+
 def test_partial_trace():
     reduced = qu.partial_trace(bell(), (2, 2), "A")
     assert np.allclose(reduced.matrix, np.eye(2) / 2)
@@ -391,7 +403,7 @@ def test_fidelity_bounds_check_rejects_a_distance_outside_either_bound(monkeypat
     rng = np.random.default_rng(43)
     rho, sigma = qu.random_density_matrix(4, rng), qu.random_density_matrix(4, rng)
     f = qu.fidelity(rho, sigma)
-    tol = 1e-9
+    tol = 1e-9  # the check's slack on either side
     lower, upper = 1.0 - np.sqrt(f), np.sqrt(1.0 - f)
     for delta, holds in [
         (lower, True),
@@ -400,7 +412,7 @@ def test_fidelity_bounds_check_rejects_a_distance_outside_either_bound(monkeypat
         (np.sqrt(1.0 - f + 2.0 * tol), False),
     ]:
         monkeypatch.setattr(qu, "trace_distance", lambda rho, sigma: delta)
-        assert qu.fidelity_bounds_check(rho, sigma, tol) is holds
+        assert qu.fidelity_bounds_check(rho, sigma) is holds
 
 
 @pytest.mark.parametrize("rank_rho, rank_sigma", [(1, 2), (2, 2), (2, 3), (3, 1), (1, 4)])
@@ -640,7 +652,7 @@ def test_quantum_distributions_normalized_and_nonsignalling():
         dist = qu.behaviour_from_state(rho, measurements, st.REDUCED_SHAPE)
         sums = dist.table.reshape(2, 2, 4).sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-10
-        assert qu.no_signalling_check(dist, tol=1e-10)
+        assert qu.no_signalling_check(dist)
 
 
 def kron_trace_table(rho, measurements, shape):

@@ -2,8 +2,10 @@
 library, no layer for a bare ``import p3poly``, and for each CLI verb only the
 layers it uses, with numpy only for the verbs that compute with it (not for
 the vertex tables, the graph listings, the structural report, nor a point
-file that is rejected).  Also the lazily filled ``p3poly`` namespace itself."""
+file that is rejected).  Also the lazily filled ``p3poly`` namespace itself,
+and that every module-level import of a layer is used."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -133,6 +135,28 @@ def test_strategies_and_geometry_run_without_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert _python(probe).strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(p3poly.__path__))
+)
+def test_every_module_level_import_is_used(module):
+    # Imports in the module body and in its top-level ``if`` blocks (the
+    # TYPE_CHECKING ones), each by the name it binds; a use is any name node,
+    # annotations included.  The package ``__init__`` is not in this list: it
+    # binds its public names lazily.
+    tree = ast.parse(Path(import_module(f"p3poly.{module}").__file__).read_text())
+    statements = [
+        s for node in tree.body for s in [node, *(node.body if isinstance(node, ast.If) else [])]
+    ]
+    bound = {
+        (alias.asname or alias.name).partition(".")[0]
+        for s in statements
+        if isinstance(s, (ast.Import, ast.ImportFrom)) and getattr(s, "module", None) != "__future__"
+        for alias in s.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - used) == []
 
 
 def test_public_names_resolve_to_their_home_layer():

@@ -141,12 +141,11 @@ def test_scenario_shape_validation():
 def test_behaviour_point_validation():
     point = st.BehaviourPoint.reduced([0.5] * 8)
     assert point.shape == st.REDUCED_SHAPE
+    assert st.BehaviourPoint([0.5] * 26, st.FULL_26).shape == st.FULL_SHAPE
     with pytest.raises(ValueError):
         st.BehaviourPoint.reduced([0.5] * 7)
     with pytest.raises(ValueError):
         st.BehaviourPoint.reduced([0.5] * 7 + [1.5])
-    with pytest.raises(ValueError):
-        st.BehaviourPoint(tuple([0.5] * 8), st.FULL_SHAPE, st.REDUCED_8)
     # Float dust just outside [0, 1] is absorbed, not rejected.
     dusty = st.BehaviourPoint.reduced([1.0 + 5e-12] + [0.0] * 7)
     assert dusty.coords[0] == 1.0
