@@ -83,12 +83,20 @@ def _write_output(path_str: str, payload: str) -> None:
         raise ValueError(f"cannot write output file {path_str!r}: {exc.strerror}")
 
 
-def _load_json(path_str: str) -> dict:
+def _read_text(path_str: str) -> str:
     try:
-        with open(path_str) as handle:
-            return json.load(handle)
+        with open(path_str, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path_str!r}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path_str!r}: {exc}")
+
+
+def _load_json(path_str: str) -> dict:
+    text = _read_text(path_str)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path_str!r} is not valid JSON: {exc}")
 
@@ -115,11 +123,7 @@ def _read_samples(path_str: str) -> np.ndarray:
     """Sample CSV: one real per line, or rows of comma-separated coordinates."""
     import numpy as np
 
-    try:
-        with open(path_str) as handle:
-            lines = [line.strip() for line in handle if line.strip()]
-    except OSError as exc:
-        raise ValueError(f"cannot read {path_str!r}: {exc.strerror}")
+    lines = [line.strip() for line in _read_text(path_str).split("\n") if line.strip()]
     if not lines:
         raise ValueError(f"{path_str!r} holds no samples")
     rows = []

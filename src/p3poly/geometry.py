@@ -14,7 +14,8 @@ every node the other sees); they fall into classes, ordered by their smallest
 member, and the quotient graph has one node per class.  A minimum cover holds
 at most one node of a class, and a maximal clique holds every node of a class
 or none, so both answers on the quotient lift back to the graph unchanged.
-Each graph computes its quotient once, on first use.
+Each graph finds its quotient and the quotient's minimum cover once, on first
+use, and the two canonical graphs are constants, built once at import.
 The full-26 graph is 16 classes of 4 twins (the strategies that differ only
 in the middle wing), and its quotient is the reduced-8 graph, which has no
 twins and is its own quotient.  Shortest paths run on the quotient as well:
@@ -117,8 +118,8 @@ class VisibilityGraph:
     self-loops, symmetric), and ``adjacency`` is a read-only boolean matrix
     built from them on first use.  ``from_adjacency`` builds a graph from a
     matrix.  The closed-twin quotient, which the generator, clique and
-    shortest-path searches read, is computed once per graph.  Graphs compare
-    by identity.
+    shortest-path searches read, and its minimum cover are computed once per
+    graph.  Graphs compare by identity.
     """
 
     row_masks: tuple[int, ...]
@@ -133,11 +134,7 @@ class VisibilityGraph:
                 raise ValueError(f"row masks must name nodes of the {n}-node graph only")
             if mask >> node & 1:
                 raise ValueError("visibility graph has no self-loops")
-        # Symmetric iff the n x n table of bits, written out row after row as
-        # one string (bit j of row i at i * n + j), reads the same column by
-        # column: column j is every n-th character from j.
-        table = "".join([format(mask, f"0{n}b")[::-1] for mask in masks])
-        if "".join([table[j::n] for j in range(n)]) != table:
+        if any(not masks[j] >> i & 1 for i, mask in enumerate(masks) for j in _bits(mask)):
             raise ValueError("adjacency must be symmetric")
         object.__setattr__(self, "row_masks", masks)
 
@@ -184,20 +181,25 @@ class VisibilityGraph:
         # Closed-twin classes, each a tuple of its nodes, in order of smallest
         # member; and the quotient's closed neighbourhoods as masks over class
         # indices.  Twins have equal closed-neighbourhood masks, so the classes
-        # are the nodes grouped by that mask.  A twin-free graph is its own
-        # quotient, and its masks are returned as built.
+        # are the nodes grouped by that mask.  Class d is in class c's closed
+        # neighbourhood iff d's smallest member is.
         classes: dict[int, list[int]] = {}
         for node, mask in enumerate(self.row_masks):
             classes.setdefault(mask | 1 << node, []).append(node)
         members = tuple(map(tuple, classes.values()))
-        if len(members) == self.node_count:
-            return members, tuple(classes)
-        # Class d is in class c's closed neighbourhood iff d's smallest member is.
         smallest = [nodes[0] for nodes in members]
         masks = tuple(
             sum(1 << d for d, node in enumerate(smallest) if closed >> node & 1) for closed in classes
         )
         return members, masks
+
+    @cached_property
+    def _minimum_cover(self) -> tuple[int, ...]:
+        # The lexicographically first smallest cover of the quotient, as class
+        # indices; the empty graph's is the empty set.
+        _, masks = self._twin_quotient
+        covers = (_first_cover(masks, size) for size in range(len(masks) + 1))
+        return next(cover for cover in covers if cover is not None)
 
 
 def _bit_matrix(masks, width: int) -> np.ndarray:
@@ -223,8 +225,8 @@ def _canonical_masks(representation: str) -> tuple[int, ...]:
     return tuple((first[4 * node // n] | last[node % 4]) & ~(1 << node) for node in range(n))
 
 
-# Both canonical graphs' masks, built once.
-_CANONICAL_MASKS = {rep: _canonical_masks(rep) for rep in (FULL_26, REDUCED_8)}
+# Both canonical graphs, built once and shared.
+_CANONICAL_GRAPHS = {rep: VisibilityGraph(_canonical_masks(rep)) for rep in (FULL_26, REDUCED_8)}
 
 
 def build_visibility_graph(representation: str) -> VisibilityGraph:
@@ -233,10 +235,11 @@ def build_visibility_graph(representation: str) -> VisibilityGraph:
     In the reduced table the 16 vertices are classified by their first-wing
     and last-wing response pairs exactly as the 64 full vertices are, so both
     graphs connect rows that share the first-wing class or the last-wing
-    class.
+    class.  Both graphs are built once, at import, and every call returns
+    the same frozen graph.
     """
     _check_representation(representation)
-    return VisibilityGraph(_CANONICAL_MASKS[representation])
+    return _CANONICAL_GRAPHS[representation]
 
 
 def _class_rings(graph: VisibilityGraph) -> list[list[int]]:
@@ -348,29 +351,26 @@ def _first_cover(masks: list[int], size: int) -> tuple[int, ...] | None:
 def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
     """Whether some ``size``-subset of nodes covers every node.
 
-    Exhaustive, on the closed-twin quotient: a set covers the graph iff the
-    classes of its members cover the quotient, and adding nodes to a cover
-    keeps it one, so for 1 <= size <= n the answer is whether the quotient
-    with c classes has a cover of min(size, c) classes.  That search is a
-    plain loop over the k-subsets of classes in lexicographic order, OR-ing
-    the int bit masks of their closed neighbourhoods until one union holds
-    every class.  The empty set covers only the empty graph, and no set has
-    more than n nodes.
+    Adding nodes to a cover keeps it one, so for 1 <= size <= n the answer
+    is whether ``size`` is at least the size of the minimum cover, which
+    each graph finds once, by the search ``minimum_generators`` describes,
+    and every later call reads.  The empty set covers only the empty graph,
+    and no set has more than n nodes.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
     if not 1 <= size <= graph.node_count:
         return size == graph.node_count == 0
-    members, masks = graph._twin_quotient
-    return _first_cover(masks, min(size, len(members))) is not None
+    return size >= len(graph._minimum_cover)
 
 
 def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
     """Smallest vertex set whose closed visibility neighbourhoods cover the graph.
 
-    Sizes are tried in increasing order with the exhaustive subset loop of
-    ``has_dominating_set`` over the bit masks of the closed-twin quotient, and
-    each class of the quotient's first cover is lifted to its smallest member.
+    Once per graph, sizes k are tried in increasing order with a loop over the
+    k-subsets of classes of the closed-twin quotient, OR-ing the int bit masks
+    of their closed neighbourhoods until one union holds every class, and
+    each class of the first such cover is lifted to its smallest member.
     Within a size, candidate sets are examined in lexicographic order of their
     sorted members, so the result is deterministic: the lexicographically first
     complete set of minimum size.  The lift gives that same set on the graph:
@@ -379,13 +379,11 @@ def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
     is no later in that order; classes are numbered in order of their smallest
     members, so the order of class sets and of their lifts agree.
     """
-    members, masks = graph._twin_quotient
     n = graph.node_count
-    for k in range(1, len(members) + 1):
-        combo = _first_cover(masks, k)
-        if combo is not None:
-            return GeneratorSet(tuple(members[c][0] for c in combo), frozenset(range(n)), n)
-    raise ValueError("graph has no dominating set")  # unreachable for n >= 1
+    if not n:
+        raise ValueError("graph has no dominating set")
+    members, _ = graph._twin_quotient
+    return GeneratorSet(tuple(members[c][0] for c in graph._minimum_cover), frozenset(range(n)), n)
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,11 @@ class DensityMatrix:
                 isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
             ):
                 raise ValueError(f"density matrix {name!r} must be a list of rows of numbers")
-        re = np.array(tables["re"], dtype=float)
-        im = np.array(tables["im"], dtype=float)
+            try:
+                tables[name] = np.array(rows, dtype=float)
+            except OverflowError:
+                raise ValueError(f"density matrix {name!r} holds an entry too large for a float")
+        re, im = tables["re"], tables["im"]
         if re.shape != im.shape:
             raise ValueError("real and imaginary parts differ in shape")
         if isinstance(dim, bool) or not isinstance(dim, int) or re.shape != (dim, dim):
@@ -332,6 +335,8 @@ def sample_behaviour(
     """
     if shots < 1:
         raise ValueError("shots must be a positive integer")
+    if shots > 2**63 - 1:  # numpy's multinomial counts are int64
+        raise ValueError(f"shots must be at most {2**63 - 1}")
     table = behaviour_from_state(rho, measurements, shape).table
     probs = table.reshape(shape.m**shape.n, shape.d**shape.n)
     rng = np.random.default_rng(seed)

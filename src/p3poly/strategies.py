@@ -233,7 +233,10 @@ class BehaviourPoint:
             raise ValueError(f"expected {width} coordinates, got {len(self.coords)}")
         cleaned = []
         for x in self.coords:
-            x = float(x)
+            try:
+                x = float(x)
+            except OverflowError:
+                raise ValueError("coordinate outside [0, 1]: too large for a float")
             if not math.isfinite(x):
                 raise ValueError(f"coordinate {x} is not finite")
             if x < -_COORD_TOL or x > 1.0 + _COORD_TOL:
@@ -243,11 +246,11 @@ class BehaviourPoint:
 
     @classmethod
     def full(cls, coords) -> "BehaviourPoint":
-        return cls(tuple(float(x) for x in coords), FULL_26)
+        return cls(tuple(coords), FULL_26)
 
     @classmethod
     def reduced(cls, coords) -> "BehaviourPoint":
-        return cls(tuple(float(x) for x in coords), REDUCED_8)
+        return cls(tuple(coords), REDUCED_8)
 
     @property
     def shape(self) -> ScenarioShape:
@@ -282,7 +285,7 @@ class BehaviourPoint:
         # A string would iterate as digits, and bool is a subclass of int.
         if not isinstance(coords, list) or not all(type(x) in (int, float) for x in coords):
             raise ValueError("behaviour point 'coords' must be a list of numbers")
-        return cls(tuple(float(x) for x in coords), representation)
+        return cls(tuple(coords), representation)
 
 
 def behaviour_from_vertex(vertex) -> BehaviourPoint:

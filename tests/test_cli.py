@@ -7,12 +7,17 @@ outputs) and the structured-error exit paths.
 """
 
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from p3poly import quantum as qu
 from p3poly.cli import main, svd_layout
@@ -414,6 +419,11 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, ob
             id="simulate-negative-shots",
         ),
         pytest.param(
+            ["simulate", "--kind", "honest", "--shots", str(2**63)],
+            "shots must be at most 9223372036854775807",
+            id="simulate-shots-above-int64",
+        ),
+        pytest.param(
             ["test", "--mode", "samples", "--expected", "one.csv", "--observed", "two.csv"],
             "sample files disagree on column count (1 vs 2)",
             id="samples-column-counts-differ",
@@ -453,13 +463,15 @@ def test_samples_far_from_unit_scale_get_a_p_value(tmp_path, recwarn):
 
 # Every malformed file each file-reading verb can be given, by the kind of
 # file it reads, with a fragment of the error it must give.  None stands for
-# a path with no file behind it and _DIRECTORY for a directory; for these two
-# the fragment is the reason, and the test checks the whole line.
+# a path with no file behind it, _DIRECTORY for a directory, and bytes for a
+# file holding them; for these three the fragment is the reason, and the test
+# checks the whole line.
 _BELL = qu.bell_pair_state().to_json_dict()
 _DIRECTORY = object()
 _UNREADABLE = {
     "missing": (None, "No such file or directory"),
     "directory": (_DIRECTORY, "Is a directory"),
+    "binary": (b"\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
 }
 
 
@@ -480,6 +492,7 @@ _MALFORMED_FILES = {
         "exact-point-number": (json.dumps({"exact_point": 5}), "needs 'representation'"),
         "no-representation": (json.dumps({"coords": [0] * 8}), "needs 'representation'"),
         "nan": (_point([float("nan")] * 8), "not finite"),
+        "huge-int": (_point([10**400] + [0] * 7), "outside [0, 1]: too large for a float"),
         "coords5": (_point(5), "'coords' must be a list"),
         "coords-str": (_point("00000000"), "'coords' must be a list"),
         "coords-bool": (_point([True, False] * 4), "'coords' must be a list"),
@@ -523,6 +536,7 @@ _MALFORMED_FILES = {
         "not-hermitian": (_qubit_state([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
         "negative": (_qubit_state([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
         "nan": (_qubit_state([[float("nan"), 0.0], [0.0, 0.5]]), "non-finite entries"),
+        "huge-int": (_qubit_state([[10**400, 0], [0, 0]]), "'re' holds an entry too large for a float"),
     },
 }
 _GOOD_FILES = {
@@ -557,6 +571,8 @@ def test_malformed_input_file_gives_one_error_line(tmp_path, capsys, recwarn, re
     content, message = _MALFORMED_FILES[kind][name]
     if content is _DIRECTORY:
         bad.mkdir()
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
     elif content is not None:
         bad.write_text(content)
     argv = [*argv, flag, str(bad)]
@@ -576,6 +592,61 @@ def test_malformed_input_file_gives_one_error_line(tmp_path, capsys, recwarn, re
     assert captured.out == ""
     assert not out.exists()
     assert not recwarn.list  # a warning would reach stderr outside pytest
+
+
+# Arbitrary JSON for the point and state readers: top-level documents, and
+# documents whose fields the readers look up hold arbitrary values, some
+# shaped like a point's coordinates or a 4 x 4 state table.  Integers run far
+# beyond the float range, and floats include nan and +-inf.
+_NUMBERS = hs.integers() | hs.integers(-(10**400), 10**400) | hs.floats()
+_VALUES = hs.recursive(
+    _NUMBERS | hs.none() | hs.booleans() | hs.text(max_size=6) | hs.sampled_from([REDUCED_8, FULL_26]),
+    lambda inner: hs.lists(inner, max_size=8) | hs.dictionaries(hs.text(max_size=6), inner, max_size=3),
+    max_leaves=16,
+)
+_TABLES = _VALUES | hs.lists(hs.lists(_NUMBERS, min_size=4, max_size=4), min_size=4, max_size=4)
+_FIELDS = hs.builds(
+    lambda base, fields: {**base, **fields},
+    hs.sampled_from([{}, json.loads(_GOOD_FILES["point"]), _BELL]),
+    hs.fixed_dictionaries(
+        {},
+        optional={
+            "coords": _VALUES | hs.lists(_NUMBERS, min_size=8, max_size=8),
+            "representation": _VALUES,
+            "dim": _VALUES,
+            "re": _TABLES,
+            "im": _TABLES,
+        },
+    ),
+)
+_DOCUMENTS = _VALUES | _FIELDS | _FIELDS.map(lambda point: {"exact_point": point})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(hs.sampled_from([r for r, (kind, *_) in _FILE_READERS.items() if kind != "samples"]), _DOCUMENTS)
+@example("project", {"representation": REDUCED_8, "coords": [10**400] + [0] * 7})
+@example("bound-sigma", {**_BELL, "im": [[0, 0, 0, -(10**400)]] + _BELL["im"][1:]})
+def test_arbitrary_json_input_never_gives_a_traceback(reader, document):
+    kind, argv, flag, other_flag = _FILE_READERS[reader]
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, good, out = (os.path.join(tmp, name) for name in ("bad", "good", "out.json"))
+        with open(bad, "w") as handle:
+            json.dump(document, handle)
+        argv = [*argv, flag, bad]
+        if other_flag is not None:
+            with open(good, "w") as handle:
+                handle.write(_GOOD_FILES[kind])
+            argv += [other_flag, good]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([*argv, "--output", out])
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+            assert not os.path.exists(out)
+        else:
+            assert err.getvalue() == ""
 
 
 def assert_write_error(argv, capsys):

@@ -15,6 +15,9 @@ Core claims pinned here:
     classification agree with the big-int subset loop, the set-based
     Bron-Kerbosch and a per-pair visibility_test count kept below; on the
     empty graph the empty set is the only cover.
+  * build_visibility_graph returns one shared graph per representation, and
+    a graph runs its minimum-cover search once, whichever of
+    minimum_generators and has_dominating_set asks first.
   * The full graph's closed-twin quotient is the reduced graph, and the
     generator and clique searches on the quotient agree with those
     references on generated graphs with planted twins.
@@ -180,6 +183,37 @@ def test_no_size_three_dominating_set_reduced():
     assert ge.has_dominating_set(graph, 4)
     with pytest.raises(ValueError, match="size must be non-negative"):
         ge.has_dominating_set(graph, -1)
+
+
+def test_canonical_graphs_are_shared_constants():
+    for representation in (st.FULL_26, st.REDUCED_8):
+        assert ge.build_visibility_graph(representation) is ge.build_visibility_graph(representation)
+
+
+@pytest.mark.parametrize("representation", [st.FULL_26, st.REDUCED_8])
+def test_cover_search_runs_once_per_graph(monkeypatch, representation):
+    sizes = []
+    first_cover = ge._first_cover
+
+    def counted(masks, size):
+        sizes.append(size)
+        return first_cover(masks, size)
+
+    monkeypatch.setattr(ge, "_first_cover", counted)
+    masks = ge.build_visibility_graph(representation).row_masks
+    graph = ge.VisibilityGraph(masks)
+    generators = ge.minimum_generators(graph)
+    search = list(sizes)
+    assert search == sorted(set(search)) and len(generators.members) == 4
+    for size in range(graph.node_count + 2):
+        ge.has_dominating_set(graph, size)
+    assert ge.minimum_generators(graph).members == generators.members
+    assert sizes == search
+    # On a fresh graph, the dominating-set question alone runs the same search.
+    fresh = ge.VisibilityGraph(masks)
+    assert not ge.has_dominating_set(fresh, 3) and ge.has_dominating_set(fresh, 4)
+    assert ge.minimum_generators(fresh).members == generators.members
+    assert sizes == search * 2
 
 
 def test_coverage_diagonal_full():

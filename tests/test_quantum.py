@@ -777,7 +777,8 @@ def _lhv_with(field, value):
         lambda: qu.zx_qubit_measurements(2),
         lambda: qu.FullDistribution(st.REDUCED_SHAPE, np.full((2, 2, 2, 2), 0.25)),
         lambda: _lhv_with("weights_left", 1.0),
-        lambda: ge.build_visibility_graph(st.REDUCED_8),
+        # A new graph on the shared canonical graph's masks.
+        lambda: ge.VisibilityGraph(ge.build_visibility_graph(st.REDUCED_8).row_masks),
     ],
     ids=["DensityMatrix", "MeasurementSet", "FullDistribution", "LhvModel", "VisibilityGraph"],
 )
