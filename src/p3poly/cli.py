@@ -11,8 +11,9 @@ verb uses, is imported here; each verb imports the other layers it needs:
 ``project`` manifold, and ``test`` stats (plus manifold in point mode).
 ``project`` and ``test`` read and check their input files before they import
 a layer.  numpy is imported only by the layers and functions that compute
-with it, so ``vertices``, ``graph`` without a layout and ``analyze`` run
-without it, and so does a verb whose point file is rejected.
+with arrays, so ``vertices``, ``graph`` without a layout, ``analyze``,
+``project`` and point-mode ``test`` run without it, and so does a verb whose
+point file is rejected.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def _load_json(path_str: str) -> dict:
     text = _read_text(path_str)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the digit limit, or nesting past the stack.
         raise ValueError(f"{path_str!r} is not valid JSON: {exc}")
 
 

@@ -10,22 +10,27 @@ turns projection distances into a normalized nonclassicality score.
 Projection uses variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
 10, 1973): for fixed first-wing marginals a = (a0, a1) the objective is a
 separable convex quadratic in each c_j, so the best c is a clipped closed
-form and the 4-D problem reduces to a 2-D one over a.
+form and the 4-D problem reduces to a 2-D one over a.  The solver works on
+the eight coordinates as plain floats, in pure Python, so projecting loads
+no numpy; only ``as_array`` and ``projection_gradient`` return arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import math
+from dataclasses import astuple, dataclass
+from typing import TYPE_CHECKING
 
 from .strategies import BehaviourPoint, REDUCED_8
 
-# Reduced-objective grid over (a0, a1), one column per grid point in row-major
-# order; every 8-neighbour local minimum of the grid seeds a polish run.
+if TYPE_CHECKING:
+    import numpy as np
+
+# Reduced-objective grid over (a0, a1), i/64 on each axis (np.linspace's
+# values), in row-major order; every 8-neighbour local minimum of the grid
+# seeds a polish run.
 _GRID_SIZE = 65
-_GRID_AXIS = np.linspace(0.0, 1.0, _GRID_SIZE)
-_GRID_A = np.stack(np.meshgrid(_GRID_AXIS, _GRID_AXIS, indexing="ij")).reshape(2, -1)
+_GRID_AXIS = tuple(i / (_GRID_SIZE - 1) for i in range(_GRID_SIZE))
 _MAX_SWEEPS = 10_000
 _STEP_TOL = 1e-12
 # Norm bound on the box-projected gradient for a result to count as converged.
@@ -52,31 +57,51 @@ class ManifoldParams:
                 raise ValueError(f"parameter {name}={value} outside [0, 1]")
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.a0, self.a1, self.c0, self.c1])
+        import numpy as np
+
+        return np.array(astuple(self))
 
 
-def _embed_array(x: np.ndarray) -> np.ndarray:
+def _embed(x) -> tuple:
     a0, a1, c0, c1 = x
-    return np.array([a0, a1, c0, c1, a0 * c0, a0 * c1, a1 * c0, a1 * c1])
+    return (a0, a1, c0, c1, a0 * c0, a0 * c1, a1 * c0, a1 * c1)
 
 
 def embed(params: ManifoldParams) -> BehaviourPoint:
     """Uncorrelated behaviour point with the given marginals."""
-    return BehaviourPoint.reduced(_embed_array(params.as_array()))
+    return BehaviourPoint.reduced(_embed(astuple(params)))
 
 
 def on_manifold(point: BehaviourPoint) -> bool:
     """Whether every composite coordinate equals the product of its marginals, to 1e-9."""
     if point.representation != REDUCED_8:
         raise ValueError("manifold membership is defined for reduced-8 points")
-    coords = point.as_array()
-    return bool((np.abs(_embed_array(coords[:4]) - coords) <= 1e-9).all())
+    coords = point.coords
+    return all(abs(e - v) <= 1e-9 for e, v in zip(_embed(coords[:4]), coords))
+
+
+def _residual(x, target) -> tuple:
+    return tuple(e - t for e, t in zip(_embed(x), target))
+
+
+def _objective(x, target) -> float:
+    return sum(r * r for r in _residual(x, target))
+
+
+def _gradient(x, target) -> tuple:
+    a0, a1, c0, c1 = x
+    r = _residual(x, target)
+    return (
+        2.0 * (r[0] + r[4] * c0 + r[5] * c1),
+        2.0 * (r[1] + r[6] * c0 + r[7] * c1),
+        2.0 * (r[2] + r[4] * a0 + r[6] * a1),
+        2.0 * (r[3] + r[5] * a0 + r[7] * a1),
+    )
 
 
 def projection_objective(x: np.ndarray, target: np.ndarray) -> float:
     """Squared Euclidean distance from the embedded parameters to the target."""
-    r = _embed_array(x) - target
-    return float(r @ r)
+    return float(_objective(x, target))
 
 
 def projection_gradient(x: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -86,16 +111,9 @@ def projection_gradient(x: np.ndarray, target: np.ndarray) -> np.ndarray:
     factors, so the chain rule adds the co-factor-weighted residuals to the
     plain marginal residuals.
     """
-    a0, a1, c0, c1 = x
-    r = _embed_array(x) - target
-    return 2.0 * np.array(
-        [
-            r[0] + r[4] * c0 + r[5] * c1,
-            r[1] + r[6] * c0 + r[7] * c1,
-            r[2] + r[4] * a0 + r[6] * a1,
-            r[3] + r[5] * a0 + r[7] * a1,
-        ]
-    )
+    import numpy as np
+
+    return np.array(_gradient(x, target), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -111,7 +129,7 @@ class ProjectionResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": list(self.params.as_array()),
+            "params": list(astuple(self.params)),
             "point": self.point.to_json_dict(),
             "squared_distance": self.squared_distance,
             "distance": self.distance,
@@ -120,47 +138,102 @@ class ProjectionResult:
         }
 
 
-def _best_block(fixed: np.ndarray, t_block: np.ndarray, cross: np.ndarray) -> np.ndarray:
+def _best_block(fixed, t_block, cross) -> tuple[float, float]:
     """Exact minimizer over one wing's marginals with the other wing's fixed.
 
-    ``t_block`` holds the targets of the free marginals and ``cross[i, j]``
-    the target of fixed_i * free_j; ``fixed`` may hold one point per column.
-    Each free marginal enters a convex quadratic with curvature
-    1 + |fixed|^2, so clipping its stationary point to [0, 1] is exact.
+    ``t_block`` holds the targets of the free marginals and ``cross[i][j]``
+    the target of fixed_i * free_j.  Each free marginal enters a convex
+    quadratic with curvature 1 + |fixed|^2, so clipping its stationary point
+    to [0, 1] is exact.
     """
-    norm = 1.0 + (fixed * fixed).sum(axis=0)
-    return np.clip((t_block + cross.T @ fixed) / norm, 0.0, 1.0)
+    f0, f1 = fixed
+    norm = 1.0 + (f0 * f0 + f1 * f1)
+    return tuple(
+        min(max((t + (x0 * f0 + x1 * f1)) / norm, 0.0), 1.0)
+        for t, x0, x1 in zip(t_block, *cross)
+    )
 
 
-def _grid_starts(target: np.ndarray) -> np.ndarray:
+def _wing_term(n: float, norm: float) -> float:
+    # min over c in [0, 1] of norm * c^2 - 2 n c, for n >= 0.
+    return norm - 2.0 * n if n > norm else -n * n / norm
+
+
+def _grid_values(target) -> list[float]:
+    """Reduced objective min_c F(a, c) at every grid point a, row-major.
+
+    For fixed a, wing j adds norm * c_j^2 - 2 n_j c_j to a constant, with
+    norm = 1 + |a|^2 and n_j = t_cj + a0 t_0j + a1 t_1j.  Targets lie in
+    [0, 1], so n_j >= 0 and the best c_j is n_j / norm, worth
+    -n_j^2 / norm, unless it clips to 1 (``_wing_term``).
+    """
+    t0, t1, t2, t3, t4, t5, t6, t7 = target
+    const = t2 * t2 + t3 * t3 + t4 * t4 + t5 * t5 + t6 * t6 + t7 * t7
+    # The parts of the constant, n_0, n_1 and norm that depend on a0 alone,
+    # and those that depend on a1 alone.
+    rows = [((a0 - t0) ** 2, t2 + t4 * a0, t3 + t5 * a0, 1.0 + a0 * a0) for a0 in _GRID_AXIS]
+    cols = [((a1 - t1) ** 2 + const, t6 * a1, t7 * a1, a1 * a1) for a1 in _GRID_AXIS]
+    values = []
+    for k_row, n0_row, n1_row, norm_row in rows:
+        for k_col, n0_col, n1_col, norm_col in cols:
+            n0 = n0_row + n0_col
+            n1 = n1_row + n1_col
+            norm = norm_row + norm_col
+            if n0 <= norm >= n1:  # both c_j unclipped
+                values.append(k_row + k_col - (n0 * n0 + n1 * n1) / norm)
+            else:
+                values.append(k_row + k_col + _wing_term(n0, norm) + _wing_term(n1, norm))
+    return values
+
+
+def _grid_starts(target) -> list[tuple[float, float]]:
     """Grid points a whose reduced objective min_c F(a, c) is no larger than
-    at any of their 8 neighbours, one per row in row-major order."""
-    c = _best_block(_GRID_A, target[2:4, None], target[4:].reshape(2, 2))
-    r = _embed_array(np.concatenate([_GRID_A, c])) - target[:, None]
-    values = (r * r).sum(axis=0).reshape(_GRID_SIZE, _GRID_SIZE)
-    # 3x3 neighbourhood minimum, taken along rows and then along columns.
-    m = np.pad(values, 1, constant_values=np.inf)
-    m = np.minimum(np.minimum(m[:-2], m[1:-1]), m[2:])
-    m = np.minimum(np.minimum(m[:, :-2], m[:, 1:-1]), m[:, 2:])
-    return _GRID_A[:, np.flatnonzero(values <= m)].T
+    at any of their 8 neighbours, in row-major order."""
+    values = _grid_values(target)
+    # Flat copy of the grid inside a border of inf, one padded row per
+    # ``width`` cells, so cell k's neighbours sit at k +- 1 and k +- width +- {0, 1}.
+    width = _GRID_SIZE + 2
+    padded = [math.inf] * (width + 1)
+    for i in range(0, len(values), _GRID_SIZE):
+        padded += values[i : i + _GRID_SIZE]
+        padded += (math.inf, math.inf)
+    padded += [math.inf] * (width - 1)
+    lo, hi = width + 1, len(padded) - width - 1
+    # Cells no larger than their left and right neighbours, then the rows around.
+    candidates = [
+        k
+        for k, left, v, right in zip(
+            range(lo, hi), padded[lo - 1 : hi - 1], padded[lo:hi], padded[lo + 1 : hi + 1]
+        )
+        if v <= left and v <= right
+    ]
+    starts = []
+    for k in candidates:
+        v = padded[k]
+        if v <= min(padded[k - width - 1 : k - width + 2]) and v <= min(padded[k + width - 1 : k + width + 2]):
+            i, j = divmod(k, width)
+            starts.append((_GRID_AXIS[i - 1], _GRID_AXIS[j - 1]))
+    return starts
 
 
-def _polish(a: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
+def _polish(a, target) -> tuple[tuple[float, ...], int]:
     """Alternate exact block updates a | c and c | a, from a and the best c | a.
 
     The objective never rises above its starting grid value.  Returns the
     parameters and the number of sweeps taken to a step of ``_STEP_TOL``.
     """
-    t_a, t_c, cross = target[:2], target[2:4], target[4:].reshape(2, 2)
+    t_a, t_c = target[:2], target[2:4]
+    cross = (target[4:6], target[6:8])  # cross[i][j]: target of a_i * c_j
+    cross_t = tuple(zip(*cross))
     c = _best_block(a, t_c, cross)
     for sweep in range(1, _MAX_SWEEPS + 1):
-        new_a = _best_block(c, t_a, cross.T)
+        new_a = _best_block(c, t_a, cross_t)
         new_c = _best_block(new_a, t_c, cross)
-        step = max(np.abs(new_a - a).max(), np.abs(new_c - c).max())
+        step = max(abs(u - v) for u, v in zip(new_a + new_c, a + c))
         a, c = new_a, new_c
         if step <= _STEP_TOL:
             break
-    return np.concatenate([a, c]), sweep
+    return a + c, sweep
 
 
 def project(point: BehaviourPoint) -> ProjectionResult:
@@ -176,22 +249,23 @@ def project(point: BehaviourPoint) -> ProjectionResult:
     """
     if point.representation != REDUCED_8:
         raise ValueError("projection is defined for reduced-8 points")
-    target = point.as_array()
+    target = point.coords
     runs = [_polish(a, target) for a in _grid_starts(target)]
-    x, sweeps = min(runs, key=lambda run: projection_objective(run[0], target))
-    value = projection_objective(x, target)
+    x, sweeps = min(runs, key=lambda run: _objective(run[0], target))
+    value = _objective(x, target)
     # KKT residual: only gradient components that point into the box count.
-    grad = projection_gradient(x, target)
-    grad[(x <= 0.0) & (grad > 0.0)] = 0.0
-    grad[(x >= 1.0) & (grad < 0.0)] = 0.0
-    params = ManifoldParams(*(float(v) for v in x))
+    grad = [
+        0.0 if (v <= 0.0 and g > 0.0) or (v >= 1.0 and g < 0.0) else g
+        for v, g in zip(x, _gradient(x, target))
+    ]
+    params = ManifoldParams(*x)
     return ProjectionResult(
         params=params,
         point=embed(params),
         squared_distance=value,
-        distance=float(np.sqrt(value)),
+        distance=math.sqrt(value),
         iterations=sweeps,
-        converged=bool(np.linalg.norm(grad) <= _KKT_TOL),
+        converged=math.hypot(*grad) <= _KKT_TOL,
     )
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .strategies import BehaviourPoint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,19 @@ class NoiseSpec:
             raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma}")
 
 
-def _scales(coords: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+def _scales(coords: tuple[float, ...], noise: NoiseSpec) -> tuple[float, ...]:
     # Per-coordinate standard deviation of the noise at ``coords``.
-    return np.full_like(coords, noise.sigma) if noise.absolute else noise.sigma * np.abs(coords)
+    if noise.absolute:
+        return (noise.sigma,) * len(coords)
+    return tuple(noise.sigma * abs(x) for x in coords)
 
 
 def perturb(point: BehaviourPoint, noise: NoiseSpec) -> BehaviourPoint:
     """Seeded noisy copy of a behaviour point, clamped back into [0, 1]."""
+    import numpy as np
+
     coords = point.as_array()
-    scales = _scales(coords, noise)
+    scales = np.array(_scales(point.coords, noise), dtype=float)
     rng = np.random.default_rng(noise.seed)
     noisy = np.clip(coords + rng.normal(0.0, 1.0, size=coords.size) * scales, 0.0, 1.0)
     return BehaviourPoint(tuple(noisy), point.representation)
@@ -52,7 +57,7 @@ def distance_sigma(point: BehaviourPoint, sigma: float, absolute: bool = False) 
     For independent per-coordinate perturbations the distance to the
     unperturbed point has sigma_d = ||sigma_k||_2 to first order.
     """
-    return float(np.linalg.norm(_scales(point.as_array(), NoiseSpec(sigma, absolute=absolute))))
+    return math.hypot(*_scales(point.coords, NoiseSpec(sigma, absolute=absolute)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ def gaussian_separability(
         raise ValueError("sigma_d must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    distance = float(np.linalg.norm(p.as_array() - q.as_array()))
+    distance = math.dist(p.coords, q.coords)
     z = distance / sigma_d
     p_value = 2.0 * (1.0 - _normal_cdf(z))
     overlap = 2.0 * _normal_cdf(-z / 2.0)
@@ -155,6 +160,8 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def _finite_samples(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
@@ -169,6 +176,8 @@ def two_sample_t(xs, ys) -> float:
     Welch-Satterthwaite approximation and the p-value comes from the exact
     Student-t tail via the regularized incomplete beta.
     """
+    import numpy as np
+
     xs, ys = _finite_samples(xs, ys)
     if xs.size < 2 or ys.size < 2:
         raise ValueError("both samples need at least two observations")
@@ -217,6 +226,8 @@ def _kolmogorov_sf(lam: float) -> float:
 
 
 def _ks_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
+    import numpy as np
+
     # Maximum gap between the two empirical CDFs, evaluated at every sample.
     pooled = np.concatenate([xs, ys])
     cdf_x = np.searchsorted(xs, pooled, side="right") / xs.size
@@ -231,6 +242,8 @@ def two_sample_ks(xs, ys) -> float:
     Kolmogorov distribution at (sqrt(ne) + 0.12 + 0.11 / sqrt(ne)) * D with
     ne = n*m / (n + m), the small-sample-corrected effective size.
     """
+    import numpy as np
+
     xs, ys = map(np.sort, _finite_samples(xs, ys))
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be non-empty")
@@ -246,6 +259,8 @@ class Norms(NamedTuple):
 
 def norms(vector) -> Norms:
     """l1 and l2 norms of a finite difference vector (so that l2 <= l1)."""
+    import numpy as np
+
     v = np.asarray(vector, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("norms need a finite vector")

@@ -483,6 +483,16 @@ def _qubit_state(re):
     return json.dumps({"dim": 2, "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]})
 
 
+# An integer of 5000 digits, past the interpreter's default limit for
+# converting text to int, so json.loads itself raises ValueError; the error
+# line still names the file (whose name ends in "bad").
+_HUGE_DIGITS = "1" * 5000
+_PAST_DIGIT_LIMIT = "bad' is not valid JSON: Exceeds the limit (4300 digits)"
+# Arrays nested deeper than the interpreter's stack lets json.loads recurse.
+_DEEP = "[" * 100_000 + "]" * 100_000
+_TOO_DEEP = "bad' is not valid JSON: maximum recursion depth exceeded"
+
+
 _MALFORMED_FILES = {
     "point": {
         **_UNREADABLE,
@@ -493,6 +503,8 @@ _MALFORMED_FILES = {
         "no-representation": (json.dumps({"coords": [0] * 8}), "needs 'representation'"),
         "nan": (_point([float("nan")] * 8), "not finite"),
         "huge-int": (_point([10**400] + [0] * 7), "outside [0, 1]: too large for a float"),
+        "huge-digits": (_point([0] * 8).replace("[0,", f"[{_HUGE_DIGITS},", 1), _PAST_DIGIT_LIMIT),
+        "deep-nesting": (_DEEP, _TOO_DEEP),
         "coords5": (_point(5), "'coords' must be a list"),
         "coords-str": (_point("00000000"), "'coords' must be a list"),
         "coords-bool": (_point([True, False] * 4), "'coords' must be a list"),
@@ -537,6 +549,8 @@ _MALFORMED_FILES = {
         "negative": (_qubit_state([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
         "nan": (_qubit_state([[float("nan"), 0.0], [0.0, 0.5]]), "non-finite entries"),
         "huge-int": (_qubit_state([[10**400, 0], [0, 0]]), "'re' holds an entry too large for a float"),
+        "huge-digits": (_qubit_state([[0, 0], [0, 1]]).replace("[[0,", f"[[{_HUGE_DIGITS},", 1), _PAST_DIGIT_LIMIT),
+        "deep-nesting": (_DEEP, _TOO_DEEP),
     },
 }
 _GOOD_FILES = {

@@ -8,6 +8,8 @@ Core claims pinned here:
   * Projection is never worse than a dense 401x401 grid over (a0, a1) with
     closed-form (c0, c1), and every result carries a KKT certificate.
   * The analytic gradient matches central finite differences.
+  * The pure-Python solver agrees with the earlier numpy one, kept below as a
+    reference, and its closed-form grid with a direct evaluation.
 """
 
 import numpy as np
@@ -195,3 +197,98 @@ def test_normalized_score_shrinks_with_depolarizing_noise():
     noisy = qu.collapse(qu.behaviour_from_state(rho, measurements, shape))
     score = mf.normalized_score(noisy, pb)
     assert 0.0 < score < 1.0
+
+
+# The earlier numpy solver, kept as a reference: the same grid, start rule,
+# block updates and KKT residual, with the grid objective evaluated directly.
+_REF_AXIS = np.linspace(0.0, 1.0, 65)
+_REF_GRID = np.stack(np.meshgrid(_REF_AXIS, _REF_AXIS, indexing="ij")).reshape(2, -1)
+
+
+def _ref_embed(x):
+    a0, a1, c0, c1 = x
+    return np.array([a0, a1, c0, c1, a0 * c0, a0 * c1, a1 * c0, a1 * c1])
+
+
+def _ref_best_block(fixed, t_block, cross):
+    norm = 1.0 + (fixed * fixed).sum(axis=0)
+    return np.clip((t_block + cross.T @ fixed) / norm, 0.0, 1.0)
+
+
+def _ref_grid_values(target):
+    c = _ref_best_block(_REF_GRID, target[2:4, None], target[4:].reshape(2, 2))
+    r = _ref_embed(np.concatenate([_REF_GRID, c])) - target[:, None]
+    return (r * r).sum(axis=0)
+
+
+def _ref_grid_starts(target):
+    values = _ref_grid_values(target).reshape(65, 65)
+    m = np.pad(values, 1, constant_values=np.inf)
+    m = np.minimum(np.minimum(m[:-2], m[1:-1]), m[2:])
+    m = np.minimum(np.minimum(m[:, :-2], m[:, 1:-1]), m[:, 2:])
+    return _REF_GRID[:, np.flatnonzero(values <= m)].T
+
+
+def _ref_polish(a, target):
+    t_a, t_c, cross = target[:2], target[2:4], target[4:].reshape(2, 2)
+    c = _ref_best_block(a, t_c, cross)
+    for sweep in range(1, mf._MAX_SWEEPS + 1):
+        new_a = _ref_best_block(c, t_a, cross.T)
+        new_c = _ref_best_block(new_a, t_c, cross)
+        step = max(np.abs(new_a - a).max(), np.abs(new_c - c).max())
+        a, c = new_a, new_c
+        if step <= mf._STEP_TOL:
+            break
+    return np.concatenate([a, c]), sweep
+
+
+def _ref_project(target):
+    """(squared distance, converged) of the reference solver."""
+    def objective(x):
+        r = _ref_embed(x) - target
+        return float(r @ r)
+
+    x, _ = min((_ref_polish(a, target) for a in _ref_grid_starts(target)), key=lambda run: objective(run[0]))
+    a0, a1, c0, c1 = x
+    r = _ref_embed(x) - target
+    grad = 2.0 * np.array([
+        r[0] + r[4] * c0 + r[5] * c1,
+        r[1] + r[6] * c0 + r[7] * c1,
+        r[2] + r[4] * a0 + r[6] * a1,
+        r[3] + r[5] * a0 + r[7] * a1,
+    ])
+    grad[(x <= 0.0) & (grad > 0.0)] = 0.0
+    grad[(x >= 1.0) & (grad < 0.0)] = 0.0
+    return objective(x), bool(np.linalg.norm(grad) <= mf._KKT_TOL)
+
+
+def _oracle_targets():
+    rng = np.random.default_rng(127)
+    yield from (rng.uniform(0, 1, size=8) for _ in range(1000))
+    yield from (np.array(row, dtype=float) for row in REDUCED_TABLE)
+    yield np.array(P_B)
+    yield np.array(P_U)
+    for _ in range(100):
+        yield mf.embed(mf.ManifoldParams(*rng.uniform(0, 1, size=4))).as_array()
+
+
+def test_grid_axis_is_linspace():
+    assert mf._GRID_AXIS == tuple(_REF_AXIS)
+
+
+def test_project_matches_numpy_reference_solver():
+    for target in _oracle_targets():
+        result = mf.project(st.BehaviourPoint.reduced(target))
+        squared, converged = _ref_project(target)
+        assert abs(result.squared_distance - squared) <= 1e-12, target
+        assert result.converged == converged, target
+
+
+def test_closed_form_grid_matches_direct_evaluation():
+    rng = np.random.default_rng(131)
+    targets = [rng.uniform(0, 1, size=8) for _ in range(50)]
+    targets += [mf.embed(mf.ManifoldParams(*rng.uniform(0, 1, size=4))).as_array() for _ in range(50)]
+    targets += [np.array(row, dtype=float) for row in REDUCED_TABLE] + [np.array(P_B), np.array(P_U)]
+    for target in targets:
+        values = mf._grid_values(tuple(float(v) for v in target))
+        assert np.abs(np.array(values) - _ref_grid_values(target)).max() <= 1e-12

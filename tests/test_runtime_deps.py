@@ -1,8 +1,8 @@
 """What importing the package costs: numpy and nothing else outside the standard
 library, no layer for a bare ``import p3poly``, and for each CLI verb only the
-layers it uses, with numpy only for the verbs that compute with it (not for
-the vertex tables, the graph listings, the structural report, nor a point
-file that is rejected).  Also the lazily filled ``p3poly`` namespace itself,
+layers it uses, with numpy only for the verbs that compute with arrays (not
+for the vertex tables, the graph listings, the structural report, the
+projection, the point-mode test, nor a point file that is rejected).  Also the lazily filled ``p3poly`` namespace itself,
 and that every module-level import of a layer is used."""
 
 import ast
@@ -19,9 +19,9 @@ import pytest
 
 import p3poly
 from p3poly import quantum as qu
-from p3poly.strategies import REDUCED_8
+from p3poly.strategies import FULL_26, REDUCED_8
 
-from reference_tables import P_B
+from reference_tables import P_B, P_U
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(p3poly.__file__).resolve().parents[1])
@@ -79,6 +79,8 @@ def test_bare_import_loads_no_layer_and_not_numpy():
 # A malformed point file (a NaN coordinate), which the loader rejects before
 # a layer is imported.
 _REJECTED = "error: coordinate nan is not finite\n"
+# A full-26 point, which the loader accepts and the projection rejects.
+_NOT_REDUCED = "error: projection is defined for reduced-8 points\n"
 
 
 @pytest.mark.parametrize(
@@ -92,9 +94,10 @@ _REJECTED = "error: coordinate nan is not finite\n"
         (["analyze", "--rep", "reduced"], ["geometry"], False, ""),
         (["analyze", "--rep", "full"], ["geometry"], False, ""),
         (["simulate", "--kind", "honest"], ["quantum"], True, ""),
-        (["project", "--input", "point.json"], ["manifold"], True, ""),
+        (["project", "--input", "point.json"], ["manifold"], False, ""),
         (["project", "--input", "nan.json"], [], False, _REJECTED),
-        (["test", "--expected", "point.json", "--observed", "point.json"], ["manifold", "stats"], True, ""),
+        (["project", "--input", "full.json"], ["manifold"], False, _NOT_REDUCED),
+        (["test", "--expected", "point.json", "--observed", "point.json"], ["manifold", "stats"], False, ""),
         (["test", "--expected", "point.json", "--observed", "nan.json"], [], False, _REJECTED),
         (["test", "--expected", "nan.json", "--observed", "point.json"], [], False, _REJECTED),
         (["test", "--mode", "samples", "--expected", "a.csv", "--observed", "a.csv"], ["stats"], True, ""),
@@ -102,7 +105,7 @@ _REJECTED = "error: coordinate nan is not finite\n"
     ],
     ids=[
         "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "analyze", "analyze-full",
-        "simulate", "project", "project-rejected", "test-point", "test-point-rejected-observed",
+        "simulate", "project", "project-rejected", "project-full26", "test-point", "test-point-rejected-observed",
         "test-point-rejected-expected", "test-samples", "bound",
     ],
 )
@@ -113,6 +116,7 @@ def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, numpy, stderr):
     (tmp_path / "nan.json").write_text(
         json.dumps({"representation": REDUCED_8, "coords": [float("nan")] * 8})
     )
+    (tmp_path / "full.json").write_text(json.dumps({"representation": FULL_26, "coords": [0.0] * 26}))
     (tmp_path / "a.csv").write_text("0.1\n0.2\n0.4\n")
     (tmp_path / "bell.json").write_text(json.dumps(qu.bell_pair_state().to_json_dict()))
     out = _python(_VERB_PROBE, *argv, "--output", "out", cwd=tmp_path)
@@ -132,6 +136,21 @@ def test_strategies_and_geometry_run_without_numpy():
         "    ge.diameter(g), ge.minimum_generators(g), ge.maximal_convex_clusters(g)\n"
         "    ge.verify_generator_set(g, (0, 1)), ge.graph_to_dot(g), g.edges()\n"
         "    p3poly.strategies.vertices_json(rep), p3poly.strategies.vertices_csv(rep)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _python(probe).strip() == "False"
+
+
+def test_manifold_and_point_stats_run_without_numpy():
+    probe = (
+        "import sys\n"
+        "from p3poly import manifold as mf, stats, strategies as st\n"
+        f"pb, pu = st.BehaviourPoint.reduced({P_B!r}), st.BehaviourPoint.reduced({P_U!r})\n"
+        "result = mf.project(pb)\n"
+        "assert mf.on_manifold(mf.embed(result.params)) and result.converged\n"
+        "assert mf.normalized_score(pu, pb) < 1e-8\n"
+        "sigma_d = stats.distance_sigma(pb, 0.05)\n"
+        "stats.gaussian_separability(pb, pu, sigma_d), stats.regularized_incomplete_beta(2.0, 3.0, 0.4)\n"
         "print('numpy' in sys.modules)\n"
     )
     assert _python(probe).strip() == "False"
