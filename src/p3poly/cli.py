@@ -367,14 +367,13 @@ def _cmd_bound(args) -> str:
     sigma = _load_density_matrix(args.sigma)
     report = quantum.behaviour_bound_check(rho, sigma)
     f = quantum.fidelity(rho, sigma)
-    bounds_hold = quantum.fidelity_bounds_check(rho, sigma)
     payload = {
         "behaviour": report.to_json_dict(),
         "fidelity": f,
         "fidelity_lower_bound": 1.0 - math.sqrt(f),
         "fidelity_upper_bound": math.sqrt(max(1.0 - f, 0.0)),
         "trace_distance": report.delta_ab,
-        "fidelity_bounds_hold": bounds_hold,
+        "fidelity_bounds_hold": quantum._fidelity_bounds_hold(f, report.delta_ab),
     }
     return _json_text(payload)
 

@@ -10,9 +10,14 @@ turns projection distances into a normalized nonclassicality score.
 Projection uses variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
 10, 1973): for fixed first-wing marginals a = (a0, a1) the objective is a
 separable convex quadratic in each c_j, so the best c is a clipped closed
-form and the 4-D problem reduces to a 2-D one over a.  The solver works on
-the eight coordinates as plain floats, in pure Python, so projecting loads
-no numpy; only ``as_array`` and ``projection_gradient`` return arrays.
+form and the 4-D problem reduces to a 2-D one over a.  Alternating exact
+block updates polish from the corners of the first-wing square, best start
+value first, until a Lagrangian duality certificate proves a result global:
+the objective is the distance from a 3x3 table to a rank-one table with one
+fixed entry (Eckart & Young, Psychometrika 1, 211, 1936), so weak duality
+bounds the global minimum from below.  The solver works on the eight
+coordinates as plain floats, in pure Python, so projecting loads no numpy;
+only ``as_array`` and ``projection_gradient`` return arrays.
 """
 
 from __future__ import annotations
@@ -26,14 +31,13 @@ from .strategies import BehaviourPoint, REDUCED_8
 if TYPE_CHECKING:
     import numpy as np
 
-# Reduced-objective grid over (a0, a1), i/64 on each axis (np.linspace's
-# values), in row-major order; every 8-neighbour local minimum of the grid
-# seeds a polish run.
-_GRID_SIZE = 65
-_GRID_AXIS = tuple(i / (_GRID_SIZE - 1) for i in range(_GRID_SIZE))
+# Polish starts: the corners of the first-wing square, tried in order of
+# their start value.
+_STARTS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 _MAX_SWEEPS = 10_000
 _STEP_TOL = 1e-12
-# Norm bound on the box-projected gradient for a result to count as converged.
+# Norm bound on the box-projected gradient for a result to count as converged,
+# and bound on the duality gap for a result to count as global.
 _KKT_TOL = 1e-9
 
 # A reference point closer than this to the manifold has no meaningful scale
@@ -118,7 +122,13 @@ def projection_gradient(x: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Best point found on the manifold for a projection target."""
+    """Best point found on the manifold for a projection target.
+
+    ``converged`` is set when the KKT residual is at most 1e-9.
+    ``global_gap`` is a duality gap: no point of the manifold lies closer
+    than ``squared_distance - global_gap``, so a gap of at most 1e-9 proves
+    the result globally optimal to that tolerance.
+    """
 
     params: ManifoldParams
     point: BehaviourPoint
@@ -126,6 +136,7 @@ class ProjectionResult:
     distance: float
     iterations: int
     converged: bool
+    global_gap: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,6 +146,7 @@ class ProjectionResult:
             "distance": self.distance,
             "iterations": self.iterations,
             "converged": self.converged,
+            "global_gap": self.global_gap,
         }
 
 
@@ -154,72 +166,10 @@ def _best_block(fixed, t_block, cross) -> tuple[float, float]:
     )
 
 
-def _wing_term(n: float, norm: float) -> float:
-    # min over c in [0, 1] of norm * c^2 - 2 n c, for n >= 0.
-    return norm - 2.0 * n if n > norm else -n * n / norm
-
-
-def _grid_values(target) -> list[float]:
-    """Reduced objective min_c F(a, c) at every grid point a, row-major.
-
-    For fixed a, wing j adds norm * c_j^2 - 2 n_j c_j to a constant, with
-    norm = 1 + |a|^2 and n_j = t_cj + a0 t_0j + a1 t_1j.  Targets lie in
-    [0, 1], so n_j >= 0 and the best c_j is n_j / norm, worth
-    -n_j^2 / norm, unless it clips to 1 (``_wing_term``).
-    """
-    t0, t1, t2, t3, t4, t5, t6, t7 = target
-    const = t2 * t2 + t3 * t3 + t4 * t4 + t5 * t5 + t6 * t6 + t7 * t7
-    # The parts of the constant, n_0, n_1 and norm that depend on a0 alone,
-    # and those that depend on a1 alone.
-    rows = [((a0 - t0) ** 2, t2 + t4 * a0, t3 + t5 * a0, 1.0 + a0 * a0) for a0 in _GRID_AXIS]
-    cols = [((a1 - t1) ** 2 + const, t6 * a1, t7 * a1, a1 * a1) for a1 in _GRID_AXIS]
-    values = []
-    for k_row, n0_row, n1_row, norm_row in rows:
-        for k_col, n0_col, n1_col, norm_col in cols:
-            n0 = n0_row + n0_col
-            n1 = n1_row + n1_col
-            norm = norm_row + norm_col
-            if n0 <= norm >= n1:  # both c_j unclipped
-                values.append(k_row + k_col - (n0 * n0 + n1 * n1) / norm)
-            else:
-                values.append(k_row + k_col + _wing_term(n0, norm) + _wing_term(n1, norm))
-    return values
-
-
-def _grid_starts(target) -> list[tuple[float, float]]:
-    """Grid points a whose reduced objective min_c F(a, c) is no larger than
-    at any of their 8 neighbours, in row-major order."""
-    values = _grid_values(target)
-    # Flat copy of the grid inside a border of inf, one padded row per
-    # ``width`` cells, so cell k's neighbours sit at k +- 1 and k +- width +- {0, 1}.
-    width = _GRID_SIZE + 2
-    padded = [math.inf] * (width + 1)
-    for i in range(0, len(values), _GRID_SIZE):
-        padded += values[i : i + _GRID_SIZE]
-        padded += (math.inf, math.inf)
-    padded += [math.inf] * (width - 1)
-    lo, hi = width + 1, len(padded) - width - 1
-    # Cells no larger than their left and right neighbours, then the rows around.
-    candidates = [
-        k
-        for k, left, v, right in zip(
-            range(lo, hi), padded[lo - 1 : hi - 1], padded[lo:hi], padded[lo + 1 : hi + 1]
-        )
-        if v <= left and v <= right
-    ]
-    starts = []
-    for k in candidates:
-        v = padded[k]
-        if v <= min(padded[k - width - 1 : k - width + 2]) and v <= min(padded[k + width - 1 : k + width + 2]):
-            i, j = divmod(k, width)
-            starts.append((_GRID_AXIS[i - 1], _GRID_AXIS[j - 1]))
-    return starts
-
-
 def _polish(a, target) -> tuple[tuple[float, ...], int]:
     """Alternate exact block updates a | c and c | a, from a and the best c | a.
 
-    The objective never rises above its starting grid value.  Returns the
+    The objective never rises above its starting value.  Returns the
     parameters and the number of sweeps taken to a step of ``_STEP_TOL``.
     """
     t_a, t_c = target[:2], target[2:4]
@@ -236,28 +186,64 @@ def _polish(a, target) -> tuple[tuple[float, ...], int]:
     return a + c, sweep
 
 
+def _certificate(x, target) -> tuple[float, float]:
+    """KKT residual norm and duality gap of the parameters x.
+
+    Write the target as T = [[1, t2, t3], [t0, t4, t5], [t1, t6, t7]], so
+    that F(x) = ||T - M||^2 for M = u v^T, u = (1, a0, a1), v = (1, c0, c1).
+    Lagrange multipliers Lambda on row 0 and column 0 of T - M (off the
+    corner, minus half the gradient) leave R = T - Lambda - M with R v = 0
+    and R^T u = 0, so M is a singular component of T - Lambda.  Weak duality
+    then gives F(x') >= F(x) - gap for every x' in [0, 1]^4, with
+    gap = ||kkt||_1 + max(0, sigma_max(R)^2 - |u|^2 |v|^2) and kkt the
+    box-projected gradient.
+    """
+    a0, a1, c0, c1 = x
+    # Only gradient components that point into the box count.
+    kkt = [
+        0.0 if (v <= 0.0 and g > 0.0) or (v >= 1.0 and g < 0.0) else g
+        for v, g in zip(x, _gradient(x, target))
+    ]
+    # With B the lower-right 2x2 block of T - M, R = [[a^T B c, -a^T B], [-B c, B]].
+    r = _residual(x, target)
+    b = ((-r[4], -r[5]), (-r[6], -r[7]))
+    bc = [row[0] * c0 + row[1] * c1 for row in b]
+    ab = [a0 * p + a1 * q for p, q in zip(*b)]
+    rr = ((a0 * bc[0] + a1 * bc[1], -ab[0], -ab[1]), (-bc[0], *b[0]), (-bc[1], *b[1]))
+    # R has rank at most 2, so its two nonzero squared singular values have
+    # sum ||R||_F^2 and product the sum of R's squared 2x2 minors.
+    frob = sum(e * e for row in rr for e in row)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    minors = sum((rr[i][j] * rr[k][l] - rr[i][l] * rr[k][j]) ** 2 for i, k in pairs for j, l in pairs)
+    top = (frob + math.sqrt(max(frob * frob - 4.0 * minors, 0.0))) / 2.0
+    scale = (1.0 + a0 * a0 + a1 * a1) * (1.0 + c0 * c0 + c1 * c1)
+    return math.hypot(*kkt), sum(map(abs, kkt)) + max(0.0, top - scale)
+
+
 def project(point: BehaviourPoint) -> ProjectionResult:
     """Closest uncorrelated behaviour to ``point`` in Euclidean distance.
 
-    Evaluates the reduced objective min_c F(a, c) on a fixed 65x65 grid over
-    the first-wing marginals, polishes from every grid local minimum with
-    alternating closed-form block updates, and keeps the best result (ties
-    go to the first minimum in row-major order, so results are
-    deterministic).  ``iterations`` counts the polish sweeps of the winning
-    start; ``converged`` is set only when the box-projected gradient (the
-    KKT residual) has norm at most 1e-9.
+    Polishes with alternating closed-form block updates from the four
+    corners of the first-wing square, tried in order of their start value
+    min_c F(a, c) (ties in the order (0, 0), (0, 1), (1, 0), (1, 1)), and
+    stops at the first result whose duality gap ``global_gap`` is at most
+    1e-9, which proves it within that of the global minimum.  If no corner
+    certifies, the lowest result is returned.  ``iterations`` counts the
+    polish sweeps of the returned start; ``converged`` is set only when the
+    box-projected gradient (the KKT residual) has norm at most 1e-9.
     """
     if point.representation != REDUCED_8:
         raise ValueError("projection is defined for reduced-8 points")
     target = point.coords
-    runs = [_polish(a, target) for a in _grid_starts(target)]
-    x, sweeps = min(runs, key=lambda run: _objective(run[0], target))
-    value = _objective(x, target)
-    # KKT residual: only gradient components that point into the box count.
-    grad = [
-        0.0 if (v <= 0.0 and g > 0.0) or (v >= 1.0 and g < 0.0) else g
-        for v, g in zip(x, _gradient(x, target))
-    ]
+    t_c, cross = target[2:4], (target[4:6], target[6:8])
+    runs = []
+    for a in sorted(_STARTS, key=lambda a: _objective(a + _best_block(a, t_c, cross), target)):
+        x, sweeps = _polish(a, target)
+        kkt, gap = _certificate(x, target)
+        runs.append((_objective(x, target), x, sweeps, kkt, gap))
+        if gap <= _KKT_TOL:
+            break
+    value, x, sweeps, kkt, gap = runs[-1] if gap <= _KKT_TOL else min(runs, key=lambda run: run[0])
     params = ManifoldParams(*x)
     return ProjectionResult(
         params=params,
@@ -265,7 +251,8 @@ def project(point: BehaviourPoint) -> ProjectionResult:
         squared_distance=value,
         distance=math.sqrt(value),
         iterations=sweeps,
-        converged=math.hypot(*grad) <= _KKT_TOL,
+        converged=kkt <= _KKT_TOL,
+        global_gap=gap,
     )
 
 

@@ -405,15 +405,20 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _fidelity_bounds_hold(f: float, delta: float) -> bool:
+    # 1 - sqrt(F) <= D <= sqrt(1 - F) for fidelity F and trace distance D,
+    # each to within _BOUND_TOL.  The upper bound is checked squared, as
+    # D**2 <= 1 - F: near F = 1 a square root would multiply the rounding of
+    # F by 1 / (2 sqrt(1 - F)).
+    return bool(1.0 - np.sqrt(f) <= delta + _BOUND_TOL and delta * delta <= 1.0 - f + _BOUND_TOL)
+
+
 def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
     """Verify 1 - sqrt(F) <= trace distance <= sqrt(1 - F), each to within 1e-9.
 
-    The upper bound is checked squared, as D**2 <= 1 - F: near F = 1 a square
-    root would multiply the rounding of F by 1 / (2 sqrt(1 - F)).
+    The upper bound is checked squared, as D**2 <= 1 - F.
     """
-    f = fidelity(rho, sigma)
-    delta = trace_distance(rho, sigma)
-    return bool(1.0 - np.sqrt(f) <= delta + _BOUND_TOL and delta * delta <= 1.0 - f + _BOUND_TOL)
+    return _fidelity_bounds_hold(fidelity(rho, sigma), trace_distance(rho, sigma))
 
 
 @dataclass(frozen=True, eq=False)

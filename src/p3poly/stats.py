@@ -55,9 +55,13 @@ def distance_sigma(point: BehaviourPoint, sigma: float, absolute: bool = False) 
     """First-order standard deviation of the Euclidean distance under noise.
 
     For independent per-coordinate perturbations the distance to the
-    unperturbed point has sigma_d = ||sigma_k||_2 to first order.
+    unperturbed point has sigma_d = ||sigma_k||_2 to first order.  Raises
+    ValueError when that norm overflows the float range.
     """
-    return math.hypot(*_scales(point.coords, NoiseSpec(sigma, absolute=absolute)))
+    sigma_d = math.hypot(*_scales(point.coords, NoiseSpec(sigma, absolute=absolute)))
+    if sigma_d == math.inf:
+        raise ValueError(f"noise sigma {sigma} is too large: the distance sigma overflows")
+    return sigma_d
 
 
 @dataclass(frozen=True)

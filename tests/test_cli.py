@@ -356,6 +356,25 @@ def test_bound_identical_states(tmp_path):
     assert payload["fidelity"] == pytest.approx(1.0)
 
 
+def test_bound_computes_each_quantity_once(tmp_path, monkeypatch):
+    # One fidelity, and one trace distance per pair of states: the two
+    # marginals and the joint state.
+    calls = {"fidelity": 0, "trace_distance": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(qu, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(qu, name, counted)
+    bell_file = tmp_path / "bell.json"
+    bell_file.write_text(json.dumps(qu.bell_pair_state().to_json_dict()))
+    product_file = tmp_path / "product.json"
+    product_file.write_text(json.dumps(qu.DensityMatrix(np.eye(4, dtype=complex) / 4).to_json_dict()))
+    code, _ = run(tmp_path, "bound", "--rho", str(bell_file), "--sigma", str(product_file))
+    assert code == 0
+    assert calls == {"fidelity": 1, "trace_distance": 3}
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_bound_holds_for_two_pure_states(tmp_path, seed):
     # Pure states saturate trace distance <= sqrt(1 - F): the fidelity must
@@ -382,6 +401,9 @@ _ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
     [
         pytest.param("point", None, ["--noise", "nan"], "finite and non-negative, got nan", id="noise-nan"),
         pytest.param("point", None, ["--noise", "inf"], "finite and non-negative, got inf", id="noise-inf"),
+        pytest.param(
+            "point", None, ["--noise", "1e308", "--absolute"], "noise sigma 1e+308 is too large", id="noise-overflow",
+        ),
         *[
             pytest.param(mode, None, ["--alpha", alpha], _ALPHA_MESSAGE, id=f"{mode}-alpha-{alpha}")
             for mode in ("point", "samples")
