@@ -367,13 +367,18 @@ def _cmd_bound(args) -> str:
     sigma = _load_density_matrix(args.sigma)
     report = quantum.behaviour_bound_check(rho, sigma)
     f = quantum.fidelity(rho, sigma)
+    d = report.delta_ab
+    # The verdict compares the upper bound squared, D**2 <= 1 - F; the two
+    # "_squared" keys are the numbers it compares.
     payload = {
         "behaviour": report.to_json_dict(),
         "fidelity": f,
         "fidelity_lower_bound": 1.0 - math.sqrt(f),
         "fidelity_upper_bound": math.sqrt(max(1.0 - f, 0.0)),
-        "trace_distance": report.delta_ab,
-        "fidelity_bounds_hold": quantum._fidelity_bounds_hold(f, report.delta_ab),
+        "fidelity_upper_bound_squared": 1.0 - f,
+        "trace_distance": d,
+        "trace_distance_squared": d * d,
+        "fidelity_bounds_hold": quantum._fidelity_bounds_hold(f, d),
     }
     return _json_text(payload)
 

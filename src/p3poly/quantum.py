@@ -7,10 +7,17 @@ Uhlmann fidelity, two-source hidden-variable models, the two scenarios of the
 key-distribution protocol (honest source vs intercepted line), and the report
 chaining the l2 / l1 norms of a behaviour difference against the trace
 distances of the underlying states.
+
+The Born rule, the partial trace and the trace norm are private array
+kernels (``_born``, ``_partial``, ``_trace_norm``); each public function
+validates its inputs and calls one of them.  The Born rule, ``collapse`` and
+the partial trace are linear, so the bound report evaluates its whole chain
+once on the difference rho - sigma instead of once per state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Optional
@@ -184,7 +191,7 @@ class MeasurementSet:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.party_dims))
+        return math.prod(self.party_dims)
 
 
 _ZX_KETS = np.array([np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)], dtype=complex)
@@ -268,18 +275,26 @@ def behaviour_from_state(
         raise ValueError("measurement set and scenario disagree on setting count")
     if measurements.outcomes_per_setting != shape.d:
         raise ValueError("measurement set and scenario disagree on outcome count")
+    _check_state_dim(rho, measurements)
+    return FullDistribution(shape, np.clip(_born(rho.matrix, measurements).real, 0.0, None))
+
+
+def _check_state_dim(rho: DensityMatrix, measurements: MeasurementSet) -> None:
     if rho.dim != measurements.total_dim:
         raise ValueError(
             f"state dimension {rho.dim} does not match measurement space {measurements.total_dim}"
         )
-    # p(x, a) = sum_{i,j} rho[i_1..i_n, j_1..j_n] * prod_k P_k[x_k, a_k, j_k, i_k].
-    # Subscripts: i_k is k, j_k is n + k, x_k is 2n + k and a_k is 3n + k.
-    n = shape.n
-    operands = [rho.matrix.reshape(measurements.party_dims * 2), list(range(2 * n))]
+
+
+def _born(matrix: np.ndarray, measurements: MeasurementSet) -> np.ndarray:
+    # p(x, a) = sum_{i,j} rho[i_1..i_n, j_1..j_n] * prod_k P_k[x_k, a_k, j_k, i_k],
+    # linear in the matrix.  Subscripts: i_k is k, j_k is n + k, x_k is 2n + k
+    # and a_k is 3n + k.  The complex table has the settings axes first.
+    n = measurements.n_parties
+    operands = [matrix.reshape(measurements.party_dims * 2), list(range(2 * n))]
     for k, ops in enumerate(measurements.projectors):
         operands += [ops, [2 * n + k, 3 * n + k, n + k, k]]
-    table = np.einsum(*operands, list(range(2 * n, 4 * n)))
-    return FullDistribution(shape, np.clip(table.real, 0.0, None))
+    return np.einsum(*operands, list(range(2 * n, 4 * n)))
 
 
 def _collapse_matrix(shape: ScenarioShape, representation: str) -> np.ndarray:
@@ -312,11 +327,16 @@ def collapse(distribution: FullDistribution) -> BehaviourPoint:
     settings by no-signalling when it holds).  Supports the two canonical
     scenarios: (3, 2, 2) -> 26 coordinates and (2, 2, 2) -> 8 coordinates.
     """
-    shape = distribution.shape
+    return _collapse_table(distribution.shape, distribution.table)
+
+
+def _collapse_table(shape: ScenarioShape, table: np.ndarray) -> BehaviourPoint:
+    # ``table`` holds the entries of a valid distribution of ``shape`` in
+    # row-major order, settings first; any array shape with that ravel will do.
     if shape not in _COLLAPSE:
         raise ValueError(f"no canonical behaviour representation for scenario {shape}")
     matrix, representation = _COLLAPSE[shape]
-    return BehaviourPoint(tuple(matrix @ distribution.table.ravel()), representation)
+    return BehaviourPoint(tuple((matrix @ table.ravel()).tolist()), representation)
 
 
 def sample_behaviour(
@@ -341,7 +361,8 @@ def sample_behaviour(
     probs = table.reshape(shape.m**shape.n, shape.d**shape.n)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
-    point = collapse(FullDistribution(shape, (counts / shots).reshape(table.shape)))
+    # Each row of counts sums to shots, so counts / shots is a distribution.
+    point = _collapse_table(shape, counts / shots)
     estimates = point.as_array()
     errors = np.sqrt(estimates * (1.0 - estimates) / shots)
     return point, errors
@@ -353,15 +374,18 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
     ``dims`` gives the (left, right) factor dimensions; ``keep`` selects the
     surviving factor, "A" for the left and "B" for the right.
     """
-    da, db = dims
-    if da * db != rho.dim:
+    if dims[0] * dims[1] != rho.dim:
         raise ValueError(f"dims {dims} do not factor dimension {rho.dim}")
-    blocks = rho.matrix.reshape(da, db, da, db)
-    if keep == "A":
-        return DensityMatrix(np.einsum("ijkj->ik", blocks))
-    if keep == "B":
-        return DensityMatrix(np.einsum("ijil->jl", blocks))
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return DensityMatrix(_partial(rho.matrix, dims, keep))
+
+
+def _partial(matrix: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    # Linear in the matrix: the partial trace of rho - sigma is the
+    # difference of the partial traces.
+    da, db = dims
+    return np.einsum("ijkj->ik" if keep == "A" else "ijil->jl", matrix.reshape(da, db, da, db))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -373,8 +397,12 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("states live on spaces of different dimension")
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.abs(eigs).sum())
+    return _trace_norm(rho.matrix - sigma.matrix)
+
+
+def _trace_norm(delta: np.ndarray) -> float:
+    # Half the trace norm of a Hermitian matrix.
+    return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -410,7 +438,7 @@ def _fidelity_bounds_hold(f: float, delta: float) -> bool:
     # each to within _BOUND_TOL.  The upper bound is checked squared, as
     # D**2 <= 1 - F: near F = 1 a square root would multiply the rounding of
     # F by 1 / (2 sqrt(1 - F)).
-    return bool(1.0 - np.sqrt(f) <= delta + _BOUND_TOL and delta * delta <= 1.0 - f + _BOUND_TOL)
+    return bool(1.0 - math.sqrt(f) <= delta + _BOUND_TOL and delta * delta <= 1.0 - f + _BOUND_TOL)
 
 
 def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
@@ -629,22 +657,23 @@ class BoundReport:
 def behaviour_bound_check(rho: DensityMatrix, sigma: DensityMatrix) -> BoundReport:
     """Compare two two-qubit states through their behaviour points.
 
-    Generates both behaviour points with the fixed standard/Hadamard pair of
-    measurements and reports the l2 and l1 norms of the difference next to
-    twice the sum of the marginal and joint trace distances.
+    Measures both states with the fixed standard/Hadamard pair and reports
+    the l2 and l1 norms of the difference of their behaviour points next to
+    twice the sum of the marginal and joint trace distances.  The Born rule,
+    ``collapse`` and the partial trace are linear, so every quantity is
+    evaluated once on the difference rho - sigma: one Born-rule contraction,
+    one collapse and three trace norms.
     """
-    p = collapse(behaviour_from_state(rho, _ZX_PAIR, REDUCED_SHAPE))
-    q = collapse(behaviour_from_state(sigma, _ZX_PAIR, REDUCED_SHAPE))
-    diff = p.as_array() - q.as_array()
-    delta_a = trace_distance(partial_trace(rho, (2, 2), "A"), partial_trace(sigma, (2, 2), "A"))
-    delta_b = trace_distance(partial_trace(rho, (2, 2), "B"), partial_trace(sigma, (2, 2), "B"))
-    delta_ab = trace_distance(rho, sigma)
+    for state in (rho, sigma):
+        _check_state_dim(state, _ZX_PAIR)
+    delta = rho.matrix - sigma.matrix
+    diff = _COLLAPSE[REDUCED_SHAPE][0] @ _born(delta, _ZX_PAIR).real.ravel()
     return BoundReport(
         l2=float(np.linalg.norm(diff)),
         l1=float(np.abs(diff).sum()),
-        delta_a=delta_a,
-        delta_b=delta_b,
-        delta_ab=delta_ab,
+        delta_a=_trace_norm(_partial(delta, (2, 2), "A")),
+        delta_b=_trace_norm(_partial(delta, (2, 2), "B")),
+        delta_ab=_trace_norm(delta),
     )
 
 

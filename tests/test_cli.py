@@ -357,22 +357,63 @@ def test_bound_identical_states(tmp_path):
 
 
 def test_bound_computes_each_quantity_once(tmp_path, monkeypatch):
-    # One fidelity, and one trace distance per pair of states: the two
-    # marginals and the joint state.
-    calls = {"fidelity": 0, "trace_distance": 0}
+    # One fidelity, and one trace norm for each of the two marginals and the
+    # joint state, all taken on rho - sigma: the bound check builds no
+    # intermediate DensityMatrix.
+    calls = {"fidelity": 0, "_trace_norm": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(qu, name)):
             calls[_name] += 1
             return _inner(*args)
 
         monkeypatch.setattr(qu, name, counted)
+    built = []
+
+    def post_init(self, _inner=qu.DensityMatrix.__post_init__):
+        built.append(1)
+        _inner(self)
+
+    monkeypatch.setattr(qu.DensityMatrix, "__post_init__", post_init)
+    inside = []
+
+    def bound_check(*args, _inner=qu.behaviour_bound_check):
+        before = len(built)
+        report = _inner(*args)
+        inside.append(len(built) - before)
+        return report
+
+    monkeypatch.setattr(qu, "behaviour_bound_check", bound_check)
     bell_file = tmp_path / "bell.json"
     bell_file.write_text(json.dumps(qu.bell_pair_state().to_json_dict()))
     product_file = tmp_path / "product.json"
     product_file.write_text(json.dumps(qu.DensityMatrix(np.eye(4, dtype=complex) / 4).to_json_dict()))
+    built.clear()
     code, _ = run(tmp_path, "bound", "--rho", str(bell_file), "--sigma", str(product_file))
     assert code == 0
-    assert calls == {"fidelity": 1, "trace_distance": 3}
+    assert calls == {"fidelity": 1, "_trace_norm": 3}
+    assert inside == [0]
+    assert len(built) == 2  # the two input files
+
+
+def test_bound_prints_the_numbers_its_verdict_compares(tmp_path):
+    # The verdict checks D**2 <= 1 - F.  For nearly identical pure states D
+    # can sit above the printed sqrt(1 - F), never above the printed squares.
+    rng = np.random.default_rng(12)
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for _ in range(500):
+        a = rng.normal(size=4) + 1j * rng.normal(size=4)
+        a /= np.linalg.norm(a)
+        b = a + 1e-8 * (rng.normal(size=4) + 1j * rng.normal(size=4)) / np.sqrt(8)
+        b /= np.linalg.norm(b)
+        for path, ket in zip(files, (a, b)):
+            path.write_text(json.dumps(qu.DensityMatrix(np.outer(ket, ket.conj())).to_json_dict()))
+        code, out = run(tmp_path, "bound", "--rho", str(files[0]), "--sigma", str(files[1]))
+        assert code == 0
+        payload = read_json(out)
+        assert payload["trace_distance_squared"] == payload["trace_distance"] ** 2
+        assert payload["fidelity_upper_bound_squared"] == 1.0 - payload["fidelity"]
+        if payload["fidelity_bounds_hold"]:
+            assert payload["trace_distance_squared"] <= payload["fidelity_upper_bound_squared"] + 1e-9
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -568,6 +609,7 @@ _MALFORMED_FILES = {
         "shapes-differ": (json.dumps({**_BELL, "im": [[0.0] * 2] * 2}), "differ in shape"),
         "trace": (_qubit_state([[0.45, 0.0], [0.0, 0.45]]), "trace is not 1 (got 0.9)"),
         "not-hermitian": (_qubit_state([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+        "qubit": (_qubit_state([[1.0, 0.0], [0.0, 0.0]]), "state dimension 2 does not match measurement space 4"),
         "negative": (_qubit_state([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
         "nan": (_qubit_state([[float("nan"), 0.0], [0.0, 0.5]]), "non-finite entries"),
         "huge-int": (_qubit_state([[10**400, 0], [0, 0]]), "'re' holds an entry too large for a float"),

@@ -23,6 +23,9 @@ Core claims pinned here:
     read-only (settings, outcomes, dim, dim) array per party.
   * no_signalling_check agrees with a per-setting loop oracle, and Born-rule
     tables from random product measurements are normalized and pass it.
+  * behaviour_bound_check, computed once on rho - sigma, matches the chain
+    built per state from the public functions to 1e-12; sample_behaviour is
+    bit-identical to collapsing the validated empirical distribution.
 """
 
 import json
@@ -619,6 +622,51 @@ def test_behaviour_bound_identical_states():
     assert report.l2 == pytest.approx(0.0, abs=1e-12)
     assert report.rhs == pytest.approx(0.0, abs=1e-12)
     assert report.holds
+    # rho - sigma is exactly zero, so is every quantity computed from it.
+    assert (report.l2, report.l1, report.delta_a, report.delta_b, report.delta_ab) == (0.0,) * 5
+
+
+def bound_reference(rho, sigma):
+    # The chain from the public per-state functions: one behaviour point and
+    # one pair of marginals per state.
+    zx, shape = qu.zx_qubit_measurements(2), st.REDUCED_SHAPE
+    diff = (
+        qu.collapse(qu.behaviour_from_state(rho, zx, shape)).as_array()
+        - qu.collapse(qu.behaviour_from_state(sigma, zx, shape)).as_array()
+    )
+    marginals = [
+        qu.trace_distance(qu.partial_trace(rho, (2, 2), keep), qu.partial_trace(sigma, (2, 2), keep))
+        for keep in ("A", "B")
+    ]
+    return (np.linalg.norm(diff), np.abs(diff).sum(), *marginals, qu.trace_distance(rho, sigma))
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "pure", "rank-2", "identical"])
+def test_behaviour_bound_check_matches_per_state_reference(kind):
+    # The report is computed once on rho - sigma; by linearity it equals the
+    # per-state chain.  125 seeded pairs of each kind, 500 in all.
+    rng = np.random.default_rng(["full-rank", "pure", "rank-2", "identical"].index(kind) + 61)
+    for _ in range(125):
+        if kind == "full-rank":
+            rho, sigma = qu.random_density_matrix(4, rng), qu.random_density_matrix(4, rng)
+        elif kind == "identical":
+            rho = qu.random_density_matrix(4, rng)
+            sigma = qu.DensityMatrix(rho.matrix.copy())
+        else:
+            rank = 1 if kind == "pure" else 2
+            rho, sigma = state_of(random_factor(rng, rank)), state_of(random_factor(rng, rank))
+        report = qu.behaviour_bound_check(rho, sigma)
+        got = (report.l2, report.l1, report.delta_a, report.delta_b, report.delta_ab)
+        assert np.abs(np.subtract(got, bound_reference(rho, sigma))).max() <= 1e-12
+        assert report.holds
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_behaviour_bound_check_rejects_a_state_of_the_wrong_dimension(position):
+    states = [bell(), bell()]
+    states[position] = maximally_mixed(2)
+    with pytest.raises(ValueError, match="^state dimension 2 does not match measurement space 4$"):
+        qu.behaviour_bound_check(*states)
 
 
 def test_behaviour_bound_fuzz():
@@ -755,7 +803,9 @@ def test_sample_behaviour_matches_per_setting_draws(n):
                 (2,) * n
             )
         point, _ = qu.sample_behaviour(rho, measurements, shape, 1000, seed=seed)
-        assert point == qu.collapse(qu.FullDistribution(shape, empirical))
+        # Bit-identical to collapsing the validated empirical distribution.
+        expected = qu.collapse(qu.FullDistribution(shape, empirical))
+        assert np.array(point.coords).tobytes() == np.array(expected.coords).tobytes()
 
 
 def _lhv_with(field, value):
