@@ -19,15 +19,15 @@ _EXPORTS = {
     "strategies": (
         "FULL_26", "REDUCED_8", "FULL_SHAPE", "REDUCED_SHAPE", "BehaviourPoint",
         "DeterministicStrategy", "ScenarioShape", "VertexFull", "VertexReduced",
-        "WingStrategy", "behaviour_from_vertex", "enumerate_reduced",
-        "enumerate_strategies", "hamming_histogram", "marginalize",
-        "scenario_dimension", "vertex_from_strategy", "vertices_csv", "vertices_json",
+        "behaviour_from_vertex", "enumerate_reduced", "enumerate_strategies",
+        "hamming_histogram", "marginalize", "scenario_dimension", "vertex_from_strategy",
+        "vertices_csv", "vertices_json",
     ),
     "geometry": (
-        "CoverageReport", "GeneratorSet", "VisibilityGraph", "VisibilityStatus",
-        "all_pairs_shortest_paths", "build_visibility_graph", "classify_from", "diameter",
-        "graph_to_dot", "has_dominating_set", "maximal_convex_clusters",
-        "minimum_generators", "segment", "verify_generator_set", "visibility_test",
+        "CoverageReport", "VisibilityGraph", "VisibilityStatus", "all_pairs_shortest_paths",
+        "build_visibility_graph", "classify_from", "diameter", "graph_to_dot",
+        "has_dominating_set", "maximal_convex_clusters", "minimum_generators", "segment",
+        "verify_generator_set", "visibility_test",
     ),
     "quantum": (
         "BoundReport", "DensityMatrix", "FullDistribution", "LhvModel",

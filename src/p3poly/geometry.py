@@ -72,23 +72,21 @@ def classify_from(strategy: DeterministicStrategy, strategies) -> dict[Visibilit
     """Count coincident / visible / hidden partners of one strategy.
 
     ``visibility_test`` defines the rule; it is inlined here as one pass with
-    three int counters over the strategies' ``wing_indices``, because a call
-    or a dataclass comparison per pair makes the classification several
-    times slower.  A partner with the same first wing is coincident
-    (all three wings equal) or visible, else one with the same last wing is
-    visible, else it is hidden.
+    three int counters over the strategies' wing indices, because a
+    ``visibility_test`` call per pair makes the classification ~5x slower.
+    A partner with the same first wing is coincident (all three wings
+    equal) or visible, else one with the same last wing is visible, else it
+    is hidden.
     """
-    wings = strategy.wing_indices
-    first, _, last = wings
+    first, middle, last = strategy.first, strategy.middle, strategy.last
     coincident = visible = hidden = 0
     for other in strategies:
-        other_wings = other.wing_indices
-        if other_wings[0] == first:
-            if other_wings == wings:
+        if other.first == first:
+            if other.middle == middle and other.last == last:
                 coincident += 1
             else:
                 visible += 1
-        elif other_wings[2] == last:
+        elif other.last == last:
             visible += 1
         else:
             hidden += 1
@@ -315,26 +313,6 @@ def all_pairs_shortest_paths(graph: VisibilityGraph) -> tuple[np.ndarray, int]:
     return dist, int(dist.max())
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A set of vertices together with everything it reaches in one step."""
-
-    members: tuple[int, ...]
-    covered: frozenset[int]
-    node_count: int
-
-    @property
-    def complete(self) -> bool:
-        return len(self.covered) == self.node_count
-
-    def to_json_dict(self) -> dict:
-        return {
-            "members": list(self.members),
-            "covered_count": len(self.covered),
-            "complete": self.complete,
-        }
-
-
 def _first_cover(masks: list[int], size: int) -> tuple[int, ...] | None:
     # First ``size``-subset, in lexicographic order, whose closed-neighbourhood
     # masks cover every node; None if none.
@@ -364,7 +342,7 @@ def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
     return size >= len(graph._minimum_cover)
 
 
-def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
+def minimum_generators(graph: VisibilityGraph) -> CoverageReport:
     """Smallest vertex set whose closed visibility neighbourhoods cover the graph.
 
     Once per graph, sizes k are tried in increasing order with a loop over the
@@ -377,13 +355,13 @@ def minimum_generators(graph: VisibilityGraph) -> GeneratorSet:
     a minimum cover never holds two twins, since one of them could be dropped,
     and putting each member's smallest twin in its place keeps it a cover that
     is no later in that order; classes are numbered in order of their smallest
-    members, so the order of class sets and of their lifts agree.
+    members, so the order of class sets and of their lifts agree.  The
+    result is the cover's coverage report, from ``verify_generator_set``.
     """
-    n = graph.node_count
-    if not n:
+    if not graph.node_count:
         raise ValueError("graph has no dominating set")
     members, _ = graph._twin_quotient
-    return GeneratorSet(tuple(members[c][0] for c in graph._minimum_cover), frozenset(range(n)), n)
+    return verify_generator_set(graph, [members[c][0] for c in graph._minimum_cover])
 
 
 @dataclass(frozen=True)
@@ -396,7 +374,7 @@ class CoverageReport:
     complete: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "covered_count": self.running_totals[-1]}
 
 
 def verify_generator_set(graph: VisibilityGraph, members) -> CoverageReport:
@@ -406,21 +384,22 @@ def verify_generator_set(graph: VisibilityGraph, members) -> CoverageReport:
     lists how many nodes were newly covered at each step and whether the
     final union covers the whole graph.
     """
-    members = tuple(int(m) for m in members)
+    members = tuple(map(int, members))
     if not members:
         raise ValueError("generator list is empty")
+    n, masks = graph.node_count, graph.row_masks
     for m in members:
-        if not 0 <= m < graph.node_count:
-            raise ValueError(f"node index {m} out of range for {graph.node_count} nodes")
+        if not 0 <= m < n:
+            raise ValueError(f"node index {m} out of range for {n} nodes")
     covered = 0
     newly = []
     totals = []
     for m in members:
         before = covered.bit_count()
-        covered |= graph.row_masks[m] | 1 << m
+        covered |= masks[m] | 1 << m
         totals.append(covered.bit_count())
         newly.append(totals[-1] - before)
-    return CoverageReport(members, tuple(newly), tuple(totals), covered == (1 << graph.node_count) - 1)
+    return CoverageReport(members, tuple(newly), tuple(totals), covered == (1 << n) - 1)
 
 
 def segment(p: BehaviourPoint, q: BehaviourPoint, omega: float) -> BehaviourPoint:

@@ -374,6 +374,11 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
     ``dims`` gives the (left, right) factor dimensions; ``keep`` selects the
     surviving factor, "A" for the left and "B" for the right.
     """
+    # type() rather than isinstance: bool is a subclass of int.
+    if not isinstance(dims, (tuple, list)) or len(dims) != 2 or any(
+        type(d) is not int or d < 1 for d in dims
+    ):
+        raise ValueError(f"dims must be two integers >= 1, got {dims!r}")
     if dims[0] * dims[1] != rho.dim:
         raise ValueError(f"dims {dims} do not factor dimension {rho.dim}")
     if keep not in ("A", "B"):
@@ -540,10 +545,11 @@ def model_from_strategy(strategy: DeterministicStrategy) -> LhvModel:
     a = np.zeros((2, 1, 2))
     b = np.zeros((2, 1, 1, 2))
     c = np.zeros((2, 1, 2))
+    singles = strategy.singles
     for setting in (0, 1):
-        a[setting, 0, 1 - strategy.first.output(setting)] = 1.0
-        b[setting, 0, 0, 1 - strategy.middle.output(setting)] = 1.0
-        c[setting, 0, 1 - strategy.last.output(setting)] = 1.0
+        a[setting, 0, 1 - singles[setting]] = 1.0
+        b[setting, 0, 0, 1 - singles[2 + setting]] = 1.0
+        c[setting, 0, 1 - singles[4 + setting]] = 1.0
     return LhvModel(np.array([1.0]), np.array([1.0]), a, b, c)
 
 

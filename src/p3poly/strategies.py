@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -79,10 +79,10 @@ class ScenarioShape:
     d: int
 
     def __post_init__(self) -> None:
-        for field in ("n", "m", "d"):
-            value = getattr(self, field)
+        for name in ("n", "m", "d"):
+            value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
-                raise ValueError(f"scenario shape field {field} must be a positive integer")
+                raise ValueError(f"scenario shape field {name} must be a positive integer")
 
 
 FULL_SHAPE = ScenarioShape(3, 2, 2)
@@ -99,75 +99,35 @@ def _check_representation(representation: str) -> None:
 
 
 @dataclass(frozen=True)
-class WingStrategy:
-    """Response function of a single wing.
-
-    ``out0`` and ``out1`` are indicator bits for producing the flagged
-    outcome (the one tracked by behaviour coordinates) under settings 0 and
-    1; they are exactly the wing's vertex-table entries.  The canonical index
-    of a wing strategy is ``2 * out0 + out1``, so the four strategies
-    enumerate as (0,0), (0,1), (1,0), (1,1).
-    """
-
-    out0: int
-    out1: int
-
-    def __post_init__(self) -> None:
-        if self.out0 not in (0, 1) or self.out1 not in (0, 1):
-            raise ValueError("wing outputs must be bits")
-
-    @property
-    def index(self) -> int:
-        return 2 * self.out0 + self.out1
-
-    @classmethod
-    def from_index(cls, index: int) -> "WingStrategy":
-        if index not in (0, 1, 2, 3):
-            raise ValueError(f"wing strategy index must be in 0..3, got {index}")
-        return cls((index >> 1) & 1, index & 1)
-
-    def output(self, setting: int) -> int:
-        """Flagged-outcome indicator bit under the given setting."""
-        if setting not in (0, 1):
-            raise ValueError(f"setting must be 0 or 1, got {setting}")
-        return self.out0 if setting == 0 else self.out1
-
-
-@dataclass(frozen=True)
 class DeterministicStrategy:
-    """One deterministic strategy per wing: (first, middle, last).
+    """One deterministic response function per wing: (first, middle, last).
 
-    ``wing_indices`` holds the three wing indices as plain ints, computed once
-    at construction; it takes no part in equality, hashing or repr.
+    Each wing is an index w in 0..3 whose bits (w >> 1, w & 1) are the wing's
+    flagged-outcome indicators (the outcome behaviour coordinates track)
+    under settings 0 and 1, i.e. exactly its vertex-table entries; so the
+    four responses enumerate as (0, 0), (0, 1), (1, 0), (1, 1).
     """
 
-    first: WingStrategy
-    middle: WingStrategy
-    last: WingStrategy
-    wing_indices: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    first: int
+    middle: int
+    last: int
 
     def __post_init__(self) -> None:
-        wings = (self.first.index, self.middle.index, self.last.index)
-        object.__setattr__(self, "wing_indices", wings)
-
-    @classmethod
-    def from_indices(cls, i: int, j: int, k: int) -> "DeterministicStrategy":
-        return cls(WingStrategy.from_index(i), WingStrategy.from_index(j), WingStrategy.from_index(k))
+        for wing in (self.first, self.middle, self.last):
+            # type() rather than isinstance: bool is a subclass of int.
+            if type(wing) is not int or not 0 <= wing <= 3:
+                raise ValueError(f"wing index must be an int in 0..3, got {wing!r}")
 
     @property
     def index(self) -> int:
         """Row index in the canonical 64-row table."""
-        first, middle, last = self.wing_indices
-        return 16 * first + 4 * middle + last
+        return 16 * self.first + 4 * self.middle + self.last
 
     @property
     def singles(self) -> tuple[int, ...]:
         """Outputs as the singles block (a0, a1, b0, b1, c0, c1)."""
-        return (
-            self.first.out0, self.first.out1,
-            self.middle.out0, self.middle.out1,
-            self.last.out0, self.last.out1,
-        )
+        first, middle, last = self.first, self.middle, self.last
+        return (first >> 1, first & 1, middle >> 1, middle & 1, last >> 1, last & 1)
 
 
 def _validate_bits(name: str, values: tuple[int, ...], length: int) -> None:
@@ -349,14 +309,12 @@ def scenario_dimension(shape: ScenarioShape) -> int:
 
 
 # The strategies and both vertex tables, built once; every entry is frozen.
-_STRATEGIES = tuple(
-    DeterministicStrategy.from_indices(n // 16, (n // 4) % 4, n % 4) for n in range(64)
-)
+_STRATEGIES = tuple(DeterministicStrategy(n // 16, n // 4 % 4, n % 4) for n in range(64))
 _FULL_VERTICES = tuple(_full_vertex(s) for s in _STRATEGIES)
 # Marginalizing drops the middle wing, so the strategies with middle wing
 # index 0 give each reduced vertex once, already in order of its bits.
 _REDUCED_VERTICES = tuple(
-    marginalize(v) for s, v in zip(_STRATEGIES, _FULL_VERTICES) if s.middle.index == 0
+    marginalize(v) for s, v in zip(_STRATEGIES, _FULL_VERTICES) if s.middle == 0
 )
 _VERTEX_ROWS = {
     FULL_26: tuple(v.coords for v in _FULL_VERTICES),

@@ -119,6 +119,7 @@ def test_analyze_full(tmp_path):
     assert payload["apsp_max"] == 2
     assert len(payload["min_generators"]["members"]) == 4
     assert payload["min_generators"]["complete"] is True
+    assert payload["min_generators"]["covered_count"] == 64
     assert payload["generator_constructions"]["diagonal"]["newly_covered"] == [28, 20, 12, 4]
     assert payload["generator_constructions"]["same_row"]["newly_covered"] == [28, 12, 12, 12]
     assert payload["cliques"]["count"] == 8
@@ -149,12 +150,12 @@ STRUCTURAL_DIGESTS = {
     ("vertices", "full", "json"): "c8c0e2711218add96b864ecdf00743cb7d7168a7ec969f00517a3979fe05090d",
     ("graph", "full", "dot"): "815ff23bf93b51037fa9d753ceaf8be68537996dbe4340e12a6e17be8600149d",
     ("graph", "full", "json"): "6e182617017a6e6f26a88bc4971f3ff05a5106b2ed0ee710039e3d5ae218eed7",
-    ("analyze", "full", None): "2ab78f28afb6823d599c7947685e1cc606d5bdaec617c0f25c9faf10b55c8d76",
+    ("analyze", "full", None): "60cc542fbace52503d58daf69c65b4d7fba1646868c0900f0e73e8921aba6ce5",
     ("vertices", "reduced", "csv"): "149f3191a435ab907e57f205da5ecd17876e654c4eb0337ad504b17336cc414d",
     ("vertices", "reduced", "json"): "b57ed8831b1f8ba79f20d1911188f9a2c734edbaf9a609d1006f0f79faaa545f",
     ("graph", "reduced", "dot"): "22edb6ee2e519689e1eb43ad320df267749e2bd5b1e00ee301c46df4242fb005",
     ("graph", "reduced", "json"): "abadc6bc676aa38bcef825775a68354f4335323347f8e29f557bf0b95f195753",
-    ("analyze", "reduced", None): "d817d0a28c833d67ee4ca8ff615a1d4a0fcf56fe403b76048142d2477b810c38",
+    ("analyze", "reduced", None): "e3f5fc47ccfe35f4952c749b5e21ca5dd50a3a41a945f307c99d7900c640bcac",
 }
 
 

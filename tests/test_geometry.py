@@ -173,8 +173,8 @@ def test_minimum_generators_both_graphs():
         generators = ge.minimum_generators(graph)
         assert len(generators.members) == 4
         assert generators.complete
-        report = ge.verify_generator_set(graph, generators.members)
-        assert report.complete
+        assert generators.running_totals[-1] == graph.node_count
+        assert generators == ge.verify_generator_set(graph, generators.members)
 
 
 def test_no_size_three_dominating_set_reduced():
@@ -328,8 +328,17 @@ def test_generator_set_report_dicts():
     data = generators.to_json_dict()
     assert data["complete"] is True
     assert len(data["members"]) == 4
+    assert data["covered_count"] == 16
     report = ge.verify_generator_set(graph, (0, 5, 10, 15)).to_json_dict()
-    assert report["running_totals"][-1] == 16
+    assert report == {
+        "members": (0, 5, 10, 15),
+        "newly_covered": (7, 5, 3, 1),
+        "running_totals": (7, 12, 15, 16),
+        "complete": True,
+        "covered_count": 16,
+    }
+    partial = ge.verify_generator_set(graph, (0,)).to_json_dict()
+    assert (partial["covered_count"], partial["complete"]) == (7, False)
 
 
 # References: node-by-node walks over the rows of the adjacency matrix, which
@@ -578,9 +587,10 @@ def test_cliques_match_set_bron_kerbosch(adjacency):
 @oracle_settings
 @given(hs.lists(hs.integers(0, 63), max_size=150), hs.integers(0, 63))
 def test_classification_matches_pairwise_count(picks, index):
-    # Rebuilt strategies, so equality is by value and not by identity.
+    # Strategies built anew from the row index, so equality is by value and
+    # not by identity.
     listed = all_strategies()
-    strategies = [st.DeterministicStrategy.from_indices(*listed[k].wing_indices) for k in picks]
+    strategies = [st.DeterministicStrategy(k // 16, k // 4 % 4, k % 4) for k in picks]
     assert ge.classify_from(listed[index], strategies) == reference_classification(
         listed[index], strategies
     )

@@ -252,17 +252,17 @@ def test_lhv_vertex_equivalence_all_64():
 
 def test_lhv_mixture_lies_on_segment():
     # Mix two strategies sharing the first wing with weights (0.3, 0.7).
-    strategies = st.enumerate_strategies()
-    s1, s2 = strategies[21], strategies[23]
+    s1, s2 = st.DeterministicStrategy(1, 1, 1), st.DeterministicStrategy(1, 1, 3)
     assert s1.first == s2.first
     a = np.zeros((2, 1, 2))
     b = np.zeros((2, 1, 2, 2))
     c = np.zeros((2, 2, 2))
     for setting in (0, 1):
-        a[setting, 0, 1 - s1.first.output(setting)] = 1.0
+        # A wing index's bit for setting s is (index >> (1 - s)) & 1.
+        a[setting, 0, 1 - (s1.first >> (1 - setting) & 1)] = 1.0
         for lam, source in enumerate((s1, s2)):
-            b[setting, 0, lam, 1 - source.middle.output(setting)] = 1.0
-            c[setting, lam, 1 - source.last.output(setting)] = 1.0
+            b[setting, 0, lam, 1 - (source.middle >> (1 - setting) & 1)] = 1.0
+            c[setting, lam, 1 - (source.last >> (1 - setting) & 1)] = 1.0
     model = qu.LhvModel(np.array([1.0]), np.array([0.3, 0.7]), a, b, c)
     point = qu.collapse(qu.lhv_evaluate(model))
     p1 = st.behaviour_from_vertex(st.vertex_from_strategy(s1)).as_array()
@@ -312,6 +312,14 @@ def test_partial_trace():
         qu.partial_trace(bell(), (3, 2), "A")
     with pytest.raises(ValueError):
         qu.partial_trace(bell(), (2, 2), "C")
+
+
+@pytest.mark.parametrize("dims", [(-2, -2), (2.0, 2.0), (True, 4), (0, 4)])
+def test_partial_trace_rejects_dims_that_are_not_two_positive_ints(dims):
+    # (-2, -2) multiplies out to 4 and reached numpy's reshape; (2.0, 2.0)
+    # escaped as a TypeError; bool is not a dimension.
+    with pytest.raises(ValueError, match=r"^dims must be two integers >= 1"):
+        qu.partial_trace(bell(), dims, "A")
 
 
 def test_trace_distance_basic():
@@ -502,7 +510,7 @@ def test_no_signalling_detects_violation():
 def test_own_setting_dependence_is_not_signalling():
     # A deterministic strategy whose output changes with its own setting must
     # still pass the audit.
-    strategy = st.DeterministicStrategy.from_indices(1, 0, 2)
+    strategy = st.DeterministicStrategy(1, 0, 2)
     dist = qu.lhv_evaluate(qu.model_from_strategy(strategy))
     assert qu.no_signalling_check(dist)
 

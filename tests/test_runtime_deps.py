@@ -3,7 +3,7 @@ library, no layer for a bare ``import p3poly``, and for each CLI verb only the
 layers it uses, with numpy only for the verbs that compute with arrays (not
 for the vertex tables, the graph listings, the structural report, the
 projection, the point-mode test, nor a point file that is rejected).  Also the lazily filled ``p3poly`` namespace itself,
-and that every module-level import of a layer is used."""
+and that every module-level import of a layer is used and never shadowed."""
 
 import ast
 import json
@@ -162,8 +162,10 @@ def test_manifold_and_point_stats_run_without_numpy():
 def test_every_module_level_import_is_used(module):
     # Imports in the module body and in its top-level ``if`` blocks (the
     # TYPE_CHECKING ones), each by the name it binds; a use is any name node,
-    # annotations included.  The package ``__init__`` is not in this list: it
-    # binds its public names lazily.
+    # annotations included.  An imported name may not also be assigned (a loop
+    # or comprehension target included) or be a parameter: the shadowing
+    # name's own uses would count as uses of the import.  The package
+    # ``__init__`` is not in this list: it binds its public names lazily.
     tree = ast.parse(Path(import_module(f"p3poly.{module}").__file__).read_text())
     statements = [
         s for node in tree.body for s in [node, *(node.body if isinstance(node, ast.If) else [])]
@@ -176,6 +178,12 @@ def test_every_module_level_import_is_used(module):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(bound - used) == []
+    rebound = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+    } | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    assert sorted(bound & rebound) == []
 
 
 def test_public_names_resolve_to_their_home_layer():

@@ -12,11 +12,13 @@ Core claims pinned here:
   * Behaviour points and vertex tables survive a trip through their JSON and
     CSV text unchanged, and both exports reject an unknown representation.
   * Each export returns the same text on every call.
-  * The enumerations return fresh lists of shared frozen entries, and a
-    strategy's cached wing indices leave its equality, hash and repr alone.
+  * The enumerations return fresh lists of shared frozen entries.
+  * A strategy is its three wing indices: construction takes only ints in
+    0..3, and equality, hash and repr go by those values.
 """
 
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -41,14 +43,20 @@ def test_enumeration_count_and_order():
 
 
 def test_wing_strategy_index_roundtrip():
-    for index in range(4):
-        wing = st.WingStrategy.from_index(index)
-        assert wing.index == index
-        assert (wing.out0, wing.out1) == ((index >> 1) & 1, index & 1)
-    with pytest.raises(ValueError):
-        st.WingStrategy.from_index(4)
-    with pytest.raises(ValueError):
-        st.WingStrategy(0, 2)
+    # Row n has wings (n // 16, n // 4 % 4, n % 4), and wing index w holds the
+    # flagged-outcome bits (w >> 1, w & 1) under settings 0 and 1.
+    for n, strategy in enumerate(st.enumerate_strategies()):
+        wings = (n // 16, n // 4 % 4, n % 4)
+        assert (strategy.first, strategy.middle, strategy.last) == wings
+        assert st.DeterministicStrategy(*wings).index == n
+        assert strategy.singles == tuple(bit for w in wings for bit in ((w >> 1) & 1, w & 1))
+
+
+@pytest.mark.parametrize("wing", [4, -1, True, 1.0, "1"])
+def test_strategy_rejects_a_wing_that_is_not_an_int_in_0_to_3(wing):
+    for wings in ((wing, 0, 0), (0, wing, 0), (0, 0, wing)):
+        with pytest.raises(ValueError, match=r"^wing index must be an int in 0\.\.3"):
+            st.DeterministicStrategy(*wings)
 
 
 def test_full_table_bit_exact():
@@ -102,7 +110,7 @@ def test_marginalization_fibers():
 
 
 def test_marginalize_keeps_first_and_last_wing():
-    strategy = st.DeterministicStrategy.from_indices(2, 1, 1)  # singles (1,0,0,1,0,1)
+    strategy = st.DeterministicStrategy(2, 1, 1)  # singles (1,0,0,1,0,1)
     reduced = st.marginalize(st.vertex_from_strategy(strategy))
     assert reduced.coords == (1, 0, 0, 1, 0, 1, 0, 0)
 
@@ -256,18 +264,19 @@ def test_enumerations_return_fresh_lists():
         assert again == enumerate_table()
 
 
-def test_strategy_wing_indices_take_no_part_in_equality_or_repr():
-    strategy = st.DeterministicStrategy.from_indices(2, 1, 3)
-    assert strategy.wing_indices == (2, 1, 3)
+def test_strategy_equality_hash_and_repr_are_by_value():
+    strategy = st.DeterministicStrategy(2, 1, 3)
     assert strategy.index == 39
-    assert repr(strategy) == (
-        "DeterministicStrategy(first=WingStrategy(out0=1, out1=0), "
-        "middle=WingStrategy(out0=0, out1=1), last=WingStrategy(out0=1, out1=1))"
-    )
-    rebuilt = st.DeterministicStrategy(strategy.first, strategy.middle, strategy.last)
+    assert strategy.singles == (1, 0, 0, 1, 1, 1)
+    assert repr(strategy) == "DeterministicStrategy(first=2, middle=1, last=3)"
+    rebuilt = st.DeterministicStrategy(first=2, middle=1, last=3)
     assert rebuilt is not strategy
     assert rebuilt == strategy and hash(rebuilt) == hash(strategy)
-    assert rebuilt != st.DeterministicStrategy.from_indices(2, 0, 3)
+    assert rebuilt == st.enumerate_strategies()[39]
+    assert rebuilt != st.DeterministicStrategy(2, 0, 3)
+    assert len({strategy, rebuilt, st.DeterministicStrategy(2, 0, 3)}) == 2
+    with pytest.raises(FrozenInstanceError):
+        strategy.first = 0
 
 
 def test_behaviour_from_vertex():
@@ -282,8 +291,8 @@ def test_behaviour_from_vertex():
 def test_fuzz_strategy_roundtrip():
     rng = np.random.default_rng(42)
     for _ in range(200):
-        i, j, k = rng.integers(0, 4, size=3)
-        strategy = st.DeterministicStrategy.from_indices(int(i), int(j), int(k))
+        i, j, k = (int(w) for w in rng.integers(0, 4, size=3))
+        strategy = st.DeterministicStrategy(i, j, k)
         assert strategy.index == 16 * i + 4 * j + k
         vertex = st.vertex_from_strategy(strategy)
         assert vertex.singles == strategy.singles
