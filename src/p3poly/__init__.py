@@ -18,10 +18,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "strategies": (
         "FULL_26", "REDUCED_8", "FULL_SHAPE", "REDUCED_SHAPE", "BehaviourPoint",
-        "DeterministicStrategy", "ScenarioShape", "VertexFull", "VertexReduced",
-        "behaviour_from_vertex", "enumerate_reduced", "enumerate_strategies",
-        "hamming_histogram", "marginalize", "scenario_dimension", "vertex_from_strategy",
-        "vertices_csv", "vertices_json",
+        "DeterministicStrategy", "ScenarioShape", "behaviour_from_vertex",
+        "enumerate_reduced", "enumerate_strategies", "hamming_histogram",
+        "scenario_dimension", "vertex_from_strategy", "vertices_csv", "vertices_json",
     ),
     "geometry": (
         "CoverageReport", "VisibilityGraph", "VisibilityStatus", "all_pairs_shortest_paths",

@@ -35,8 +35,6 @@ from .strategies import (
     REDUCED_8,
     enumerate_strategies,
     hamming_histogram,
-    enumerate_reduced,
-    vertex_from_strategy,
     vertex_rows,
     vertices_csv,
     vertices_json,
@@ -214,11 +212,9 @@ def _cmd_analyze(args) -> str:
         per_vertex = [
             geometry.classify_from(s, strategies) for s in strategies
         ]
-        vertices = [vertex_from_strategy(s) for s in strategies]
     else:
-        vertices = enumerate_reduced()
         per_vertex = None
-    histogram = hamming_histogram(vertices)
+    histogram = hamming_histogram(vertex_rows(representation))
     payload = {
         "representation": representation,
         "node_count": graph.node_count,

@@ -192,12 +192,15 @@ class VisibilityGraph:
         return members, masks
 
     @cached_property
-    def _minimum_cover(self) -> tuple[int, ...]:
-        # The lexicographically first smallest cover of the quotient, as class
-        # indices; the empty graph's is the empty set.
-        _, masks = self._twin_quotient
+    def _minimum_generators(self) -> CoverageReport:
+        # The coverage report of the lexicographically first smallest cover of
+        # the quotient, each class lifted to its smallest member; callers rule
+        # out the empty graph, whose cover is empty.  The report is frozen and
+        # holds only tuples, so every caller can share it.
+        members, masks = self._twin_quotient
         covers = (_first_cover(masks, size) for size in range(len(masks) + 1))
-        return next(cover for cover in covers if cover is not None)
+        cover = next(cover for cover in covers if cover is not None)
+        return verify_generator_set(self, [members[c][0] for c in cover])
 
 
 def _bit_matrix(masks, width: int) -> np.ndarray:
@@ -335,11 +338,14 @@ def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
     and every later call reads.  The empty set covers only the empty graph,
     and no set has more than n nodes.
     """
+    # type() rather than isinstance: bool is a subclass of int.
+    if type(size) is not int:
+        raise ValueError(f"size must be an int, got {size!r}")
     if size < 0:
         raise ValueError("size must be non-negative")
     if not 1 <= size <= graph.node_count:
         return size == graph.node_count == 0
-    return size >= len(graph._minimum_cover)
+    return size >= len(graph._minimum_generators.members)
 
 
 def minimum_generators(graph: VisibilityGraph) -> CoverageReport:
@@ -356,12 +362,12 @@ def minimum_generators(graph: VisibilityGraph) -> CoverageReport:
     and putting each member's smallest twin in its place keeps it a cover that
     is no later in that order; classes are numbered in order of their smallest
     members, so the order of class sets and of their lifts agree.  The
-    result is the cover's coverage report, from ``verify_generator_set``.
+    result is the cover's coverage report, from ``verify_generator_set``,
+    built once per graph; every call returns the same report.
     """
     if not graph.node_count:
         raise ValueError("graph has no dominating set")
-    members, _ = graph._twin_quotient
-    return verify_generator_set(graph, [members[c][0] for c in graph._minimum_cover])
+    return graph._minimum_generators
 
 
 @dataclass(frozen=True)
@@ -384,11 +390,14 @@ def verify_generator_set(graph: VisibilityGraph, members) -> CoverageReport:
     lists how many nodes were newly covered at each step and whether the
     final union covers the whole graph.
     """
-    members = tuple(map(int, members))
+    members = tuple(members)
     if not members:
         raise ValueError("generator list is empty")
     n, masks = graph.node_count, graph.row_masks
     for m in members:
+        # type() rather than isinstance: bool is a subclass of int.
+        if type(m) is not int:
+            raise ValueError(f"node index must be an int, got {m!r}")
         if not 0 <= m < n:
             raise ValueError(f"node index {m} out of range for {n} nodes")
     covered = 0

@@ -353,8 +353,9 @@ def sample_behaviour(
     are reproducible), collapses the empirical distribution, and reports
     sqrt(p * (1 - p) / shots) per behaviour coordinate.
     """
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
+    # type() rather than isinstance: bool is a subclass of int.
+    if type(shots) is not int or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     if shots > 2**63 - 1:  # numpy's multinomial counts are int64
         raise ValueError(f"shots must be at most {2**63 - 1}")
     table = behaviour_from_state(rho, measurements, shape).table

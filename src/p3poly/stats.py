@@ -96,8 +96,8 @@ def gaussian_separability(
     """
     if p.representation != q.representation:
         raise ValueError("cannot compare points in different representations")
-    if sigma_d <= 0.0:
-        raise ValueError("sigma_d must be positive")
+    if not 0.0 < sigma_d < math.inf:
+        raise ValueError(f"sigma_d must be positive and finite, got {sigma_d!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     distance = math.dist(p.coords, q.coords)

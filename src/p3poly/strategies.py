@@ -88,7 +88,10 @@ class ScenarioShape:
 FULL_SHAPE = ScenarioShape(3, 2, 2)
 REDUCED_SHAPE = ScenarioShape(2, 2, 2)
 
-_REPRESENTATIONS = {FULL_26: (FULL_SHAPE, 26), REDUCED_8: (REDUCED_SHAPE, 8)}
+_REPRESENTATIONS = {
+    FULL_26: (FULL_SHAPE, FULL_COLUMN_NAMES),
+    REDUCED_8: (REDUCED_SHAPE, REDUCED_COLUMN_NAMES),
+}
 
 
 def _check_representation(representation: str) -> None:
@@ -130,54 +133,6 @@ class DeterministicStrategy:
         return (first >> 1, first & 1, middle >> 1, middle & 1, last >> 1, last & 1)
 
 
-def _validate_bits(name: str, values: tuple[int, ...], length: int) -> None:
-    if len(values) != length:
-        raise ValueError(f"{name} must have {length} entries, got {len(values)}")
-    if any(v not in (0, 1) for v in values):
-        raise ValueError(f"{name} entries must be bits")
-
-
-@dataclass(frozen=True)
-class VertexFull:
-    """Extreme point of the local set in the 26-coordinate representation.
-
-    Pair and triple entries are products of the corresponding single entries;
-    construction rejects inconsistent blocks.
-    """
-
-    singles: tuple[int, ...]
-    pairs: tuple[int, ...]
-    tris: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _validate_bits("singles", self.singles, 6)
-        _validate_bits("pairs", self.pairs, 12)
-        _validate_bits("tris", self.tris, 8)
-        if self.coords != _event_products(self.singles, FULL_26):
-            raise ValueError("pair or triple block is not the product of its single entries")
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.singles + self.pairs + self.tris
-
-
-@dataclass(frozen=True)
-class VertexReduced:
-    """Extreme point after discarding the middle wing: 8 coordinates
-    (a0, a1, c0, c1, a0c0, a0c1, a1c0, a1c1)."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _validate_bits("coords", self.coords, 8)
-        if self.coords != _event_products(self.singles, REDUCED_8):
-            raise ValueError("pair block is not the product of its single entries")
-
-    @property
-    def singles(self) -> tuple[int, ...]:
-        return self.coords[:4]
-
-
 @dataclass(frozen=True)
 class BehaviourPoint:
     """A point of the behaviour space: probabilities in one of the two
@@ -188,7 +143,7 @@ class BehaviourPoint:
 
     def __post_init__(self) -> None:
         _check_representation(self.representation)
-        width = _REPRESENTATIONS[self.representation][1]
+        width = len(_REPRESENTATIONS[self.representation][1])
         if len(self.coords) != width:
             raise ValueError(f"expected {width} coordinates, got {len(self.coords)}")
         cleaned = []
@@ -248,13 +203,13 @@ class BehaviourPoint:
         return cls(tuple(coords), representation)
 
 
-def behaviour_from_vertex(vertex) -> BehaviourPoint:
-    """Embed a vertex (full or reduced) as a behaviour point."""
-    if isinstance(vertex, VertexFull):
-        return BehaviourPoint.full(vertex.coords)
-    if isinstance(vertex, VertexReduced):
-        return BehaviourPoint.reduced(vertex.coords)
-    raise TypeError(f"expected a vertex, got {type(vertex).__name__}")
+def behaviour_from_vertex(row) -> BehaviourPoint:
+    """Embed a vertex row as a behaviour point; its width, 26 or 8, picks the
+    representation."""
+    for representation, (_, names) in _REPRESENTATIONS.items():
+        if len(row) == len(names):
+            return BehaviourPoint(tuple(row), representation)
+    raise ValueError(f"a vertex row has 26 or 8 entries, got {len(row)}")
 
 
 def enumerate_strategies() -> list[DeterministicStrategy]:
@@ -267,38 +222,26 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
     return list(_STRATEGIES)
 
 
-def _full_vertex(strategy: DeterministicStrategy) -> VertexFull:
-    coords = _event_products(strategy.singles, FULL_26)
-    return VertexFull(coords[:6], coords[6:18], coords[18:])
+def vertex_from_strategy(strategy: DeterministicStrategy) -> tuple[int, ...]:
+    """Map a deterministic strategy to its 26-coordinate extreme point, the
+    row of ``vertex_rows(FULL_26)`` at the strategy's index."""
+    return _VERTEX_ROWS[FULL_26][strategy.index]
 
 
-def vertex_from_strategy(strategy: DeterministicStrategy) -> VertexFull:
-    """Map a deterministic strategy to its 26-coordinate extreme point."""
-    return _FULL_VERTICES[strategy.index]
+def enumerate_reduced() -> list[tuple[int, ...]]:
+    """The 16 distinct reduced vertex rows, ordered by their (a0, a1, c0, c1)
+    bits; ``vertex_rows(REDUCED_8)``, a new list on every call."""
+    return vertex_rows(REDUCED_8)
 
 
-def marginalize(vertex: VertexFull) -> VertexReduced:
-    """Drop the middle wing: keep (a0, a1, c0, c1) and the first/last pairs."""
-    s = vertex.singles
-    return VertexReduced(_event_products(s[:2] + s[4:], REDUCED_8))
-
-
-def enumerate_reduced() -> list[VertexReduced]:
-    """The 16 distinct reduced vertices, ordered by their (a0, a1, c0, c1) bits.
-
-    The list is new on every call; the frozen vertices in it are shared.
-    """
-    return list(_REDUCED_VERTICES)
-
-
-def hamming_histogram(vertices) -> dict[int, int]:
-    """Histogram of Hamming weights (number of 1-entries) over a vertex list."""
-    vertices = list(vertices)
-    if not vertices:
+def hamming_histogram(rows) -> dict[int, int]:
+    """Histogram of Hamming weights (number of 1-entries) over vertex rows."""
+    rows = list(rows)
+    if not rows:
         raise ValueError("no vertices to histogram")
     histogram: dict[int, int] = {}
-    for vertex in vertices:
-        weight = int(sum(vertex.coords))
+    for row in rows:
+        weight = sum(row)
         histogram[weight] = histogram.get(weight, 0) + 1
     return histogram
 
@@ -308,17 +251,17 @@ def scenario_dimension(shape: ScenarioShape) -> int:
     return ((shape.d - 1) * shape.m + 1) ** shape.n - 1
 
 
-# The strategies and both vertex tables, built once; every entry is frozen.
+# The strategies and both vertex tables, built once; a vertex is a tuple of
+# 0/1 ints.  A reduced vertex drops the middle wing, so the strategies with
+# middle wing index 0 give each one once, already in order of its bits.
 _STRATEGIES = tuple(DeterministicStrategy(n // 16, n // 4 % 4, n % 4) for n in range(64))
-_FULL_VERTICES = tuple(_full_vertex(s) for s in _STRATEGIES)
-# Marginalizing drops the middle wing, so the strategies with middle wing
-# index 0 give each reduced vertex once, already in order of its bits.
-_REDUCED_VERTICES = tuple(
-    marginalize(v) for s, v in zip(_STRATEGIES, _FULL_VERTICES) if s.middle == 0
-)
 _VERTEX_ROWS = {
-    FULL_26: tuple(v.coords for v in _FULL_VERTICES),
-    REDUCED_8: tuple(v.coords for v in _REDUCED_VERTICES),
+    FULL_26: tuple(_event_products(s.singles, FULL_26) for s in _STRATEGIES),
+    REDUCED_8: tuple(
+        _event_products(s.singles[:2] + s.singles[4:], REDUCED_8)
+        for s in _STRATEGIES
+        if s.middle == 0
+    ),
 }
 
 
@@ -330,7 +273,7 @@ def vertex_rows(representation: str) -> list[tuple[int, ...]]:
 
 def column_names(representation: str) -> tuple[str, ...]:
     _check_representation(representation)
-    return FULL_COLUMN_NAMES if representation == FULL_26 else REDUCED_COLUMN_NAMES
+    return _REPRESENTATIONS[representation][1]
 
 
 def vertices_csv(representation: str) -> str:

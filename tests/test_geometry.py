@@ -17,7 +17,10 @@ Core claims pinned here:
     empty graph the empty set is the only cover.
   * build_visibility_graph returns one shared graph per representation, and
     a graph runs its minimum-cover search once, whichever of
-    minimum_generators and has_dominating_set asks first.
+    minimum_generators and has_dominating_set asks first; every call to
+    minimum_generators returns the same report.
+  * Node indices and dominating-set sizes must be ints: floats, strings and
+    bools are rejected, not truncated.
   * The full graph's closed-twin quotient is the reduced graph, and the
     generator and clique searches on the quotient agree with those
     references on generated graphs with planted twins.
@@ -28,6 +31,7 @@ Core claims pinned here:
     of their own.
 """
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -207,7 +211,7 @@ def test_cover_search_runs_once_per_graph(monkeypatch, representation):
     assert search == sorted(set(search)) and len(generators.members) == 4
     for size in range(graph.node_count + 2):
         ge.has_dominating_set(graph, size)
-    assert ge.minimum_generators(graph).members == generators.members
+    assert ge.minimum_generators(graph) is generators
     assert sizes == search
     # On a fresh graph, the dominating-set question alone runs the same search.
     fresh = ge.VisibilityGraph(masks)
@@ -256,6 +260,18 @@ def test_coverage_errors():
         ge.verify_generator_set(graph, ())
     with pytest.raises(ValueError):
         ge.verify_generator_set(graph, (0, 16))
+    # Not truncated to (0, 5, 10, 1): the first member that is not an int is named.
+    with pytest.raises(ValueError, match=r"^node index must be an int, got 0\.9$"):
+        ge.verify_generator_set(graph, [0.9, 5.5, "10", True])
+
+
+@pytest.mark.parametrize("bad", [0.9, 5.5, 2.0, 2.5, "10", True, False, None, np.int64(1)])
+def test_node_indices_and_sizes_must_be_ints(bad):
+    graph = ge.build_visibility_graph(st.REDUCED_8)
+    with pytest.raises(ValueError, match=f"^node index must be an int, got {re.escape(repr(bad))}$"):
+        ge.verify_generator_set(graph, [0, bad, 1])
+    with pytest.raises(ValueError, match=f"^size must be an int, got {re.escape(repr(bad))}$"):
+        ge.has_dominating_set(graph, bad)
 
 
 def test_segment_endpoints_and_midpoint():

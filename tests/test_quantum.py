@@ -25,10 +25,12 @@ Core claims pinned here:
     tables from random product measurements are normalized and pass it.
   * behaviour_bound_check, computed once on rho - sigma, matches the chain
     built per state from the public functions to 1e-12; sample_behaviour is
-    bit-identical to collapsing the validated empirical distribution.
+    bit-identical to collapsing the validated empirical distribution, and
+    takes only a positive int shot count.
 """
 
 import json
+import re
 from itertools import product
 
 import numpy as np
@@ -473,6 +475,15 @@ def test_sample_behaviour_determinism_and_concentration():
     assert (np.abs(point1.as_array() - exact) <= 5 * exact_errors).all()
     with pytest.raises(ValueError):
         qu.sample_behaviour(rho, measurements, shape, 0)
+
+
+@pytest.mark.parametrize("shots", [1.5, 2.0, True, "10", np.int64(10)])
+def test_sample_behaviour_rejects_shots_that_are_not_ints(shots):
+    # A fractional count would divide whole draws by it, so the coordinates
+    # would not be probabilities.
+    rho, measurements, shape = qu.qkd_scenario("honest")
+    with pytest.raises(ValueError, match=f"^shots must be a positive integer, got {re.escape(repr(shots))}$"):
+        qu.sample_behaviour(rho, measurements, shape, shots)
 
 
 def test_sample_behaviour_zero_error_for_deterministic_coordinate():

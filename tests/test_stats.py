@@ -5,7 +5,7 @@ Core claims pinned here:
     sigma.
   * distance_sigma(P_B, 5%) equals the frozen oracle 0.0637...
   * gaussian_separability separates P_U from P_B at z ~ 5.5 and is monotone
-    in distance.
+    in distance; its sigma_d must be positive and finite.
   * Welch t and KS implementations agree with scipy oracles; the Welch t
     p-value is the same at every sample scale from 1e-300 to 1e300.
   * norms obeys l2 <= l1 and reproduces (0.5, sqrt(0.125)) on V.
@@ -108,9 +108,13 @@ def test_gaussian_separability_monotone_in_distance():
         previous = report.p_value
 
 
+@pytest.mark.parametrize("sigma_d", [0.0, -0.05, math.nan, math.inf, -math.inf])
+def test_gaussian_separability_rejects_sigma_d_that_is_not_positive_and_finite(sigma_d):
+    with pytest.raises(ValueError, match="^sigma_d must be positive and finite, got "):
+        sta.gaussian_separability(pb(), pu(), sigma_d)
+
+
 def test_gaussian_separability_validation():
-    with pytest.raises(ValueError):
-        sta.gaussian_separability(pb(), pu(), 0.0)
     with pytest.raises(ValueError):
         sta.gaussian_separability(pb(), pu(), 0.05, alpha=1.5)
     with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ Core claims pinned here:
   * 64 deterministic strategies in canonical order; the singles block counts
     up in binary.
   * Full 64x26 and reduced 16x8 tables match the frozen reference tables
-    bit-exactly, including row and column order.
-  * Marginalization fibers have size exactly 4 and cover all 16 reduced
-    vertices.
+    bit-exactly, including row and column order; a vertex is a tuple of 0/1
+    Python ints, so the JSON and CSV exports print the same bits.
+  * Each reduced row is a full row's first/last-wing columns; these fibers
+    have size exactly 4 and cover all 16 reduced vertices.
   * Hamming-weight histogram matches the frozen reference.
   * Behaviour-space dimension formula gives 26 and 8 for the two scenarios.
   * Behaviour points and vertex tables survive a trip through their JSON and
@@ -19,6 +20,7 @@ Core claims pinned here:
 
 import json
 from dataclasses import FrozenInstanceError
+from itertools import product
 
 import numpy as np
 import pytest
@@ -62,6 +64,7 @@ def test_strategy_rejects_a_wing_that_is_not_an_int_in_0_to_3(wing):
 def test_full_table_bit_exact():
     rows = st.vertex_rows(st.FULL_26)
     assert rows == [tuple(row) for row in FULL_TABLE]
+    assert all(type(row) is tuple and all(type(b) is int for b in row) for row in rows)
     # Each call hands out a fresh list, so a caller's edit does not reach the table.
     rows.clear()
     assert st.vertex_rows(st.FULL_26) == [tuple(row) for row in FULL_TABLE]
@@ -70,6 +73,7 @@ def test_full_table_bit_exact():
 def test_reduced_table_bit_exact():
     rows = st.vertex_rows(st.REDUCED_8)
     assert rows == [tuple(row) for row in REDUCED_TABLE]
+    assert all(type(row) is tuple and all(type(b) is int for b in row) for row in rows)
     # Each call hands out a fresh list, so a caller's edit does not reach the table.
     rows.clear()
     assert st.vertex_rows(st.REDUCED_8) == [tuple(row) for row in REDUCED_TABLE]
@@ -77,51 +81,65 @@ def test_reduced_table_bit_exact():
 
 def test_vertex_blocks_are_products():
     for strategy in st.enumerate_strategies():
-        vertex = st.vertex_from_strategy(strategy)
-        a0, a1, b0, b1, c0, c1 = vertex.singles
+        row = st.vertex_from_strategy(strategy)
+        a0, a1, b0, b1, c0, c1 = row[:6]
         expected_pairs = (
             a0 * b0, a0 * b1, a1 * b0, a1 * b1,
             a0 * c0, a0 * c1, a1 * c0, a1 * c1,
             b0 * c0, b0 * c1, b1 * c0, b1 * c1,
         )
-        assert vertex.pairs == expected_pairs
+        assert row[6:18] == expected_pairs
         expected_tris = tuple(
             a * b * c for a in (a0, a1) for b in (b0, b1) for c in (c0, c1)
         )
-        assert vertex.tris == expected_tris
+        assert row[18:] == expected_tris
 
 
 def test_vertex_validation_rejects_inconsistent_blocks():
+    # Each table holds one row per assignment of its singles, and every other
+    # entry of a row is the product of the singles its column name lists; so
+    # a row with an inconsistent block is no vertex.
+    for representation, width in ((st.FULL_26, 6), (st.REDUCED_8, 4)):
+        rows = st.vertex_rows(representation)
+        assert sorted(row[:width] for row in rows) == list(product((0, 1), repeat=width))
+        for row in rows:
+            bits = dict(zip(st.column_names(representation), row))
+            for name, bit in bits.items():
+                assert bit == min(bits[name[i : i + 2]] for i in range(0, len(name), 2))
     good = st.vertex_from_strategy(st.enumerate_strategies()[63])
-    with pytest.raises(ValueError):
-        st.VertexFull(good.singles, tuple(1 - b for b in good.pairs), good.tris)
-    with pytest.raises(ValueError):
-        st.VertexReduced((1, 0, 1, 0, 0, 0, 0, 0))
+    assert good[:6] + tuple(1 - b for b in good[6:18]) + good[18:] not in st.vertex_rows(st.FULL_26)
+    assert (1, 0, 1, 0, 0, 0, 0, 0) not in st.vertex_rows(st.REDUCED_8)
 
 
 def test_marginalization_fibers():
+    # A reduced row is the full row's columns at the reduced column names.
+    positions = [st.FULL_COLUMN_NAMES.index(name) for name in st.REDUCED_COLUMN_NAMES]
     fibers: dict[tuple[int, ...], int] = {}
-    for strategy in st.enumerate_strategies():
-        reduced = st.marginalize(st.vertex_from_strategy(strategy))
-        fibers[reduced.coords] = fibers.get(reduced.coords, 0) + 1
+    for row in st.vertex_rows(st.FULL_26):
+        reduced = tuple(row[i] for i in positions)
+        fibers[reduced] = fibers.get(reduced, 0) + 1
     assert len(fibers) == 16
     assert set(fibers.values()) == {4}
-    assert sorted(fibers) == [tuple(row) for row in REDUCED_TABLE]
+    assert sorted(fibers) == st.vertex_rows(st.REDUCED_8) == [tuple(row) for row in REDUCED_TABLE]
 
 
 def test_marginalize_keeps_first_and_last_wing():
     strategy = st.DeterministicStrategy(2, 1, 1)  # singles (1,0,0,1,0,1)
-    reduced = st.marginalize(st.vertex_from_strategy(strategy))
-    assert reduced.coords == (1, 0, 0, 1, 0, 1, 0, 0)
+    row = st.vertex_from_strategy(strategy)
+    reduced = tuple(row[st.FULL_COLUMN_NAMES.index(name)] for name in st.REDUCED_COLUMN_NAMES)
+    assert reduced == (1, 0, 0, 1, 0, 1, 0, 0)
+    # The reduced table is ordered by the first and last wing indices.
+    assert st.enumerate_reduced()[4 * strategy.first + strategy.last] == reduced
 
 
 def test_enumerate_reduced_ordering():
     reduced = st.enumerate_reduced()
+    assert reduced == st.vertex_rows(st.REDUCED_8)
     assert len(reduced) == 16
-    singles = [v.singles for v in reduced]
+    singles = [row[:4] for row in reduced]
     assert singles == sorted(singles)
-    assert reduced[0].coords == (0,) * 8
-    assert reduced[-1].coords == (1,) * 8
+    assert reduced[0] == (0,) * 8
+    assert reduced[-1] == (1,) * 8
 
 
 def test_hamming_histogram():
@@ -280,11 +298,15 @@ def test_strategy_equality_hash_and_repr_are_by_value():
 
 
 def test_behaviour_from_vertex():
-    vertex = st.vertex_from_strategy(st.enumerate_strategies()[21])
-    point = st.behaviour_from_vertex(vertex)
+    row = st.vertex_from_strategy(st.enumerate_strategies()[21])
+    point = st.behaviour_from_vertex(row)
     assert point.representation == st.FULL_26
-    assert point.coords == tuple(float(b) for b in vertex.coords)
-    with pytest.raises(TypeError):
+    assert point.coords == tuple(float(b) for b in row)
+    reduced = st.enumerate_reduced()[9]
+    point = st.behaviour_from_vertex(reduced)
+    assert point.representation == st.REDUCED_8
+    assert point.coords == tuple(float(b) for b in reduced)
+    with pytest.raises(ValueError, match="^a vertex row has 26 or 8 entries, got 2$"):
         st.behaviour_from_vertex((0, 1))
 
 
@@ -294,6 +316,7 @@ def test_fuzz_strategy_roundtrip():
         i, j, k = (int(w) for w in rng.integers(0, 4, size=3))
         strategy = st.DeterministicStrategy(i, j, k)
         assert strategy.index == 16 * i + 4 * j + k
-        vertex = st.vertex_from_strategy(strategy)
-        assert vertex.singles == strategy.singles
-        assert len(vertex.coords) == 26
+        row = st.vertex_from_strategy(strategy)
+        assert row[:6] == strategy.singles
+        assert len(row) == 26
+        assert row == st.vertex_rows(st.FULL_26)[strategy.index]
