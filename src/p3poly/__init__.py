@@ -20,7 +20,7 @@ _EXPORTS = {
         "FULL_26", "REDUCED_8", "FULL_SHAPE", "REDUCED_SHAPE", "BehaviourPoint",
         "DeterministicStrategy", "ScenarioShape", "behaviour_from_vertex",
         "enumerate_reduced", "enumerate_strategies", "hamming_histogram",
-        "scenario_dimension", "vertex_from_strategy", "vertices_csv", "vertices_json",
+        "vertex_from_strategy", "vertices_csv", "vertices_json",
     ),
     "geometry": (
         "CoverageReport", "VisibilityGraph", "VisibilityStatus", "all_pairs_shortest_paths",
@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "manifold": (
         "ManifoldParams", "ProjectionResult", "embed", "normalized_score",
-        "on_manifold", "project", "projection_gradient", "projection_objective",
+        "project", "projection_gradient", "projection_objective",
     ),
     "stats": (
         "NoiseSpec", "Norms", "TestReport", "distance_sigma", "gaussian_separability",

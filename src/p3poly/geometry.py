@@ -41,6 +41,7 @@ from .strategies import (
     DeterministicStrategy,
     FULL_26,
     REDUCED_8,
+    _check_int,
     _check_representation,
 )
 
@@ -126,10 +127,7 @@ class VisibilityGraph:
         masks = tuple(self.row_masks)
         n = len(masks)
         for node, mask in enumerate(masks):
-            if type(mask) is not int:
-                raise ValueError("row masks must be ints")
-            if not 0 <= mask < 1 << n:
-                raise ValueError(f"row masks must name nodes of the {n}-node graph only")
+            _check_int("row mask", mask, 0, (1 << n) - 1)
             if mask >> node & 1:
                 raise ValueError("visibility graph has no self-loops")
         if any(not masks[j] >> i & 1 for i, mask in enumerate(masks) for j in _bits(mask)):
@@ -338,11 +336,7 @@ def has_dominating_set(graph: VisibilityGraph, size: int) -> bool:
     and every later call reads.  The empty set covers only the empty graph,
     and no set has more than n nodes.
     """
-    # type() rather than isinstance: bool is a subclass of int.
-    if type(size) is not int:
-        raise ValueError(f"size must be an int, got {size!r}")
-    if size < 0:
-        raise ValueError("size must be non-negative")
+    _check_int("size", size, 0)
     if not 1 <= size <= graph.node_count:
         return size == graph.node_count == 0
     return size >= len(graph._minimum_generators.members)
@@ -395,11 +389,7 @@ def verify_generator_set(graph: VisibilityGraph, members) -> CoverageReport:
         raise ValueError("generator list is empty")
     n, masks = graph.node_count, graph.row_masks
     for m in members:
-        # type() rather than isinstance: bool is a subclass of int.
-        if type(m) is not int:
-            raise ValueError(f"node index must be an int, got {m!r}")
-        if not 0 <= m < n:
-            raise ValueError(f"node index {m} out of range for {n} nodes")
+        _check_int("node index", m, 0, n - 1)
     covered = 0
     newly = []
     totals = []

@@ -76,14 +76,6 @@ def embed(params: ManifoldParams) -> BehaviourPoint:
     return BehaviourPoint.reduced(_embed(astuple(params)))
 
 
-def on_manifold(point: BehaviourPoint) -> bool:
-    """Whether every composite coordinate equals the product of its marginals, to 1e-9."""
-    if point.representation != REDUCED_8:
-        raise ValueError("manifold membership is defined for reduced-8 points")
-    coords = point.coords
-    return all(abs(e - v) <= 1e-9 for e, v in zip(_embed(coords[:4]), coords))
-
-
 def _residual(x, target) -> tuple:
     return tuple(e - t for e, t in zip(_embed(x), target))
 

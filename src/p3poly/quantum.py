@@ -33,6 +33,7 @@ from .strategies import (
     FULL_SHAPE,
     REDUCED_SHAPE,
     ScenarioShape,
+    _check_int,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -111,11 +112,9 @@ class DensityMatrix:
         re, im = tables["re"], tables["im"]
         if re.shape != im.shape:
             raise ValueError("real and imaginary parts differ in shape")
-        if isinstance(dim, bool) or not isinstance(dim, int) or re.shape != (dim, dim):
-            raise ValueError(
-                f"density matrix 'dim' must be an integer equal to the side of 're' "
-                f"(shape {re.shape}), got {dim!r}"
-            )
+        _check_int("density matrix 'dim'", dim, 1)
+        if re.shape != (dim, dim):
+            raise ValueError(f"density matrix 'dim' must equal the side of 're' {re.shape}, got {dim}")
         return cls(re + 1j * im)
 
 
@@ -210,8 +209,7 @@ def zx_qubit_measurements(parties: int) -> MeasurementSet:
     Setting 0 measures in the computational (Z) basis, setting 1 in the
     Hadamard (X) basis; outcome 0 is the +1 eigenvector in both cases.
     """
-    if parties < 1:
-        raise ValueError("need at least one party")
+    _check_int("parties", parties, 1)
     return MeasurementSet((_ZX,) * parties)
 
 
@@ -353,11 +351,8 @@ def sample_behaviour(
     are reproducible), collapses the empirical distribution, and reports
     sqrt(p * (1 - p) / shots) per behaviour coordinate.
     """
-    # type() rather than isinstance: bool is a subclass of int.
-    if type(shots) is not int or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    if shots > 2**63 - 1:  # numpy's multinomial counts are int64
-        raise ValueError(f"shots must be at most {2**63 - 1}")
+    _check_int("shots", shots, 1, 2**63 - 1)  # numpy's multinomial counts are int64
+    _check_int("seed", seed, 0)
     table = behaviour_from_state(rho, measurements, shape).table
     probs = table.reshape(shape.m**shape.n, shape.d**shape.n)
     rng = np.random.default_rng(seed)
@@ -375,11 +370,10 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
     ``dims`` gives the (left, right) factor dimensions; ``keep`` selects the
     surviving factor, "A" for the left and "B" for the right.
     """
-    # type() rather than isinstance: bool is a subclass of int.
-    if not isinstance(dims, (tuple, list)) or len(dims) != 2 or any(
-        type(d) is not int or d < 1 for d in dims
-    ):
-        raise ValueError(f"dims must be two integers >= 1, got {dims!r}")
+    if not isinstance(dims, (tuple, list)) or len(dims) != 2:
+        raise ValueError(f"dims must be a pair, got {dims!r}")
+    for d in dims:
+        _check_int("dims entry", d, 1)
     if dims[0] * dims[1] != rho.dim:
         raise ValueError(f"dims {dims} do not factor dimension {rho.dim}")
     if keep not in ("A", "B"):
@@ -686,6 +680,7 @@ def behaviour_bound_check(rho: DensityMatrix, sigma: DensityMatrix) -> BoundRepo
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Haar-ish random full-rank state: normalized G G+ with Gaussian G."""
+    _check_int("dim", dim, 1)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .strategies import BehaviourPoint
+from .strategies import BehaviourPoint, _check_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,6 +31,9 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma}")
+        _check_int("seed", self.seed, 0)
+        if type(self.absolute) is not bool:
+            raise ValueError(f"absolute must be a bool, got {self.absolute!r}")
 
 
 def _scales(coords: tuple[float, ...], noise: NoiseSpec) -> tuple[float, ...]:
@@ -146,6 +149,9 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
+    for name, value in (("a", a), ("b", b), ("x", x)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")
     if x < 0.0 or x > 1.0:
@@ -168,6 +174,8 @@ def _finite_samples(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise ValueError("two-sample tests need one-dimensional samples")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("two-sample tests need finite samples")
     return xs, ys

@@ -63,6 +63,15 @@ _EVENT_MASKS = {
 }
 
 
+def _check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int in low..high (no upper bound
+    when ``high`` is None)."""
+    # type() rather than isinstance: bool is a subclass of int.
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
+
+
 def _event_products(singles: tuple[int, ...], representation: str) -> tuple[int, ...]:
     # Coordinates of a deterministic behaviour.  Its singles are bits, so a column's
     # product is 1 exactly when its mask is all set in word: (word & mask) // mask.
@@ -80,9 +89,7 @@ class ScenarioShape:
 
     def __post_init__(self) -> None:
         for name in ("n", "m", "d"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"scenario shape field {name} must be a positive integer")
+            _check_int(f"scenario shape field {name}", getattr(self, name), 1)
 
 
 FULL_SHAPE = ScenarioShape(3, 2, 2)
@@ -117,9 +124,7 @@ class DeterministicStrategy:
 
     def __post_init__(self) -> None:
         for wing in (self.first, self.middle, self.last):
-            # type() rather than isinstance: bool is a subclass of int.
-            if type(wing) is not int or not 0 <= wing <= 3:
-                raise ValueError(f"wing index must be an int in 0..3, got {wing!r}")
+            _check_int("wing index", wing, 0, 3)
 
     @property
     def index(self) -> int:
@@ -142,12 +147,19 @@ class BehaviourPoint:
     representation: str
 
     def __post_init__(self) -> None:
+        # Imported here, like numpy elsewhere: the vertex and graph verbs build no point.
+        from numbers import Real
+
         _check_representation(self.representation)
         width = len(_REPRESENTATIONS[self.representation][1])
         if len(self.coords) != width:
             raise ValueError(f"expected {width} coordinates, got {len(self.coords)}")
         cleaned = []
         for x in self.coords:
+            # float() would also read a string or bytes, and bool is an int; the
+            # float test skips the slower ABC check for the usual coordinate.
+            if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, Real)):
+                raise ValueError(f"coordinate {x!r} is not a real number")
             try:
                 x = float(x)
             except OverflowError:
@@ -197,8 +209,8 @@ class BehaviourPoint:
         except (KeyError, TypeError):
             raise ValueError("behaviour point JSON needs 'representation' and 'coords'")
         _check_representation(representation)
-        # A string would iterate as digits, and bool is a subclass of int.
-        if not isinstance(coords, list) or not all(type(x) in (int, float) for x in coords):
+        # A string would iterate as digits.
+        if not isinstance(coords, list):
             raise ValueError("behaviour point 'coords' must be a list of numbers")
         return cls(tuple(coords), representation)
 
@@ -244,11 +256,6 @@ def hamming_histogram(rows) -> dict[int, int]:
         weight = sum(row)
         histogram[weight] = histogram.get(weight, 0) + 1
     return histogram
-
-
-def scenario_dimension(shape: ScenarioShape) -> int:
-    """Dimension of the behaviour space for a uniform (n, m, d) scenario."""
-    return ((shape.d - 1) * shape.m + 1) ** shape.n - 1
 
 
 # The strategies and both vertex tables, built once; a vertex is a tuple of

@@ -484,7 +484,7 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, ob
         ),
         pytest.param(
             ["simulate", "--kind", "honest", "--shots", str(2**63)],
-            "shots must be at most 9223372036854775807",
+            "shots must be an int in 1..9223372036854775807, got 9223372036854775808",
             id="simulate-shots-above-int64",
         ),
         pytest.param(
@@ -571,7 +571,8 @@ _MALFORMED_FILES = {
         "deep-nesting": (_DEEP, _TOO_DEEP),
         "coords5": (_point(5), "'coords' must be a list"),
         "coords-str": (_point("00000000"), "'coords' must be a list"),
-        "coords-bool": (_point([True, False] * 4), "'coords' must be a list"),
+        "coords-bool": (_point([True, False] * 4), "coordinate True is not a real number"),
+        "coords-strings": (_point(["0.5"] * 8), "coordinate '0.5' is not a real number"),
         "coords-short": (_point([0.5] * 7), "expected 8 coordinates"),
         "coords-above-one": (_point([2.0] * 8), "outside [0, 1]"),
         "rep-unknown": (_point([0] * 8, "bogus"), "unknown representation"),
@@ -593,12 +594,12 @@ _MALFORMED_FILES = {
         "not-json": ("{not json", "not valid JSON"),
         "list": ("[]", "does not contain a density matrix"),
         "no-im": (json.dumps({"dim": 4, "re": _BELL["re"]}), "needs 'dim' and the 're' and 'im'"),
-        "dim-null": (json.dumps({**_BELL, "dim": None}), "'dim' must be an integer"),
-        "dim-wrong": (json.dumps({**_BELL, "dim": 3}), "'dim' must be an integer"),
-        "dim-object": (json.dumps({**_BELL, "dim": {}}), "'dim' must be an integer"),
-        "dim-string": (json.dumps({**_BELL, "dim": "x"}), "'dim' must be an integer"),
-        "dim-true": (json.dumps({**_BELL, "dim": True}), "'dim' must be an integer"),
-        "dim-float": (json.dumps({**_BELL, "dim": 4.0}), "'dim' must be an integer"),
+        "dim-null": (json.dumps({**_BELL, "dim": None}), "'dim' must be an int >= 1, got None"),
+        "dim-wrong": (json.dumps({**_BELL, "dim": 3}), "'dim' must equal the side of 're' (4, 4), got 3"),
+        "dim-object": (json.dumps({**_BELL, "dim": {}}), "'dim' must be an int >= 1, got {}"),
+        "dim-string": (json.dumps({**_BELL, "dim": "x"}), "'dim' must be an int >= 1, got 'x'"),
+        "dim-true": (json.dumps({**_BELL, "dim": True}), "'dim' must be an int >= 1, got True"),
+        "dim-float": (json.dumps({**_BELL, "dim": 4.0}), "'dim' must be an int >= 1, got 4.0"),
         "re-booleans": (json.dumps({**_BELL, "re": [[True] * 4] * 4}), "'re' must be a list"),
         "re-strings": (json.dumps({**_BELL, "re": [["0.25"] * 4] * 4}), "'re' must be a list"),
         "re-flat": (json.dumps({**_BELL, "re": [0.25] * 16}), "'re' must be a list"),

@@ -122,11 +122,6 @@ def test_graph_validation():
         ((0b110, 0b001, 0b000), "symmetric"),
         ((0b110, 0b001, 0b001), None),
         ((0b01, 0b00), "self-loops"),
-        ((0b100, 0b000), "nodes of the 2-node graph"),
-        ((-1, 0), "nodes of the 2-node graph"),
-        ((True, False), "must be ints"),
-        ((2.0, 1), "must be ints"),
-        ((np.int64(2), 1), "must be ints"),
     ],
 )
 def test_graph_validates_its_row_masks(masks, message):
@@ -185,7 +180,7 @@ def test_no_size_three_dominating_set_reduced():
     graph = ge.build_visibility_graph(st.REDUCED_8)
     assert not ge.has_dominating_set(graph, 3)
     assert ge.has_dominating_set(graph, 4)
-    with pytest.raises(ValueError, match="size must be non-negative"):
+    with pytest.raises(ValueError, match=r"^size must be an int >= 0, got -1$"):
         ge.has_dominating_set(graph, -1)
 
 
@@ -261,16 +256,16 @@ def test_coverage_errors():
     with pytest.raises(ValueError):
         ge.verify_generator_set(graph, (0, 16))
     # Not truncated to (0, 5, 10, 1): the first member that is not an int is named.
-    with pytest.raises(ValueError, match=r"^node index must be an int, got 0\.9$"):
+    with pytest.raises(ValueError, match=r"^node index must be an int in 0\.\.15, got 0\.9$"):
         ge.verify_generator_set(graph, [0.9, 5.5, "10", True])
 
 
 @pytest.mark.parametrize("bad", [0.9, 5.5, 2.0, 2.5, "10", True, False, None, np.int64(1)])
 def test_node_indices_and_sizes_must_be_ints(bad):
     graph = ge.build_visibility_graph(st.REDUCED_8)
-    with pytest.raises(ValueError, match=f"^node index must be an int, got {re.escape(repr(bad))}$"):
+    with pytest.raises(ValueError, match=f"^node index must be an int in 0\\.\\.15, got {re.escape(repr(bad))}$"):
         ge.verify_generator_set(graph, [0, bad, 1])
-    with pytest.raises(ValueError, match=f"^size must be an int, got {re.escape(repr(bad))}$"):
+    with pytest.raises(ValueError, match=f"^size must be an int >= 0, got {re.escape(repr(bad))}$"):
         ge.has_dominating_set(graph, bad)
 
 

@@ -147,7 +147,8 @@ def test_manifold_and_point_stats_run_without_numpy():
         "from p3poly import manifold as mf, stats, strategies as st\n"
         f"pb, pu = st.BehaviourPoint.reduced({P_B!r}), st.BehaviourPoint.reduced({P_U!r})\n"
         "result = mf.project(pb)\n"
-        "assert mf.on_manifold(mf.embed(result.params)) and result.converged\n"
+        "a0, a1, c0, c1, *products = mf.embed(result.params).coords\n"
+        "assert products == [a0 * c0, a0 * c1, a1 * c0, a1 * c1] and result.converged\n"
         "assert mf.normalized_score(pu, pb) < 1e-8\n"
         "sigma_d = stats.distance_sigma(pb, 0.05)\n"
         "stats.gaussian_separability(pb, pu, sigma_d), stats.regularized_incomplete_beta(2.0, 3.0, 0.4)\n"

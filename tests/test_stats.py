@@ -67,6 +67,11 @@ def test_perturb_clamps_into_unit_interval():
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         sta.NoiseSpec(sigma=-0.1)
+    # A flag, not a truthy value: 'no' would have switched absolute noise on.
+    for bad in ("no", 1, None):
+        with pytest.raises(ValueError, match=f"^absolute must be a bool, got {bad!r}$"):
+            sta.NoiseSpec(sigma=0.1, absolute=bad)
+    assert sta.NoiseSpec(sigma=0.1, absolute=True).absolute is True
 
 
 def test_distance_sigma_oracle_value():
@@ -168,6 +173,15 @@ def test_incomplete_beta_against_scipy():
         sta.regularized_incomplete_beta(1.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["a", "b", "x"])
+def test_incomplete_beta_rejects_non_finite(name, bad):
+    # Each used to reach the continued fraction and fail as non-convergence.
+    args = {"a": 1.0, "b": 1.0, "x": 0.5, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+        sta.regularized_incomplete_beta(**args)
+
+
 def test_kolmogorov_sf_against_scipy():
     for lam in (0.3, 0.5, 0.8, 1.0, 1.36, 2.0, 3.0):
         assert sta._kolmogorov_sf(lam) == pytest.approx(
@@ -232,6 +246,15 @@ def test_norms_ordering_fuzz():
 def test_norms_reject_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         sta.norms([0.5, bad])
+
+
+@pytest.mark.parametrize("two_sample", [sta.two_sample_t, sta.two_sample_ks])
+def test_two_sample_tests_reject_matrices(two_sample):
+    # The t-test used to pool the entries into one sample; KS failed in numpy.
+    with pytest.raises(ValueError, match="one-dimensional"):
+        two_sample([[1, 2], [3, 4]], [[1, 2], [5, 6]])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        two_sample([1, 2, 3], [[1, 2], [5, 6]])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

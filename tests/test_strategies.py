@@ -19,6 +19,7 @@ Core claims pinned here:
 """
 
 import json
+import re
 from dataclasses import FrozenInstanceError
 from itertools import product
 
@@ -149,14 +150,6 @@ def test_hamming_histogram():
         st.hamming_histogram([])
 
 
-def test_scenario_dimension():
-    assert st.scenario_dimension(st.FULL_SHAPE) == 26
-    assert st.scenario_dimension(st.REDUCED_SHAPE) == 8
-    assert st.scenario_dimension(st.ScenarioShape(1, 1, 1)) == 0
-    # 26 decomposes into the three block sizes.
-    assert 26 == 6 + 12 + 8
-
-
 def test_scenario_shape_validation():
     with pytest.raises(ValueError):
         st.ScenarioShape(0, 2, 2)
@@ -185,6 +178,16 @@ def test_behaviour_point_rejects_non_finite(bad):
         st.BehaviourPoint.full([0.5] * 25 + [bad])
 
 
+@pytest.mark.parametrize("bad", ["0.5", b"1", True, np.True_, None, 0.5j])
+def test_behaviour_point_coordinates_are_real_numbers(bad):
+    # float() would read a numeric string or bytes, and a bool, as a number.
+    with pytest.raises(ValueError, match=f"^coordinate {re.escape(repr(bad))} is not a real number$"):
+        st.BehaviourPoint.reduced([0.5] * 7 + [bad])
+    point = st.BehaviourPoint.reduced([1, 0, np.int64(1), np.float32(0.5), np.float64(0.25), 0.5, 0, 1])
+    assert point.coords == (1.0, 0.0, 1.0, 0.5, 0.25, 0.5, 0.0, 1.0)
+    assert all(type(x) is float for x in point.coords)
+
+
 def test_behaviour_point_isclose():
     p = st.BehaviourPoint.reduced([0.5] * 8)
     q = st.BehaviourPoint.reduced([0.5 + 5e-13] * 8)
@@ -200,8 +203,11 @@ def test_behaviour_point_json_roundtrip():
     assert again == point
     with pytest.raises(ValueError):
         st.BehaviourPoint.from_json_dict({"coords": [0.5] * 8})
-    for coords in (5, "00000000", [True, False] * 4, (0.5,) * 8, [0.5] * 7 + ["0.5"]):
+    for coords in (5, "00000000", (0.5,) * 8):
         with pytest.raises(ValueError, match="list of numbers"):
+            st.BehaviourPoint.from_json_dict({"representation": st.REDUCED_8, "coords": coords})
+    for coords in ([True, False] * 4, [0.5] * 7 + ["0.5"]):
+        with pytest.raises(ValueError, match="is not a real number"):
             st.BehaviourPoint.from_json_dict({"representation": st.REDUCED_8, "coords": coords})
     again = st.BehaviourPoint.from_json_dict({"representation": st.REDUCED_8, "coords": [0, 1] * 4})
     assert again.coords == (0.0, 1.0) * 4
