@@ -405,7 +405,8 @@ def segment(p: BehaviourPoint, q: BehaviourPoint, omega: float) -> BehaviourPoin
     """Convex combination omega * p + (1 - omega) * q of two behaviour points."""
     if p.representation != q.representation:
         raise ValueError("cannot mix representations in a segment")
-    if not 0.0 <= omega <= 1.0:
+    # A bool is an int, so True would pass the range test as 1.
+    if isinstance(omega, bool) or not 0.0 <= omega <= 1.0:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     coords = tuple(omega * x + (1.0 - omega) * y for x, y in zip(p.coords, q.coords))
     return BehaviourPoint(coords, p.representation)

@@ -57,7 +57,8 @@ class ManifoldParams:
     def __post_init__(self) -> None:
         for name in ("a0", "a1", "c0", "c1"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            # A bool is an int, so True would pass the range test as 1.
+            if isinstance(value, bool) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"parameter {name}={value} outside [0, 1]")
 
     def as_array(self) -> np.ndarray:

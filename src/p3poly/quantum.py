@@ -13,6 +13,12 @@ kernels (``_born``, ``_partial``, ``_trace_norm``); each public function
 validates its inputs and calls one of them.  The Born rule, ``collapse`` and
 the partial trace are linear, so the bound report evaluates its whole chain
 once on the difference rho - sigma instead of once per state.
+
+``FullDistribution`` and ``LhvModel`` validate in a constant number of
+whole-array operations: a screen of minima and slice or row sums accepts
+valid input, and the checks that name the first failure run only when the
+screen fails.  Every constructor stores read-only private copies, so the
+caller's arrays are never frozen.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a private copy, frozen below
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("expected a square matrix")
         _check_finite("density matrix", m)
@@ -216,6 +222,19 @@ def zx_qubit_measurements(parties: int) -> MeasurementSet:
 _ZX_PAIR = zx_qubit_measurements(2)
 
 
+def _checked_table(t: np.ndarray, slices: tuple[int, ...]) -> np.ndarray:
+    # Name the first failed check of a distribution table, or clip entries
+    # within NORMALIZATION_TOL below 0 and accept.
+    _check_finite("distribution table", t)
+    if t.min() < -NORMALIZATION_TOL:
+        raise ValueError(f"negative probability {t.min():.3e} in distribution")
+    t = np.clip(t, 0.0, None)
+    worst = np.abs(t.reshape(slices).sum(axis=-1) - 1.0).max()
+    if worst > NORMALIZATION_TOL:
+        raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class FullDistribution:
     """Setting-conditional outcome distribution of an (n, m, d) scenario.
@@ -231,19 +250,18 @@ class FullDistribution:
 
     def __post_init__(self) -> None:
         n, m, d = self.shape.n, self.shape.m, self.shape.d
-        t = np.asarray(self.table, dtype=float)
+        # Adding 0.0 makes a private copy and turns -0.0 into 0.0, as the
+        # clip in _checked_table would.
+        t = np.asarray(self.table, dtype=float) + 0.0
         if t.shape != (m,) * n + (d,) * n:
             raise ValueError(
                 f"table shape {t.shape} does not match scenario {(m,) * n + (d,) * n}"
             )
-        _check_finite("distribution table", t)
-        if t.min() < -NORMALIZATION_TOL:
-            raise ValueError(f"negative probability {t.min():.3e} in distribution")
-        t = np.clip(t, 0.0, None)
-        sums = t.reshape((m,) * n + (d**n,)).sum(axis=-1)
-        worst = np.abs(sums - 1.0).max()
-        if worst > NORMALIZATION_TOL:
-            raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
+        # The screen: NaN fails both comparisons and an infinity the second.
+        slices = (m,) * n + (d**n,)
+        sums = t.reshape(slices).sum(axis=-1)
+        if not (t.min() >= 0.0 and np.abs(sums - 1.0).max() <= NORMALIZATION_TOL):
+            t = _checked_table(t, slices)
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
@@ -449,6 +467,59 @@ def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
     return _fidelity_bounds_hold(fidelity(rho, sigma), trace_distance(rho, sigma))
 
 
+def _weights_pass(w: np.ndarray) -> bool:
+    # True exactly when _check_weights passes this vector: NaN fails both
+    # comparisons and an infinity the min or the sum.
+    return bool(w.ndim == 1 and w.size and w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-9)
+
+
+def _check_weights(wl: np.ndarray, wr: np.ndarray) -> None:
+    # Raise on the first failed check of the two source distributions.
+    for name, w in (("weights_left", wl), ("weights_right", wr)):
+        _check_finite(name, w)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError(f"{name} must be a non-empty vector")
+        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError(f"{name} is not a probability distribution")
+
+
+def _responses_pass(left: int, right: int, a, b, c) -> bool:
+    # True exactly when _check_responses passes: the shapes in plain Python,
+    # then one min and one row sum over the rows of all three tables.
+    if a.ndim != 3:
+        return False
+    m, _, d = a.shape
+    shapes = (a.shape[1], b.shape, c.shape)
+    if not (m and d and shapes == (left, (m, left, right, d), (m, right, d))):
+        return False
+    rows = np.concatenate((a.reshape(-1, d), b.reshape(-1, d), c.reshape(-1, d)))
+    return bool(rows.min() >= 0 and np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-9)
+
+
+def _check_responses(left: int, right: int, a, b, c) -> None:
+    # Raise on the first failed check of the three response tables.
+    if a.ndim != 3 or a.shape[1] != left:
+        raise ValueError("response_first must have shape (settings, left states, outcomes)")
+    if c.ndim != 3 or c.shape[1] != right:
+        raise ValueError("response_last must have shape (settings, right states, outcomes)")
+    if b.ndim != 4 or b.shape[1] != left or b.shape[2] != right:
+        raise ValueError(
+            "response_middle must have shape (settings, left states, right states, outcomes)"
+        )
+    if b.shape[0] != a.shape[0] or c.shape[0] != a.shape[0]:
+        raise ValueError("wings disagree on setting count")
+    if b.shape[-1] != a.shape[-1] or c.shape[-1] != a.shape[-1]:
+        raise ValueError("wings disagree on outcome count")
+    if a.size == 0:
+        raise ValueError(
+            f"wings need at least one setting and one outcome, got {a.shape[0]} and {a.shape[-1]}"
+        )
+    for name, table in (("response_first", a), ("response_middle", b), ("response_last", c)):
+        _check_finite(name, table)
+        if table.min() < 0 or np.abs(table.sum(axis=-1) - 1.0).max() > 1e-9:
+            raise ValueError(f"{name} rows are not probability distributions")
+
+
 @dataclass(frozen=True, eq=False)
 class LhvModel:
     """Two-source local hidden-variable model on the three-party chain.
@@ -469,34 +540,18 @@ class LhvModel:
     response_last: np.ndarray
 
     def __post_init__(self) -> None:
-        wl = np.asarray(self.weights_left, dtype=float)
-        wr = np.asarray(self.weights_right, dtype=float)
-        for name, w in (("weights_left", wl), ("weights_right", wr)):
-            _check_finite(name, w)
-            if w.ndim != 1 or w.size == 0:
-                raise ValueError(f"{name} must be a non-empty vector")
-            if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError(f"{name} is not a probability distribution")
-        a = np.asarray(self.response_first, dtype=float)
-        b = np.asarray(self.response_middle, dtype=float)
-        c = np.asarray(self.response_last, dtype=float)
-        left, right = wl.size, wr.size
-        if a.ndim != 3 or a.shape[1] != left:
-            raise ValueError("response_first must have shape (settings, left states, outcomes)")
-        if c.ndim != 3 or c.shape[1] != right:
-            raise ValueError("response_last must have shape (settings, right states, outcomes)")
-        if b.ndim != 4 or b.shape[1] != left or b.shape[2] != right:
-            raise ValueError(
-                "response_middle must have shape (settings, left states, right states, outcomes)"
-            )
-        if b.shape[0] != a.shape[0] or c.shape[0] != a.shape[0]:
-            raise ValueError("wings disagree on setting count")
-        if b.shape[-1] != a.shape[-1] or c.shape[-1] != a.shape[-1]:
-            raise ValueError("wings disagree on outcome count")
-        for name, table in (("response_first", a), ("response_middle", b), ("response_last", c)):
-            _check_finite(name, table)
-            if table.min() < 0 or np.abs(table.sum(axis=-1) - 1.0).max() > 1e-9:
-                raise ValueError(f"{name} rows are not probability distributions")
+        # Private copies, frozen below.  Each part is screened by whole-array
+        # checks; the checks that name the first failure run only when its
+        # screen fails.
+        wl = np.array(self.weights_left, dtype=float)
+        wr = np.array(self.weights_right, dtype=float)
+        if not (_weights_pass(wl) and _weights_pass(wr)):
+            _check_weights(wl, wr)
+        a = np.array(self.response_first, dtype=float)
+        b = np.array(self.response_middle, dtype=float)
+        c = np.array(self.response_last, dtype=float)
+        if not _responses_pass(wl.size, wr.size, a, b, c):
+            _check_responses(wl.size, wr.size, a, b, c)
         for name, array in (
             ("weights_left", wl), ("weights_right", wr),
             ("response_first", a), ("response_middle", b), ("response_last", c),
@@ -531,21 +586,40 @@ def lhv_evaluate(model: LhvModel) -> FullDistribution:
     return FullDistribution(shape, table)
 
 
+def _wing_responses(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    # The read-only response table of each wing index 0..3.  The index's bit
+    # for setting s, (w >> (1 - s)) & 1, flags outcome 0, so bit 1 puts all
+    # weight on outcome 0 and bit 0 all of it on outcome 1.
+    tables = []
+    for w in range(4):
+        table = np.zeros(shape)
+        for setting in (0, 1):
+            table[setting, ..., 1 - (w >> (1 - setting) & 1)] = 1.0
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+# Per wing (first, middle, last), the response table of each wing index, and
+# the one-state source.
+_STRATEGY_RESPONSES = tuple(
+    _wing_responses(shape) for shape in ((2, 1, 2), (2, 1, 1, 2), (2, 1, 2))
+)
+_ONE_STATE = np.ones(1)
+_ONE_STATE.flags.writeable = False
+
+
 def model_from_strategy(strategy: DeterministicStrategy) -> LhvModel:
     """Deterministic one-state-per-source model reproducing a strategy.
 
     A strategy bit is the indicator of producing the flagged outcome
     (outcome 0), so bit 1 puts all response weight on outcome 0.
     """
-    a = np.zeros((2, 1, 2))
-    b = np.zeros((2, 1, 1, 2))
-    c = np.zeros((2, 1, 2))
-    singles = strategy.singles
-    for setting in (0, 1):
-        a[setting, 0, 1 - singles[setting]] = 1.0
-        b[setting, 0, 0, 1 - singles[2 + setting]] = 1.0
-        c[setting, 0, 1 - singles[4 + setting]] = 1.0
-    return LhvModel(np.array([1.0]), np.array([1.0]), a, b, c)
+    first, middle, last = _STRATEGY_RESPONSES
+    return LhvModel(
+        _ONE_STATE, _ONE_STATE,
+        first[strategy.first], middle[strategy.middle], last[strategy.last],
+    )
 
 
 def bell_pair_state() -> DensityMatrix:
@@ -556,7 +630,8 @@ def bell_pair_state() -> DensityMatrix:
 
 def depolarize(rho: DensityMatrix, noise: float) -> DensityMatrix:
     """Mix a state with the maximally mixed state: (1 - noise) rho + noise I/dim."""
-    if not 0.0 <= noise <= 1.0:
+    # A bool is an int, so True would pass the range test as 1.
+    if isinstance(noise, bool) or not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
     mixed = np.eye(rho.dim, dtype=complex) / rho.dim
     return DensityMatrix((1.0 - noise) * rho.matrix + noise * mixed)

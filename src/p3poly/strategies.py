@@ -138,6 +138,29 @@ class DeterministicStrategy:
         return (first >> 1, first & 1, middle >> 1, middle & 1, last >> 1, last & 1)
 
 
+def _checked_coords(coords) -> list[float]:
+    # Check each coordinate in turn and raise on the first bad one; a
+    # coordinate within _COORD_TOL of [0, 1] is clamped into it.
+    # Imported here, like numpy elsewhere: the vertex and graph verbs build no point.
+    from numbers import Real
+
+    cleaned = []
+    for x in coords:
+        # float() would also read a string or bytes, and bool is an int.
+        if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, Real)):
+            raise ValueError(f"coordinate {x!r} is not a real number")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise ValueError("coordinate outside [0, 1]: too large for a float")
+        if not math.isfinite(x):
+            raise ValueError(f"coordinate {x} is not finite")
+        if x < -_COORD_TOL or x > 1.0 + _COORD_TOL:
+            raise ValueError(f"coordinate {x} outside [0, 1]")
+        cleaned.append(min(max(x, 0.0), 1.0))
+    return cleaned
+
+
 @dataclass(frozen=True)
 class BehaviourPoint:
     """A point of the behaviour space: probabilities in one of the two
@@ -147,29 +170,23 @@ class BehaviourPoint:
     representation: str
 
     def __post_init__(self) -> None:
-        # Imported here, like numpy elsewhere: the vertex and graph verbs build no point.
-        from numbers import Real
-
         _check_representation(self.representation)
+        coords = self.coords
         width = len(_REPRESENTATIONS[self.representation][1])
-        if len(self.coords) != width:
-            raise ValueError(f"expected {width} coordinates, got {len(self.coords)}")
-        cleaned = []
-        for x in self.coords:
-            # float() would also read a string or bytes, and bool is an int; the
-            # float test skips the slower ABC check for the usual coordinate.
-            if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, Real)):
-                raise ValueError(f"coordinate {x!r} is not a real number")
-            try:
-                x = float(x)
-            except OverflowError:
-                raise ValueError("coordinate outside [0, 1]: too large for a float")
-            if not math.isfinite(x):
-                raise ValueError(f"coordinate {x} is not finite")
-            if x < -_COORD_TOL or x > 1.0 + _COORD_TOL:
-                raise ValueError(f"coordinate {x} outside [0, 1]")
-            cleaned.append(min(max(x, 0.0), 1.0))
-        object.__setattr__(self, "coords", tuple(cleaned))
+        if len(coords) != width:
+            raise ValueError(f"expected {width} coordinates, got {len(coords)}")
+        # The screen: finite Python floats inside the tolerance band are
+        # accepted at once.  Anything else goes through the per-coordinate
+        # checks, which name the first bad coordinate.
+        if all(type(x) is float for x in coords) and all(map(math.isfinite, coords)):
+            low, high = min(coords), max(coords)
+            if low < -_COORD_TOL or high > 1.0 + _COORD_TOL:
+                coords = _checked_coords(coords)
+            elif low < 0.0 or high > 1.0:
+                coords = [min(max(x, 0.0), 1.0) for x in coords]
+        else:
+            coords = _checked_coords(coords)
+        object.__setattr__(self, "coords", tuple(coords))
 
     @classmethod
     def full(cls, coords) -> "BehaviourPoint":

@@ -3,13 +3,14 @@
 Each site checks its integer with ``strategies._check_int``: the value must
 be a Python int (not a bool, not a numpy integer) within the site's bounds,
 and a rejection is a ValueError whose message starts with the parameter's
-name.
+name.  The real parameters that lie in [0, 1] reject a bool the same way,
+with their range message.
 """
 
 import numpy as np
 import pytest
 
-from p3poly import geometry as ge, quantum as qu, stats as sta, strategies as st
+from p3poly import geometry as ge, manifold as mf, quantum as qu, stats as sta, strategies as st
 
 _GRAPH = ge.build_visibility_graph(st.REDUCED_8)  # 16 nodes
 _RHO, _MEASUREMENTS, _SHAPE = qu.qkd_scenario("honest")
@@ -67,3 +68,23 @@ def test_int_rule_rejects(name, low, high, call, value):
 )
 def test_int_rule_accepts_the_lowest_value(low, call):
     call(low)
+
+
+_POINT = st.BehaviourPoint((0.5,) * 8, st.REDUCED_8)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda v: qu.depolarize(_RHO, v), "noise must lie in [0, 1], got {}"),
+        (lambda v: ge.segment(_POINT, _POINT, v), "omega must lie in [0, 1], got {}"),
+        (lambda v: mf.ManifoldParams(0.5, 0.5, v, 0.5), "parameter c0={} outside [0, 1]"),
+    ],
+    ids=["depolarize", "segment", "ManifoldParams"],
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_real_parameters_reject_bools(call, message, value):
+    with pytest.raises(ValueError) as error:
+        call(value)
+    assert str(error.value) == message.format(value)
+    call(float(value))
