@@ -33,6 +33,8 @@ from .strategies import (
     BehaviourPoint,
     FULL_26,
     REDUCED_8,
+    _check_int,
+    _check_real,
     enumerate_strategies,
     hamming_histogram,
     vertex_rows,
@@ -207,13 +209,10 @@ def _cmd_analyze(args) -> str:
     graph = geometry.build_visibility_graph(representation)
     generators = geometry.minimum_generators(graph)
     cliques = geometry.maximal_convex_clusters(graph)
+    per_vertex = None
     if representation == FULL_26:
         strategies = enumerate_strategies()
-        per_vertex = [
-            geometry.classify_from(s, strategies) for s in strategies
-        ]
-    else:
-        per_vertex = None
+        per_vertex = [geometry.classify_from(s, strategies) for s in strategies]
     histogram = hamming_histogram(vertex_rows(representation))
     payload = {
         "representation": representation,
@@ -222,12 +221,8 @@ def _cmd_analyze(args) -> str:
         "apsp_max": geometry.diameter(graph),
         "min_generators": generators.to_json_dict(),
         "generator_constructions": {
-            "diagonal": geometry.verify_generator_set(
-                graph, _DIAGONAL_MEMBERS[representation]
-            ).to_json_dict(),
-            "same_row": geometry.verify_generator_set(
-                graph, _SAME_ROW_MEMBERS[representation]
-            ).to_json_dict(),
+            name: geometry.verify_generator_set(graph, members[representation]).to_json_dict()
+            for name, members in (("diagonal", _DIAGONAL_MEMBERS), ("same_row", _SAME_ROW_MEMBERS))
         },
         "cliques": {
             "count": len(cliques),
@@ -250,8 +245,7 @@ def _cmd_analyze(args) -> str:
 def _cmd_simulate(args) -> str:
     from . import quantum
 
-    if args.shots < 0:
-        raise ValueError("shots must be non-negative")
+    _check_int("shots", args.shots, 0)
     rho, measurements, shape = quantum.qkd_scenario(args.kind, args.noise)
     distribution = quantum.behaviour_from_state(rho, measurements, shape)
     audit = quantum.no_signalling_check(distribution)
@@ -349,8 +343,7 @@ def _test_samples_mode(args) -> dict:
 
 
 def _cmd_test(args) -> str:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_real("alpha", args.alpha, 0, 1, strict=True)
     if args.mode == "point":
         return _json_text(_test_point_mode(args))
     return _json_text(_test_samples_mode(args))

@@ -42,6 +42,7 @@ from .strategies import (
     FULL_26,
     REDUCED_8,
     _check_int,
+    _check_real,
     _check_representation,
 )
 
@@ -405,9 +406,7 @@ def segment(p: BehaviourPoint, q: BehaviourPoint, omega: float) -> BehaviourPoin
     """Convex combination omega * p + (1 - omega) * q of two behaviour points."""
     if p.representation != q.representation:
         raise ValueError("cannot mix representations in a segment")
-    # A bool is an int, so True would pass the range test as 1.
-    if isinstance(omega, bool) or not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must lie in [0, 1], got {omega}")
+    _check_real("omega", omega, 0, 1)
     coords = tuple(omega * x + (1.0 - omega) * y for x, y in zip(p.coords, q.coords))
     return BehaviourPoint(coords, p.representation)
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
-from .strategies import BehaviourPoint, REDUCED_8
+from .strategies import BehaviourPoint, REDUCED_8, _check_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,10 +56,7 @@ class ManifoldParams:
 
     def __post_init__(self) -> None:
         for name in ("a0", "a1", "c0", "c1"):
-            value = getattr(self, name)
-            # A bool is an int, so True would pass the range test as 1.
-            if isinstance(value, bool) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"parameter {name}={value} outside [0, 1]")
+            _check_real(f"parameter {name}", getattr(self, name), 0, 1)
 
     def as_array(self) -> np.ndarray:
         import numpy as np

@@ -40,6 +40,7 @@ from .strategies import (
     REDUCED_SHAPE,
     ScenarioShape,
     _check_int,
+    _check_real,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -630,9 +631,7 @@ def bell_pair_state() -> DensityMatrix:
 
 def depolarize(rho: DensityMatrix, noise: float) -> DensityMatrix:
     """Mix a state with the maximally mixed state: (1 - noise) rho + noise I/dim."""
-    # A bool is an int, so True would pass the range test as 1.
-    if isinstance(noise, bool) or not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise must lie in [0, 1], got {noise}")
+    _check_real("noise", noise, 0, 1)
     mixed = np.eye(rho.dim, dtype=complex) / rho.dim
     return DensityMatrix((1.0 - noise) * rho.matrix + noise * mixed)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .strategies import BehaviourPoint, _check_int
+from .strategies import BehaviourPoint, _check_int, _check_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,8 +29,7 @@ class NoiseSpec:
     absolute: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma}")
+        _check_real("noise sigma", self.sigma, 0)
         _check_int("seed", self.seed, 0)
         if type(self.absolute) is not bool:
             raise ValueError(f"absolute must be a bool, got {self.absolute!r}")
@@ -51,7 +50,8 @@ def perturb(point: BehaviourPoint, noise: NoiseSpec) -> BehaviourPoint:
     scales = np.array(_scales(point.coords, noise), dtype=float)
     rng = np.random.default_rng(noise.seed)
     noisy = np.clip(coords + rng.normal(0.0, 1.0, size=coords.size) * scales, 0.0, 1.0)
-    return BehaviourPoint(tuple(noisy), point.representation)
+    # Python floats take the BehaviourPoint screen; numpy floats would not.
+    return BehaviourPoint(tuple(noisy.tolist()), point.representation)
 
 
 def distance_sigma(point: BehaviourPoint, sigma: float, absolute: bool = False) -> float:
@@ -99,23 +99,13 @@ def gaussian_separability(
     """
     if p.representation != q.representation:
         raise ValueError("cannot compare points in different representations")
-    if not 0.0 < sigma_d < math.inf:
-        raise ValueError(f"sigma_d must be positive and finite, got {sigma_d!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_real("sigma_d", sigma_d, 0, strict=True)
+    _check_real("alpha", alpha, 0, 1, strict=True)
     distance = math.dist(p.coords, q.coords)
     z = distance / sigma_d
     p_value = 2.0 * (1.0 - _normal_cdf(z))
     overlap = 2.0 * _normal_cdf(-z / 2.0)
-    return TestReport(
-        distance=distance,
-        sigma_d=sigma_d,
-        z=z,
-        p_value=p_value,
-        overlap=overlap,
-        alpha=alpha,
-        reject=bool(p_value < alpha),
-    )
+    return TestReport(distance, sigma_d, z, p_value, overlap, alpha, bool(p_value < alpha))
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -149,13 +139,9 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
-    for name, value in (("a", a), ("b", b), ("x", x)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("shape parameters must be positive")
-    if x < 0.0 or x > 1.0:
-        raise ValueError("x must lie in [0, 1]")
+    _check_real("a", a, 0, strict=True)
+    _check_real("b", b, 0, strict=True)
+    _check_real("x", x, 0, 1)
     if x == 0.0 or x == 1.0:
         return float(x)
     log_front = (

@@ -72,6 +72,32 @@ def _check_int(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be an int {bounds}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    # An int, a float or another numbers.Real, never a bool (numpy's bool is not a Real).
+    if type(value) is int or isinstance(value, float):
+        return True
+    from numbers import Real  # here, like numpy elsewhere: a float never loads it
+
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_real(name: str, value, low, high=None, *, strict: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a finite real number in [low, high],
+    or in (low, high) when ``strict`` (no upper bound when ``high`` is None)."""
+    top = math.inf if high is None else high
+    try:
+        finite = _is_real(value) and math.isfinite(value)
+    except OverflowError:  # an int or a fraction beyond the float range
+        finite = False
+    if finite and (low < value < top if strict else low <= value <= top):
+        return
+    if high is None:
+        bounds = f"> {low}" if strict else f">= {low}"
+    else:
+        bounds = f"in ({low}, {high})" if strict else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be a finite real number {bounds}, got {value!r}")
+
+
 def _event_products(singles: tuple[int, ...], representation: str) -> tuple[int, ...]:
     # Coordinates of a deterministic behaviour.  Its singles are bits, so a column's
     # product is 1 exactly when its mask is all set in word: (word & mask) // mask.
@@ -141,13 +167,9 @@ class DeterministicStrategy:
 def _checked_coords(coords) -> list[float]:
     # Check each coordinate in turn and raise on the first bad one; a
     # coordinate within _COORD_TOL of [0, 1] is clamped into it.
-    # Imported here, like numpy elsewhere: the vertex and graph verbs build no point.
-    from numbers import Real
-
     cleaned = []
     for x in coords:
-        # float() would also read a string or bytes, and bool is an int.
-        if not isinstance(x, float) and (isinstance(x, bool) or not isinstance(x, Real)):
+        if not _is_real(x):  # float() would also read a string or bytes
             raise ValueError(f"coordinate {x!r} is not a real number")
         try:
             x = float(x)
@@ -209,6 +231,7 @@ class BehaviourPoint:
         """Component-wise agreement within ``tol`` (same representation required)."""
         if self.representation != other.representation:
             raise ValueError("cannot compare points in different representations")
+        _check_real("tol", tol, 0)
         return all(abs(x - y) <= tol for x, y in zip(self.coords, other.coords))
 
     def to_json_dict(self) -> dict:

@@ -435,19 +435,27 @@ def test_bound_holds_for_two_pure_states(tmp_path, seed):
     assert payload["trace_distance"] == pytest.approx(payload["fidelity_upper_bound"], abs=1e-9)
 
 
-_ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
+_ALPHA_MESSAGE = "alpha must be a finite real number in (0, 1), got {!r}"
 
 
 @pytest.mark.parametrize(
     "mode, observed, flags, message",
     [
-        pytest.param("point", None, ["--noise", "nan"], "finite and non-negative, got nan", id="noise-nan"),
-        pytest.param("point", None, ["--noise", "inf"], "finite and non-negative, got inf", id="noise-inf"),
+        *[
+            pytest.param(
+                "point", None, ["--noise", noise], f"noise sigma must be a finite real number >= 0, got {noise}",
+                id=f"noise-{noise}",
+            )
+            for noise in ("nan", "inf")
+        ],
         pytest.param(
-            "point", None, ["--noise", "1e308", "--absolute"], "noise sigma 1e+308 is too large", id="noise-overflow",
+            "point", None, ["--noise", "1e308", "--absolute"],
+            "noise sigma 1e+308 is too large: the distance sigma overflows", id="noise-overflow",
         ),
         *[
-            pytest.param(mode, None, ["--alpha", alpha], _ALPHA_MESSAGE, id=f"{mode}-alpha-{alpha}")
+            pytest.param(
+                mode, None, ["--alpha", alpha], _ALPHA_MESSAGE.format(float(alpha)), id=f"{mode}-alpha-{alpha}"
+            )
             for mode in ("point", "samples")
             for alpha in ("0", "1", "5", "nan")
         ],
@@ -465,8 +473,7 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, ob
     out = tmp_path / "out.json"
     argv = ["test", "--mode", mode, "--expected", str(expected_file), "--observed", str(observed_file)]
     assert main([*argv, *flags, "--output", str(out)]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
     assert not recwarn.list  # a warning would reach stderr outside pytest
 
@@ -479,7 +486,7 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, ob
             id="graph-csv-without-layout",
         ),
         pytest.param(
-            ["simulate", "--kind", "honest", "--shots", "-1"], "shots must be non-negative",
+            ["simulate", "--kind", "honest", "--shots", "-1"], "shots must be an int >= 0, got -1",
             id="simulate-negative-shots",
         ),
         pytest.param(

@@ -64,6 +64,29 @@ def test_perturb_clamps_into_unit_interval():
     assert all(0.0 <= x <= 1.0 for x in noisy.coords)
 
 
+def test_perturb_takes_the_screen_and_keeps_every_bit(monkeypatch):
+    # The c07 points and seeds.  The noisy coordinates are Python floats in
+    # [0, 1], so the BehaviourPoint screen accepts them and the per-coordinate
+    # checks never run; the stored bits are those of the old numpy-float path.
+    cases = [(pb(), seed) for seed in range(1000, 1100)] + [(pu(), seed) for seed in range(2000, 2100)]
+    expected = []
+    for point, seed in cases:
+        coords = point.as_array()
+        scales = np.array(sta._scales(point.coords, sta.NoiseSpec(0.05)), dtype=float)
+        rng = np.random.default_rng(seed)
+        noisy = np.clip(coords + rng.normal(0.0, 1.0, size=coords.size) * scales, 0.0, 1.0)
+        expected.append([float(x).hex() for x in noisy])
+        assert [x.hex() for x in st.BehaviourPoint(tuple(noisy), point.representation).coords] == expected[-1]
+
+    def no_checks(coords):
+        raise AssertionError("perturb missed the BehaviourPoint screen")
+
+    monkeypatch.setattr(st, "_checked_coords", no_checks)
+    for (point, seed), hexes in zip(cases, expected):
+        got = sta.perturb(point, sta.NoiseSpec(0.05, seed=seed))
+        assert [x.hex() for x in got.coords] == hexes
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         sta.NoiseSpec(sigma=-0.1)
@@ -115,8 +138,9 @@ def test_gaussian_separability_monotone_in_distance():
 
 @pytest.mark.parametrize("sigma_d", [0.0, -0.05, math.nan, math.inf, -math.inf])
 def test_gaussian_separability_rejects_sigma_d_that_is_not_positive_and_finite(sigma_d):
-    with pytest.raises(ValueError, match="^sigma_d must be positive and finite, got "):
+    with pytest.raises(ValueError) as error:
         sta.gaussian_separability(pb(), pu(), sigma_d)
+    assert str(error.value) == f"sigma_d must be a finite real number > 0, got {sigma_d!r}"
 
 
 def test_gaussian_separability_validation():
@@ -178,8 +202,10 @@ def test_incomplete_beta_against_scipy():
 def test_incomplete_beta_rejects_non_finite(name, bad):
     # Each used to reach the continued fraction and fail as non-convergence.
     args = {"a": 1.0, "b": 1.0, "x": 0.5, name: bad}
-    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+    bounds = "in [0, 1]" if name == "x" else "> 0"
+    with pytest.raises(ValueError) as error:
         sta.regularized_incomplete_beta(**args)
+    assert str(error.value) == f"{name} must be a finite real number {bounds}, got {bad!r}"
 
 
 def test_kolmogorov_sf_against_scipy():
@@ -306,8 +332,9 @@ def test_two_sample_t_standard_error_underflow_is_an_error():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_distance_sigma_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match=f"finite and non-negative, got {bad}"):
+    with pytest.raises(ValueError) as error:
         sta.distance_sigma(pb(), bad)
+    assert str(error.value) == f"noise sigma must be a finite real number >= 0, got {bad!r}"
 
 
 def test_calibration_t_test_small():
