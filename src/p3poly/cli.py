@@ -246,6 +246,7 @@ def _cmd_simulate(args) -> str:
     from . import quantum
 
     _check_int("shots", args.shots, 0)
+    _check_int("seed", args.seed, 0)
     rho, measurements, shape = quantum.qkd_scenario(args.kind, args.noise)
     distribution = quantum.behaviour_from_state(rho, measurements, shape)
     audit = quantum.no_signalling_check(distribution)
@@ -286,6 +287,11 @@ def _test_point_mode(args) -> dict:
     from . import manifold, stats
 
     sigma_d = stats.distance_sigma(expected, args.noise, absolute=args.absolute)
+    if sigma_d == 0.0:
+        raise ValueError(
+            f"noise {args.noise} gives the expected point a zero distance sigma:"
+            " use noise > 0, and --absolute when every expected coordinate is 0"
+        )
     report = stats.gaussian_separability(expected, observed, sigma_d, args.alpha)
     projection_observed = manifold.project(observed)
     projection_expected = manifold.project(expected)

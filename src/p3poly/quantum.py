@@ -14,11 +14,12 @@ validates its inputs and calls one of them.  The Born rule, ``collapse`` and
 the partial trace are linear, so the bound report evaluates its whole chain
 once on the difference rho - sigma instead of once per state.
 
-``FullDistribution`` and ``LhvModel`` validate in a constant number of
-whole-array operations: a screen of minima and slice or row sums accepts
-valid input, and the checks that name the first failure run only when the
-screen fails.  Every constructor stores read-only private copies, so the
-caller's arrays are never frozen.
+``FullDistribution`` and ``LhvModel`` write each validation rule as one
+check: a screen of a constant number of whole-array operations (minima and
+slice or row sums) accepts valid input, and only when it fails does the
+check name the first failure, on the same data.  Every constructor stores
+read-only private copies, so the caller's arrays are never frozen; a model's
+copies are C-ordered, so its row sums do not depend on the caller's layout.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ COMPLETENESS_TOL = 1e-10
 NORMALIZATION_TOL = 1e-8
 NO_SIGNALLING_TOL = 1e-10
 _BOUND_TOL = 1e-9
+_ROW_TOL = 1e-9
 
 
 def _check_finite(name: str, array: np.ndarray) -> None:
@@ -223,19 +225,6 @@ def zx_qubit_measurements(parties: int) -> MeasurementSet:
 _ZX_PAIR = zx_qubit_measurements(2)
 
 
-def _checked_table(t: np.ndarray, slices: tuple[int, ...]) -> np.ndarray:
-    # Name the first failed check of a distribution table, or clip entries
-    # within NORMALIZATION_TOL below 0 and accept.
-    _check_finite("distribution table", t)
-    if t.min() < -NORMALIZATION_TOL:
-        raise ValueError(f"negative probability {t.min():.3e} in distribution")
-    t = np.clip(t, 0.0, None)
-    worst = np.abs(t.reshape(slices).sum(axis=-1) - 1.0).max()
-    if worst > NORMALIZATION_TOL:
-        raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
-    return t
-
-
 @dataclass(frozen=True, eq=False)
 class FullDistribution:
     """Setting-conditional outcome distribution of an (n, m, d) scenario.
@@ -252,17 +241,24 @@ class FullDistribution:
     def __post_init__(self) -> None:
         n, m, d = self.shape.n, self.shape.m, self.shape.d
         # Adding 0.0 makes a private copy and turns -0.0 into 0.0, as the
-        # clip in _checked_table would.
+        # clip below would.
         t = np.asarray(self.table, dtype=float) + 0.0
         if t.shape != (m,) * n + (d,) * n:
             raise ValueError(
                 f"table shape {t.shape} does not match scenario {(m,) * n + (d,) * n}"
             )
-        # The screen: NaN fails both comparisons and an infinity the second.
-        slices = (m,) * n + (d**n,)
-        sums = t.reshape(slices).sum(axis=-1)
-        if not (t.min() >= 0.0 and np.abs(sums - 1.0).max() <= NORMALIZATION_TOL):
-            t = _checked_table(t, slices)
+        # Each rule screens first, NaN failing every comparison, and names
+        # the failure only when its screen fails; entries within tolerance
+        # below 0 are clipped.
+        if not t.min() >= 0.0:
+            _check_finite("distribution table", t)
+            if t.min() < -NORMALIZATION_TOL:
+                raise ValueError(f"negative probability {t.min():.3e} in distribution")
+            t = np.clip(t, 0.0, None)
+        worst = np.abs(t.reshape((m,) * n + (d**n,)).sum(axis=-1) - 1.0).max()
+        if not worst <= NORMALIZATION_TOL:
+            _check_finite("distribution table", t)
+            raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
@@ -468,37 +464,18 @@ def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
     return _fidelity_bounds_hold(fidelity(rho, sigma), trace_distance(rho, sigma))
 
 
-def _weights_pass(w: np.ndarray) -> bool:
-    # True exactly when _check_weights passes this vector: NaN fails both
-    # comparisons and an infinity the min or the sum.
-    return bool(w.ndim == 1 and w.size and w.min() >= 0 and abs(w.sum() - 1.0) <= 1e-9)
-
-
-def _check_weights(wl: np.ndarray, wr: np.ndarray) -> None:
-    # Raise on the first failed check of the two source distributions.
-    for name, w in (("weights_left", wl), ("weights_right", wr)):
-        _check_finite(name, w)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError(f"{name} must be a non-empty vector")
-        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not a probability distribution")
-
-
-def _responses_pass(left: int, right: int, a, b, c) -> bool:
-    # True exactly when _check_responses passes: the shapes in plain Python,
-    # then one min and one row sum over the rows of all three tables.
-    if a.ndim != 3:
-        return False
-    m, _, d = a.shape
-    shapes = (a.shape[1], b.shape, c.shape)
-    if not (m and d and shapes == (left, (m, left, right, d), (m, right, d))):
-        return False
-    rows = np.concatenate((a.reshape(-1, d), b.reshape(-1, d), c.reshape(-1, d)))
-    return bool(rows.min() >= 0 and np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-9)
+def _check_weights(name: str, w: np.ndarray) -> None:
+    # The screen: NaN fails both comparisons and an infinity the min or the sum.
+    if w.ndim == 1 and w.size and w.min() >= 0 and abs(w.sum() - 1.0) <= _ROW_TOL:
+        return
+    _check_finite(name, w)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"{name} must be a non-empty vector")
+    raise ValueError(f"{name} is not a probability distribution")
 
 
 def _check_responses(left: int, right: int, a, b, c) -> None:
-    # Raise on the first failed check of the three response tables.
+    # Raise on the first failed check of the three C-ordered response tables.
     if a.ndim != 3 or a.shape[1] != left:
         raise ValueError("response_first must have shape (settings, left states, outcomes)")
     if c.ndim != 3 or c.shape[1] != right:
@@ -515,9 +492,15 @@ def _check_responses(left: int, right: int, a, b, c) -> None:
         raise ValueError(
             f"wings need at least one setting and one outcome, got {a.shape[0]} and {a.shape[-1]}"
         )
-    for name, table in (("response_first", a), ("response_middle", b), ("response_last", c)):
+    # The screen: one min and one row sum over the rows of all three tables;
+    # the per-table checks sum the same rows, so the two cannot disagree.
+    rows = [table.reshape(-1, a.shape[-1]) for table in (a, b, c)]
+    stacked = np.concatenate(rows)
+    if stacked.min() >= 0 and np.abs(stacked.sum(axis=1) - 1.0).max() <= _ROW_TOL:
+        return
+    for name, table in zip(("response_first", "response_middle", "response_last"), rows):
         _check_finite(name, table)
-        if table.min() < 0 or np.abs(table.sum(axis=-1) - 1.0).max() > 1e-9:
+        if table.min() < 0 or np.abs(table.sum(axis=1) - 1.0).max() > _ROW_TOL:
             raise ValueError(f"{name} rows are not probability distributions")
 
 
@@ -541,18 +524,17 @@ class LhvModel:
     response_last: np.ndarray
 
     def __post_init__(self) -> None:
-        # Private copies, frozen below.  Each part is screened by whole-array
-        # checks; the checks that name the first failure run only when its
-        # screen fails.
+        # Private C-ordered copies, frozen below: the row sums, and so the
+        # decision, do not depend on the layout of the caller's arrays.
         wl = np.array(self.weights_left, dtype=float)
         wr = np.array(self.weights_right, dtype=float)
-        if not (_weights_pass(wl) and _weights_pass(wr)):
-            _check_weights(wl, wr)
-        a = np.array(self.response_first, dtype=float)
-        b = np.array(self.response_middle, dtype=float)
-        c = np.array(self.response_last, dtype=float)
-        if not _responses_pass(wl.size, wr.size, a, b, c):
-            _check_responses(wl.size, wr.size, a, b, c)
+        _check_weights("weights_left", wl)
+        _check_weights("weights_right", wr)
+        a, b, c = (
+            np.array(x, dtype=float, order="C")
+            for x in (self.response_first, self.response_middle, self.response_last)
+        )
+        _check_responses(wl.size, wr.size, a, b, c)
         for name, array in (
             ("weights_left", wl), ("weights_right", wr),
             ("response_first", a), ("response_middle", b), ("response_last", c),
@@ -587,25 +569,10 @@ def lhv_evaluate(model: LhvModel) -> FullDistribution:
     return FullDistribution(shape, table)
 
 
-def _wing_responses(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    # The read-only response table of each wing index 0..3.  The index's bit
-    # for setting s, (w >> (1 - s)) & 1, flags outcome 0, so bit 1 puts all
-    # weight on outcome 0 and bit 0 all of it on outcome 1.
-    tables = []
-    for w in range(4):
-        table = np.zeros(shape)
-        for setting in (0, 1):
-            table[setting, ..., 1 - (w >> (1 - setting) & 1)] = 1.0
-        table.flags.writeable = False
-        tables.append(table)
-    return tuple(tables)
-
-
-# Per wing (first, middle, last), the response table of each wing index, and
-# the one-state source.
-_STRATEGY_RESPONSES = tuple(
-    _wing_responses(shape) for shape in ((2, 1, 2), (2, 1, 1, 2), (2, 1, 2))
-)
+# Row w is the response table of wing index w: setting s puts all weight on
+# outcome 0 when the index's bit for s, (w >> (1 - s)) & 1, is set.
+_WING_RESPONSES = np.array([np.eye(2)[[1 - (w >> 1), 1 - (w & 1)]] for w in range(4)])
+_WING_RESPONSES.flags.writeable = False
 _ONE_STATE = np.ones(1)
 _ONE_STATE.flags.writeable = False
 
@@ -616,10 +583,10 @@ def model_from_strategy(strategy: DeterministicStrategy) -> LhvModel:
     A strategy bit is the indicator of producing the flagged outcome
     (outcome 0), so bit 1 puts all response weight on outcome 0.
     """
-    first, middle, last = _STRATEGY_RESPONSES
+    r = _WING_RESPONSES
     return LhvModel(
         _ONE_STATE, _ONE_STATE,
-        first[strategy.first], middle[strategy.middle], last[strategy.last],
+        r[strategy.first, :, None], r[strategy.middle, :, None, None], r[strategy.last, :, None],
     )
 
 

@@ -197,16 +197,10 @@ class BehaviourPoint:
         width = len(_REPRESENTATIONS[self.representation][1])
         if len(coords) != width:
             raise ValueError(f"expected {width} coordinates, got {len(coords)}")
-        # The screen: finite Python floats inside the tolerance band are
-        # accepted at once.  Anything else goes through the per-coordinate
-        # checks, which name the first bad coordinate.
-        if all(type(x) is float for x in coords) and all(map(math.isfinite, coords)):
-            low, high = min(coords), max(coords)
-            if low < -_COORD_TOL or high > 1.0 + _COORD_TOL:
-                coords = _checked_coords(coords)
-            elif low < 0.0 or high > 1.0:
-                coords = [min(max(x, 0.0), 1.0) for x in coords]
-        else:
+        # The screen: Python floats in [0, 1] are kept as they are (NaN fails
+        # the comparison).  Anything else goes through the per-coordinate
+        # checks, which clamp within the band or name the first bad coordinate.
+        if not all(type(x) is float and 0.0 <= x <= 1.0 for x in coords):
             coords = _checked_coords(coords)
         object.__setattr__(self, "coords", tuple(coords))
 

@@ -436,6 +436,10 @@ def test_bound_holds_for_two_pure_states(tmp_path, seed):
 
 
 _ALPHA_MESSAGE = "alpha must be a finite real number in (0, 1), got {!r}"
+_ZERO_SIGMA_MESSAGE = (
+    "noise {!r} gives the expected point a zero distance sigma:"
+    " use noise > 0, and --absolute when every expected coordinate is 0"
+)
 
 
 @pytest.mark.parametrize(
@@ -459,6 +463,11 @@ _ALPHA_MESSAGE = "alpha must be a finite real number in (0, 1), got {!r}"
             for mode in ("point", "samples")
             for alpha in ("0", "1", "5", "nan")
         ],
+        pytest.param("point", None, ["--noise", "0"], _ZERO_SIGMA_MESSAGE.format(0.0), id="noise-0"),
+        pytest.param(
+            "point", json.dumps({"representation": REDUCED_8, "coords": [0.0] * 8}),
+            ["--expected", "{observed}"], _ZERO_SIGMA_MESSAGE.format(0.05), id="relative-noise-zero-point",
+        ),
     ],
 )
 def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, observed, flags, message):
@@ -472,6 +481,7 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, ob
     observed_file.write_text(good if observed is None else observed)
     out = tmp_path / "out.json"
     argv = ["test", "--mode", mode, "--expected", str(expected_file), "--observed", str(observed_file)]
+    flags = [flag.format(observed=observed_file) for flag in flags]
     assert main([*argv, *flags, "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -488,6 +498,10 @@ def test_bad_test_input_gives_one_error_line(tmp_path, capsys, recwarn, mode, ob
         pytest.param(
             ["simulate", "--kind", "honest", "--shots", "-1"], "shots must be an int >= 0, got -1",
             id="simulate-negative-shots",
+        ),
+        pytest.param(
+            ["simulate", "--kind", "honest", "--seed", "-1"], "seed must be an int >= 0, got -1",
+            id="simulate-negative-seed",
         ),
         pytest.param(
             ["simulate", "--kind", "honest", "--shots", str(2**63)],

@@ -3,7 +3,8 @@ library, no layer for a bare ``import p3poly``, and for each CLI verb only the
 layers it uses, with numpy only for the verbs that compute with arrays (not
 for the vertex tables, the graph listings, the structural report, the
 projection, the point-mode test, nor a point file that is rejected).  Also the lazily filled ``p3poly`` namespace itself,
-and that every module-level import of a layer is used and never shadowed."""
+that every module-level import of a layer is used and never shadowed, and
+that every module-level private name is used."""
 
 import ast
 import json
@@ -185,6 +186,46 @@ def test_every_module_level_import_is_used(module):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
     } | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
     assert sorted(bound & rebound) == []
+
+
+def _binds(statement):
+    # The module-level names a top-level def, class or assignment defines or
+    # assigns into (``_X.flags.writeable = False`` assigns into ``_X``).
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    names = set()
+    for target in statement.targets if isinstance(statement, ast.Assign) else []:
+        while isinstance(target, ast.Attribute):
+            target = target.value
+        names |= {node.id for node in ast.walk(target) if isinstance(node, ast.Name)}
+    return names
+
+
+def test_every_module_level_private_name_is_used():
+    # A module-level ``_name`` must be referenced somewhere in the package (as
+    # a name, an attribute or an imported name) outside the top-level
+    # statements of its own module that bind it, so that a private helper a
+    # refactor leaves behind shows.
+    statements = []  # (module, names the statement binds, names it references)
+    for path in sorted(Path(p3poly.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            referenced = set()
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    referenced.add(node.name)
+            statements.append((path.stem, _binds(statement), referenced))
+    dead = [
+        f"{module}.{name}"
+        for module, bound, _ in statements
+        for name in sorted(bound)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in refs for m, b, refs in statements if not (m == module and name in b))
+    ]
+    assert dead == []
 
 
 def test_public_names_resolve_to_their_home_layer():

@@ -10,8 +10,9 @@ reject decision, raise its exact message, and store bit-identical values.
 
 Also pinned here: the constructors copy the caller's arrays and never freeze
 them, ``model_from_strategy`` hands out read-only arrays that share nothing
-with its import-time tables, and a model with no settings or no outcomes is
-rejected by name.
+with its import-time tables, a model with no settings or no outcomes is
+rejected by name, and a model's verdict and stored arrays do not depend on
+the memory layout of the caller's arrays.
 """
 
 import math
@@ -366,3 +367,37 @@ def test_model_from_strategy_shares_no_memory_with_its_tables():
         array[...] = 0.5
     again = qu.collapse(qu.lhv_evaluate(qu.model_from_strategy(strategy)))
     assert again.isclose(vertex, tol=0.0)
+
+
+def _layouts(array):
+    # The same values as a C copy, a Fortran copy and a strided view.
+    spaced = np.zeros(array.shape[:-1] + (2 * array.shape[-1],))
+    spaced[..., ::2] = array
+    return np.array(array, order="C"), np.array(array, order="F"), spaced[..., ::2]
+
+
+def test_lhv_model_decides_the_same_for_every_memory_layout():
+    # One row of 8 or more outcomes scaled to sum to 1 + 1e-9, where the
+    # rounding of its sum decides: numpy sums a row in an order that depends
+    # on the memory layout, so the model must sum C-ordered copies.
+    decisions = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d, left, right = int(rng.integers(8, 40)), *map(int, rng.integers(1, 3, size=2))
+        arrays = _random_model(2, d, left, right, seed, False)
+        rows = arrays[int(rng.integers(2, 5))].reshape(-1, d)
+        rows[int(rng.integers(len(rows)))] *= 1.0 + 1e-9
+        outcomes = [
+            _outcome(lambda: [getattr(qu.LhvModel(*copies), name) for name in _LHV_FIELDS])
+            for copies in zip(*map(_layouts, arrays))
+        ]
+        kinds = {kind for kind, _ in outcomes}
+        assert len(kinds) == 1, seed
+        decisions |= kinds
+        if kinds == {"ok"}:
+            stored = [[_bits(x) for x in fields] for _, fields in outcomes]
+            assert stored[1] == stored[2] == stored[0], seed
+            assert all(x.flags.c_contiguous for _, fields in outcomes for x in fields)
+        else:
+            assert outcomes[1] == outcomes[2] == outcomes[0], seed
+    assert decisions == {"ok", "ValueError"}
