@@ -12,8 +12,8 @@ verb uses, is imported here; each verb imports the other layers it needs:
 ``project`` and ``test`` read and check their input files before they import
 a layer.  numpy is imported only by the layers and functions that compute
 with arrays, so ``vertices``, ``graph`` without a layout, ``analyze``,
-``project`` and point-mode ``test`` run without it, and so does a verb whose
-point file is rejected.
+``project`` and point-mode ``test`` run without it, and so do a verb whose
+point file is rejected and ``graph`` with a rejected format and layout pair.
 """
 
 from __future__ import annotations
@@ -174,20 +174,19 @@ def _cmd_vertices(args) -> str:
 
 
 def _cmd_graph(args) -> str:
+    # The flag pair is checked first, so a rejected pair loads and computes nothing.
+    if args.format == "dot" and args.layout == "svd":
+        raise ValueError("svd layout output requires json or csv format")
+    if args.format == "csv" and args.layout != "svd":
+        raise ValueError("csv format for graph requires --layout svd")
     from . import geometry
 
     representation = _REP_FLAGS[args.rep]
     graph = geometry.build_visibility_graph(representation)
-    layout = None
-    if args.layout == "svd":
-        layout = svd_layout(vertex_rows(representation))
     if args.format == "dot":
-        if layout is not None:
-            raise ValueError("svd layout output requires json or csv format")
         return geometry.graph_to_dot(graph)
+    layout = svd_layout(vertex_rows(representation)) if args.layout == "svd" else None
     if args.format == "csv":
-        if layout is None:
-            raise ValueError("csv format for graph requires --layout svd")
         lines = ["x,y,z"]
         lines.extend(",".join(f"{value:.12g}" for value in row) for row in layout)
         return "\n".join(lines) + "\n"

@@ -19,8 +19,9 @@ use, and the two canonical graphs are constants, built once at import.
 The full-26 graph is 16 classes of 4 twins (the strategies that differ only
 in the middle wing), and its quotient is the reduced-8 graph, which has no
 twins and is its own quotient.  Shortest paths run on the quotient as well:
-twins are at distance 1, and two nodes of different classes are as far
-apart as their classes.
+each graph keeps one table of distances between its classes, a class of
+twins at distance 1 from itself, which ``diameter`` reads and the shortest
+path matrix lifts to the nodes.
 
 A graph holds nothing but the int bit masks of its adjacency rows, and
 every search, listing and export reads them, so nothing here imports
@@ -118,8 +119,8 @@ class VisibilityGraph:
     self-loops, symmetric), and ``adjacency`` is a read-only boolean matrix
     built from them on first use.  ``from_adjacency`` builds a graph from a
     matrix.  The closed-twin quotient, which the generator, clique and
-    shortest-path searches read, and its minimum cover are computed once per
-    graph.  Graphs compare by identity.
+    shortest-path searches read, its minimum cover and its class-distance
+    table are computed once per graph.  Graphs compare by identity.
     """
 
     row_masks: tuple[int, ...]
@@ -149,7 +150,12 @@ class VisibilityGraph:
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Read-only boolean adjacency matrix, built from the masks."""
-        adj = _bit_matrix(self.row_masks, self.node_count)
+        import numpy as np
+
+        n = self.node_count
+        size = (n + 7) // 8
+        packed = np.frombuffer(b"".join(mask.to_bytes(size, "little") for mask in self.row_masks), np.uint8)
+        adj = np.unpackbits(packed.reshape(n, size), axis=1, count=n, bitorder="little").astype(bool)
         adj.flags.writeable = False
         return adj
 
@@ -191,6 +197,39 @@ class VisibilityGraph:
         return members, masks
 
     @cached_property
+    def _class_distances(self) -> tuple[tuple[int, ...], ...]:
+        # Breadth-first distance between every two closed-twin classes: the
+        # next ring is every class that a class of the last ring sees and that
+        # is not yet reached.  A class is at distance 1 from itself when it
+        # holds two twins, else 0.  A failed search raises and caches nothing.
+        if not self.row_masks:
+            raise ValueError("shortest paths need a graph with at least one node")
+        members, masks = self._twin_quotient
+        full = (1 << len(members)) - 1
+        table = []
+        for source, nodes in enumerate(members):
+            dist = [0] * len(members)
+            dist[source] = int(len(nodes) > 1)
+            reached = ring = 1 << source
+            depth = 0
+            while reached != full:
+                grown = 0
+                for c in _bits(ring):
+                    grown |= masks[c]
+                ring = grown & ~reached
+                if not ring:
+                    # Classes are ordered by smallest member and the first source
+                    # is node 0's class: this is the first unreachable node pair.
+                    missing = members[next(_bits(full & ~reached))][0]
+                    raise ValueError(f"graph is disconnected: no path between nodes {nodes[0]} and {missing}")
+                depth += 1
+                reached |= ring
+                for c in _bits(ring):
+                    dist[c] = depth
+            table.append(tuple(dist))
+        return tuple(table)
+
+    @cached_property
     def _minimum_generators(self) -> CoverageReport:
         # The coverage report of the lexicographically first smallest cover of
         # the quotient, each class lifted to its smallest member; callers rule
@@ -200,16 +239,6 @@ class VisibilityGraph:
         covers = (_first_cover(masks, size) for size in range(len(masks) + 1))
         cover = next(cover for cover in covers if cover is not None)
         return verify_generator_set(self, [members[c][0] for c in cover])
-
-
-def _bit_matrix(masks, width: int) -> np.ndarray:
-    # Boolean matrix whose row i holds the low ``width`` bits of masks[i].
-    import numpy as np
-
-    size = (width + 7) // 8
-    packed = np.frombuffer(b"".join(mask.to_bytes(size, "little") for mask in masks), np.uint8)
-    bits = np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
-    return bits.astype(bool)
 
 
 def _canonical_masks(representation: str) -> tuple[int, ...]:
@@ -242,75 +271,30 @@ def build_visibility_graph(representation: str) -> VisibilityGraph:
     return _CANONICAL_GRAPHS[representation]
 
 
-def _class_rings(graph: VisibilityGraph) -> list[list[int]]:
-    # For each class of the closed-twin quotient, the masks of the classes at
-    # distance 1, 2, ... from it, found breadth-first: the next ring is every
-    # class that a class of the last ring sees and that is not yet reached.
-    if graph.node_count == 0:
-        raise ValueError("shortest paths need a graph with at least one node")
-    members, masks = graph._twin_quotient
-    full = (1 << len(members)) - 1
-    all_rings = []
-    for source in range(len(members)):
-        reached = ring = 1 << source
-        rings = []
-        while reached != full:
-            grown = 0
-            for c in _bits(ring):
-                grown |= masks[c]
-            ring = grown & ~reached
-            if not ring:
-                # Classes are ordered by smallest member, and the first source
-                # is node 0's class, so this names the first unreachable node
-                # pair in row-major order.
-                missing = members[next(_bits(full & ~reached))][0]
-                raise ValueError(
-                    f"graph is disconnected: no path between nodes {members[source][0]} and {missing}"
-                )
-            reached |= ring
-            rings.append(ring)
-        all_rings.append(rings)
-    return all_rings
-
-
 def diameter(graph: VisibilityGraph) -> int:
     """Largest shortest-path distance between two nodes of a connected graph.
 
-    The number of breadth-first rings around the farthest class of the
-    closed-twin quotient, and at least 1 when some class holds two twins.
-    Raises ValueError, naming the first unreachable pair, if the graph is
+    The largest entry of the graph's class-distance table, which counts a
+    class that holds two twins as at distance 1 from itself.  Raises
+    ValueError, naming the first unreachable pair, if the graph is
     disconnected, and on a graph with no nodes.
     """
-    all_rings = _class_rings(graph)
-    return max(max(map(len, all_rings)), int(graph.node_count > len(all_rings)))
+    return max(map(max, graph._class_distances))
 
 
 def all_pairs_shortest_paths(graph: VisibilityGraph) -> tuple[np.ndarray, int]:
     """Breadth-first APSP matrix and its maximum entry, the ``diameter``.
 
-    The class distances of the closed-twin quotient, lifted to the nodes:
-    distinct twins are at distance 1, and other pairs at the distance of
-    their classes.  Raises ValueError like ``diameter``.
+    The class-distance table of the closed-twin quotient, lifted to the
+    nodes: two nodes are as far apart as their classes, so distinct twins
+    are at distance 1, and the diagonal is 0.  Each call returns a new
+    array.  Raises ValueError like ``diameter``.
     """
     import numpy as np
 
-    all_rings = _class_rings(graph)
     members, _ = graph._twin_quotient
-    classes = len(members)
-    depth = max(map(len, all_rings))
-    # Row (s, k) of the bit matrix marks the classes at distance k + 1 from s.
-    padded = [ring for rings in all_rings for ring in rings + [0] * (depth - len(rings))]
-    ring_bits = _bit_matrix(padded, classes).reshape(classes, depth, classes)
-    class_dist = np.arange(1, depth + 1) @ ring_bits
-    if classes == graph.node_count:  # twin-free: the graph is its own quotient
-        return class_dist, int(class_dist.max())
-    class_of = [0] * graph.node_count
-    for c, nodes in enumerate(members):
-        for node in nodes:
-            class_of[node] = c
-    class_of = np.array(class_of)
-    dist = class_dist[class_of[:, None], class_of]
-    dist[dist == 0] = 1  # twins, and the diagonal, which is reset next
+    class_of = [c for _, c in sorted((node, c) for c, nodes in enumerate(members) for node in nodes)]
+    dist = np.array(graph._class_distances)[np.ix_(class_of, class_of)]
     np.fill_diagonal(dist, 0)
     return dist, int(dist.max())
 

@@ -32,14 +32,12 @@ from typing import Optional
 import numpy as np
 
 from .strategies import (
-    COLUMN_EVENTS,
     BehaviourPoint,
     DeterministicStrategy,
-    FULL_26,
-    REDUCED_8,
-    FULL_SHAPE,
     REDUCED_SHAPE,
     ScenarioShape,
+    _EVENT_MASKS,
+    _REPRESENTATIONS,
     _check_int,
     _check_real,
 )
@@ -77,6 +75,8 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)  # a private copy, frozen below
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("expected a square matrix")
+        if not m.size:
+            raise ValueError("density matrix is empty")
         _check_finite("density matrix", m)
         herm = np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
@@ -164,6 +164,10 @@ class MeasurementSet:
                 raise ValueError(f"party {p}: projector dimensions disagree") from None
             if ops.ndim != 4 or ops.shape[2] != ops.shape[3]:
                 raise ValueError(f"party {p}: expected square projectors, got shape {ops.shape}")
+            if not ops.shape[0]:
+                raise ValueError(f"party {p} has no settings")
+            if not ops.shape[2]:
+                raise ValueError(f"party {p}: projectors act on an empty space")
             # NaN fails every tolerance comparison silently, so test for it first.
             _first_failure(
                 ~np.isfinite(ops).all(axis=(2, 3)),
@@ -313,21 +317,20 @@ def _born(matrix: np.ndarray, measurements: MeasurementSet) -> np.ndarray:
 def _collapse_matrix(shape: ScenarioShape, representation: str) -> np.ndarray:
     # Row c averages, over the settings of the parties column c leaves out,
     # the probability that every party it names, at its named setting,
-    # produces outcome 0.  Columns follow table.ravel().
+    # produces outcome 0: a table entry counts when its singles word (bit
+    # 2 * p + s set when party p gives outcome 0 at setting s) holds the
+    # column's event mask.  Columns follow table.ravel().
     n, m, d = shape.n, shape.m, shape.d
     index = np.indices((m,) * n + (d,) * n).reshape(2 * n, -1)
-    matrix = []
-    for events in COLUMN_EVENTS[representation]:
-        hit = np.ones(index.shape[1], dtype=bool)
-        for party, setting in events:
-            hit &= (index[party] == setting) & (index[n + party] == 0)
-        matrix.append(hit / m ** (n - len(events)))
-    return np.array(matrix)
+    words = sum((index[n + p] == 0) << (2 * p + index[p]) for p in range(n))
+    return np.array(
+        [((words & mask) == mask) / m ** (n - mask.bit_count()) for mask in _EVENT_MASKS[representation]]
+    )
 
 
 _COLLAPSE = {
     shape: (_collapse_matrix(shape, representation), representation)
-    for shape, representation in ((FULL_SHAPE, FULL_26), (REDUCED_SHAPE, REDUCED_8))
+    for representation, (shape, _) in _REPRESENTATIONS.items()
 }
 
 

@@ -95,7 +95,8 @@ def gaussian_separability(
     Treats the observed distance as Gaussian with scale ``sigma_d`` under the
     hypothesis that the points coincide; reports the two-sided p-value, the
     overlap 2 * Phi(-z / 2) of two unit-variance Gaussians that far apart,
-    and whether the hypothesis is rejected at level ``alpha``.
+    and whether the hypothesis is rejected at level ``alpha``.  Raises
+    ValueError when ``sigma_d`` is so small that z overflows the float range.
     """
     if p.representation != q.representation:
         raise ValueError("cannot compare points in different representations")
@@ -103,6 +104,8 @@ def gaussian_separability(
     _check_real("alpha", alpha, 0, 1, strict=True)
     distance = math.dist(p.coords, q.coords)
     z = distance / sigma_d
+    if not math.isfinite(z):
+        raise ValueError(f"sigma_d {sigma_d!r} is too small for the distance {distance!r}: z overflows")
     p_value = 2.0 * (1.0 - _normal_cdf(z))
     overlap = 2.0 * _normal_cdf(-z / 2.0)
     return TestReport(distance, sigma_d, z, p_value, overlap, alpha, bool(p_value < alpha))

@@ -6,7 +6,10 @@ the output for both settings of every wing, so there are 4**3 = 64 strategies.
 Each strategy maps to an extreme point of the locally realisable behaviour
 set, written as a 26-entry 0/1 vector: 6 single-output events, 12 two-wing
 pair events and 8 first/last triple events.  Discarding the middle wing
-collapses the table to 16 distinct vertices in 8 coordinates.
+collapses the table to 16 distinct vertices in 8 coordinates.  Each
+coordinate's event is one bit mask over the singles block, read from its
+column name; the vertex tables here and ``quantum.collapse`` are both built
+from these masks.
 """
 
 from __future__ import annotations
@@ -39,27 +42,22 @@ TRI_NAMES = (
 FULL_COLUMN_NAMES = SINGLE_NAMES + PAIR_NAMES + TRI_NAMES
 REDUCED_COLUMN_NAMES = ("a0", "a1", "c0", "c1", "a0c0", "a0c1", "a1c0", "a1c1")
 
-# The event each behaviour coordinate records: every listed party, at its
-# listed setting, produces the flagged outcome.  A column name holds one
-# (party, setting) pair per wing letter, parties numbered in wing order, so
-# "a0b1c0" reads ((0, 0), (1, 1), (2, 0)).  Vertex products and the collapse
-# of full distributions are both derived from this map.
-COLUMN_EVENTS = {
+# The event each behaviour coordinate records, as a bit mask over the singles
+# block: every party the column names, at its named setting, produces the
+# flagged outcome.  A column name holds one (party, setting) pair per wing
+# letter, parties numbered in wing order, and the bit of party p at setting s
+# sits at index 2 * p + s, so "a0b1c0" is the mask of bits 0, 3 and 4.
+# Vertex products and the collapse of full distributions are both derived
+# from this map.
+_EVENT_MASKS = {
     representation: tuple(
-        tuple((wings.index(name[i]), int(name[i + 1])) for i in range(0, len(name), 2))
+        sum(1 << (2 * wings.index(name[i]) + int(name[i + 1])) for i in range(0, len(name), 2))
         for name in names
     )
     for representation, names, wings in (
         (FULL_26, FULL_COLUMN_NAMES, "abc"),
         (REDUCED_8, REDUCED_COLUMN_NAMES, "ac"),
     )
-}
-
-# The same events as bit masks over the singles block, where the bit of
-# party p at setting s sits at index 2 * p + s.
-_EVENT_MASKS = {
-    representation: tuple(sum(1 << (2 * p + s) for p, s in column) for column in events)
-    for representation, events in COLUMN_EVENTS.items()
 }
 
 

@@ -20,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from p3poly import quantum as qu
+from p3poly import stats as sta
 from p3poly.cli import main, svd_layout
-from p3poly.strategies import vertex_rows, FULL_26, REDUCED_8
+from p3poly.strategies import BehaviourPoint, vertex_rows, FULL_26, REDUCED_8
 
 from reference_tables import FULL_TABLE, P_B, P_U, REDUCED_TABLE
 
@@ -436,6 +437,12 @@ def test_bound_holds_for_two_pure_states(tmp_path, seed):
 
 
 _ALPHA_MESSAGE = "alpha must be a finite real number in (0, 1), got {!r}"
+# Relative noise 1e-320 on P_B gives a subnormal sigma_d, and the distance
+# from P_B to the all-zero point over it overflows.
+_TINY_SIGMA_D = sta.distance_sigma(BehaviourPoint.reduced(P_B), 1e-320)
+_OVERFLOW_MESSAGE = (
+    f"sigma_d {_TINY_SIGMA_D!r} is too small for the distance {math.dist(P_B, [0.0] * 8)!r}: z overflows"
+)
 _ZERO_SIGMA_MESSAGE = (
     "noise {!r} gives the expected point a zero distance sigma:"
     " use noise > 0, and --absolute when every expected coordinate is 0"
@@ -467,6 +474,10 @@ _ZERO_SIGMA_MESSAGE = (
         pytest.param(
             "point", json.dumps({"representation": REDUCED_8, "coords": [0.0] * 8}),
             ["--expected", "{observed}"], _ZERO_SIGMA_MESSAGE.format(0.05), id="relative-noise-zero-point",
+        ),
+        pytest.param(
+            "point", json.dumps({"representation": REDUCED_8, "coords": [0.0] * 8}),
+            ["--noise", "1e-320"], _OVERFLOW_MESSAGE, id="noise-overflows-z",
         ),
     ],
 )

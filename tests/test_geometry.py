@@ -18,7 +18,9 @@ Core claims pinned here:
   * build_visibility_graph returns one shared graph per representation, and
     a graph runs its minimum-cover search once, whichever of
     minimum_generators and has_dominating_set asks first; every call to
-    minimum_generators returns the same report.
+    minimum_generators returns the same report.  It builds its class-distance
+    table once too, across diameter and APSP calls, and each APSP call
+    returns a new, writable matrix.
   * Node indices and dominating-set sizes must be ints: floats, strings and
     bools are rejected, not truncated.
   * The full graph's closed-twin quotient is the reduced graph, and the
@@ -32,6 +34,7 @@ Core claims pinned here:
 """
 
 import re
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -213,6 +216,43 @@ def test_cover_search_runs_once_per_graph(monkeypatch, representation):
     assert not ge.has_dominating_set(fresh, 3) and ge.has_dominating_set(fresh, 4)
     assert ge.minimum_generators(fresh).members == generators.members
     assert sizes == search * 2
+
+
+@pytest.mark.parametrize("representation", [st.FULL_26, st.REDUCED_8])
+def test_class_distances_are_built_once_per_graph(monkeypatch, representation):
+    built = []
+    build = ge.VisibilityGraph._class_distances.func
+
+    def counted(graph):
+        built.append(graph)
+        return build(graph)
+
+    table = cached_property(counted)
+    table.__set_name__(ge.VisibilityGraph, "_class_distances")
+    monkeypatch.setattr(ge.VisibilityGraph, "_class_distances", table)
+    masks = ge.build_visibility_graph(representation).row_masks
+    graph = ge.VisibilityGraph(masks)
+    results = []
+    for _ in range(3):
+        assert ge.diameter(graph) == 2
+        dist, longest = ge.all_pairs_shortest_paths(graph)
+        assert longest == 2
+        results.append(dist)
+    assert built == [graph]
+    # Every call returns its own writable matrix, so changing one result
+    # changes neither the others nor the next call's.
+    expected = results[0].copy()
+    assert all(dist.flags.writeable for dist in results)
+    assert len({id(dist) for dist in results}) == len(results)
+    results[0][:] = 7
+    assert np.array_equal(results[1], expected)
+    assert np.array_equal(ge.all_pairs_shortest_paths(graph)[0], expected)
+    assert built == [graph]
+    # A fresh graph builds its own table, whichever search asks first.
+    fresh = ge.VisibilityGraph(masks)
+    assert np.array_equal(ge.all_pairs_shortest_paths(fresh)[0], expected)
+    assert ge.diameter(fresh) == 2
+    assert built == [graph, fresh]
 
 
 def test_coverage_diagonal_full():

@@ -68,6 +68,8 @@ def test_density_matrix_validation_messages():
         qu.DensityMatrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError):
         qu.DensityMatrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^density matrix is empty$"):
+        qu.DensityMatrix(np.zeros((0, 0)))
 
 
 def test_density_matrix_json_roundtrip():
@@ -144,6 +146,13 @@ _Z3 = tuple(np.diag(row) for row in np.eye(3))
             ((_Z, (np.eye(2) / 2, np.eye(2) / 2)),),
             "party 0 setting 1 outcome 0: not a projector",
             id="not-idempotent",
+        ),
+        pytest.param((np.zeros((0, 2, 2, 2)),), "^party 0 has no settings$", id="no-settings"),
+        pytest.param(
+            ((_Z, _X), np.zeros((2, 2, 0, 0))), "^party 1: projectors act on an empty space$", id="empty-space"
+        ),
+        pytest.param(
+            (np.zeros((1, 1, 0, 0)),), "^party 0: projectors act on an empty space$", id="empty-space-alone"
         ),
     ],
 )

@@ -82,6 +82,8 @@ def test_bare_import_loads_no_layer_and_not_numpy():
 _REJECTED = "error: coordinate nan is not finite\n"
 # A full-26 point, which the loader accepts and the projection rejects.
 _NOT_REDUCED = "error: projection is defined for reduced-8 points\n"
+# A flag pair that the graph verb rejects before it loads a layer.
+_BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
 
 
 @pytest.mark.parametrize(
@@ -92,6 +94,7 @@ _NOT_REDUCED = "error: projection is defined for reduced-8 points\n"
         (["graph", "--rep", "reduced"], ["geometry"], False, ""),
         (["graph", "--rep", "full", "--format", "dot"], ["geometry"], False, ""),
         (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry"], True, ""),
+        (["graph", "--layout", "svd", "--format", "dot"], [], False, _BAD_GRAPH_FLAGS),
         (["analyze", "--rep", "reduced"], ["geometry"], False, ""),
         (["analyze", "--rep", "full"], ["geometry"], False, ""),
         (["simulate", "--kind", "honest"], ["quantum"], True, ""),
@@ -105,7 +108,7 @@ _NOT_REDUCED = "error: projection is defined for reduced-8 points\n"
         (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["quantum"], True, ""),
     ],
     ids=[
-        "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "analyze", "analyze-full",
+        "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "graph-svd-dot", "analyze", "analyze-full",
         "simulate", "project", "project-rejected", "project-full26", "test-point", "test-point-rejected-observed",
         "test-point-rejected-expected", "test-samples", "bound",
     ],

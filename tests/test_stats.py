@@ -5,7 +5,8 @@ Core claims pinned here:
     sigma.
   * distance_sigma(P_B, 5%) equals the frozen oracle 0.0637...
   * gaussian_separability separates P_U from P_B at z ~ 5.5 and is monotone
-    in distance; its sigma_d must be positive and finite.
+    in distance; its sigma_d must be positive and finite, and large enough
+    that z is finite.
   * Welch t and KS implementations agree with scipy oracles; the Welch t
     p-value is the same at every sample scale from 1e-300 to 1e300.
   * norms obeys l2 <= l1 and reproduces (0.5, sqrt(0.125)) on V.
@@ -141,6 +142,18 @@ def test_gaussian_separability_rejects_sigma_d_that_is_not_positive_and_finite(s
     with pytest.raises(ValueError) as error:
         sta.gaussian_separability(pb(), pu(), sigma_d)
     assert str(error.value) == f"sigma_d must be a finite real number > 0, got {sigma_d!r}"
+
+
+@pytest.mark.parametrize("sigma_d", [1e-309, 1e-320, 5e-324])
+def test_gaussian_separability_rejects_sigma_d_that_overflows_z(sigma_d):
+    zero = st.BehaviourPoint.reduced([0.0] * 8)
+    distance = math.dist(P_B, zero.coords)
+    assert distance / sigma_d == math.inf
+    with pytest.raises(ValueError) as error:
+        sta.gaussian_separability(pb(), zero, sigma_d)
+    assert str(error.value) == f"sigma_d {sigma_d!r} is too small for the distance {distance!r}: z overflows"
+    # Coincident points are at z = 0 for every positive sigma_d.
+    assert sta.gaussian_separability(zero, zero, sigma_d).z == 0.0
 
 
 def test_gaussian_separability_validation():
