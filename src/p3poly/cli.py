@@ -8,7 +8,8 @@ validation failure without leaving partial files behind.
 Start-up is most of a command's time, so only ``strategies``, which every
 verb uses, is imported here; each verb imports the other layers it needs:
 ``graph`` and ``analyze`` geometry, ``simulate`` and ``bound`` quantum,
-``project`` manifold, and ``test`` stats (plus manifold in point mode).
+``project`` manifold, and ``test`` stats (plus manifold in point mode);
+``graph --format csv`` writes only the SVD layout and loads no layer.
 ``project`` and ``test`` read and check their input files before they import
 a layer.  numpy is imported only by the layers and functions that compute
 with arrays, so ``vertices``, ``graph`` without a layout, ``analyze``,
@@ -86,7 +87,8 @@ def _write_output(path_str: str, payload: str) -> None:
 
 def _read_text(path_str: str) -> str:
     try:
-        with open(path_str, encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+        with open(path_str, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path_str!r}: {exc.strerror}")
@@ -121,6 +123,13 @@ def _load_density_matrix(path_str: str) -> DensityMatrix:
     return DensityMatrix.from_json_dict(data)
 
 
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _read_samples(path_str: str) -> np.ndarray:
     """Sample CSV: one real per line, or rows of comma-separated coordinates."""
     import numpy as np
@@ -130,12 +139,10 @@ def _read_samples(path_str: str) -> np.ndarray:
         raise ValueError(f"{path_str!r} holds no samples")
     rows = []
     for index, line in enumerate(lines):
-        cells = [cell.strip() for cell in line.split(",")]
-        try:
-            rows.append([float(cell) for cell in cells])
-        except ValueError:
-            if index == 0:
-                continue  # header row
+        row = [_number(cell) for cell in line.split(",")]
+        if None not in row:
+            rows.append(row)
+        elif index or row.count(None) < len(row):  # line 1 is a header only if it holds no number
             raise ValueError(f"{path_str!r} line {index + 1} is not numeric")
     if not rows:
         raise ValueError(f"{path_str!r} holds no numeric rows")
@@ -179,17 +186,17 @@ def _cmd_graph(args) -> str:
         raise ValueError("svd layout output requires json or csv format")
     if args.format == "csv" and args.layout != "svd":
         raise ValueError("csv format for graph requires --layout svd")
-    from . import geometry
-
     representation = _REP_FLAGS[args.rep]
-    graph = geometry.build_visibility_graph(representation)
-    if args.format == "dot":
-        return geometry.graph_to_dot(graph)
     layout = svd_layout(vertex_rows(representation)) if args.layout == "svd" else None
-    if args.format == "csv":
+    if args.format == "csv":  # the layout alone: no graph, so no geometry layer
         lines = ["x,y,z"]
         lines.extend(",".join(f"{value:.12g}" for value in row) for row in layout)
         return "\n".join(lines) + "\n"
+    from . import geometry
+
+    graph = geometry.build_visibility_graph(representation)
+    if args.format == "dot":
+        return geometry.graph_to_dot(graph)
     payload = {
         "representation": representation,
         "node_count": graph.node_count,

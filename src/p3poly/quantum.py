@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -141,7 +142,8 @@ class MeasurementSet:
     dim)`` array, so ``projectors[party][setting][outcome]`` is a projector on
     that party's local space.  Every setting must be a complete orthogonal
     projective measurement; all parties must share the same setting and
-    outcome counts, but each party may have its own ``dim``.
+    outcome counts, which ``shape`` reports with the party count as a
+    ``ScenarioShape``, but each party may have its own ``dim``.
 
     Instances compare by identity: an array field has no single truth value.
     """
@@ -185,17 +187,9 @@ class MeasurementSet:
             stacked.append(ops)
         object.__setattr__(self, "projectors", tuple(stacked))
 
-    @property
-    def n_parties(self) -> int:
-        return len(self.projectors)
-
-    @property
-    def settings_per_party(self) -> int:
-        return self.projectors[0].shape[0]
-
-    @property
-    def outcomes_per_setting(self) -> int:
-        return self.projectors[0].shape[1]
+    @cached_property
+    def shape(self) -> ScenarioShape:
+        return ScenarioShape(len(self.projectors), *self.projectors[0].shape[:2])
 
     @property
     def party_dims(self) -> tuple[int, ...]:
@@ -286,12 +280,8 @@ def behaviour_from_state(
     rho: DensityMatrix, measurements: MeasurementSet, shape: ScenarioShape
 ) -> FullDistribution:
     """Born-rule distribution p(outcomes | settings) = Tr(rho * joint projector)."""
-    if measurements.n_parties != shape.n:
-        raise ValueError("measurement set and scenario disagree on party count")
-    if measurements.settings_per_party != shape.m:
-        raise ValueError("measurement set and scenario disagree on setting count")
-    if measurements.outcomes_per_setting != shape.d:
-        raise ValueError("measurement set and scenario disagree on outcome count")
+    if measurements.shape != shape:
+        raise ValueError(f"measurement set scenario {measurements.shape} does not match {shape}")
     _check_state_dim(rho, measurements)
     return FullDistribution(shape, np.clip(_born(rho.matrix, measurements).real, 0.0, None))
 
@@ -307,7 +297,7 @@ def _born(matrix: np.ndarray, measurements: MeasurementSet) -> np.ndarray:
     # p(x, a) = sum_{i,j} rho[i_1..i_n, j_1..j_n] * prod_k P_k[x_k, a_k, j_k, i_k],
     # linear in the matrix.  Subscripts: i_k is k, j_k is n + k, x_k is 2n + k
     # and a_k is 3n + k.  The complex table has the settings axes first.
-    n = measurements.n_parties
+    n = len(measurements.projectors)
     operands = [matrix.reshape(measurements.party_dims * 2), list(range(2 * n))]
     for k, ops in enumerate(measurements.projectors):
         operands += [ops, [2 * n + k, 3 * n + k, n + k, k]]
@@ -515,7 +505,8 @@ class LhvModel:
     the middle wing reads both.  ``response_first`` has shape (m, L, d),
     ``response_middle`` (m, L, R, d), ``response_last`` (m, R, d); the weight
     vectors are the source distributions of length L and R.  Construction
-    rejects wings that disagree on the setting count m or the outcome count d.
+    rejects wings that disagree on the setting count m or the outcome count d;
+    ``shape`` is the model's scenario, ``ScenarioShape(3, m, d)``.
 
     Instances compare by identity: an array field has no single truth value.
     """
@@ -546,12 +537,8 @@ class LhvModel:
             object.__setattr__(self, name, array)
 
     @property
-    def settings(self) -> int:
-        return self.response_first.shape[0]
-
-    @property
-    def outcomes(self) -> int:
-        return self.response_first.shape[-1]
+    def shape(self) -> ScenarioShape:
+        return ScenarioShape(3, self.response_first.shape[0], self.response_first.shape[-1])
 
 
 def lhv_evaluate(model: LhvModel) -> FullDistribution:
@@ -568,8 +555,7 @@ def lhv_evaluate(model: LhvModel) -> FullDistribution:
         model.weights_left,
         model.weights_right,
     )
-    shape = ScenarioShape(3, model.settings, model.outcomes)
-    return FullDistribution(shape, table)
+    return FullDistribution(model.shape, table)
 
 
 # Row w is the response table of wing index w: setting s puts all weight on

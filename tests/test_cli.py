@@ -616,6 +616,9 @@ _MALFORMED_FILES = {
         "empty": ("", "holds no samples"),
         "blank": ("\n \n", "holds no samples"),
         "header-only": ("x,y\n", "holds no numeric rows"),
+        "bom-header-only": (b"\xef\xbb\xbfx,y\n", "holds no numeric rows"),
+        "bom-first-row-kept": (b"\xef\xbb\xbf0.1,0.2\n0.3\n", "ragged rows (widths [1, 2])"),
+        "mistyped-first-line": ("1.0,abc\n2.0,3.0\n", "line 1 is not numeric"),
         "not-numeric": ("0.1\nabc\n0.3\n", "line 2 is not numeric"),
         "ragged": ("0.1,0.2\n0.3\n0.4,0.5\n", "ragged rows"),
         "nan-cell": ("0.1\nnan\n0.3\n", "finite samples"),
@@ -704,6 +707,21 @@ def test_malformed_input_file_gives_one_error_line(tmp_path, capsys, recwarn, re
     assert captured.out == ""
     assert not out.exists()
     assert not recwarn.list  # a warning would reach stderr outside pytest
+
+
+@pytest.mark.parametrize("reader", ["project", "test-samples-expected", "bound-rho"])
+def test_a_utf8_byte_order_mark_changes_no_output(tmp_path, reader):
+    # Spreadsheet "CSV UTF-8" exports start with a byte-order mark; each
+    # reader skips it, so the first sample row is not taken for a header.
+    kind, argv, flag, other_flag = _FILE_READERS[reader]
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).write_bytes(prefix + _GOOD_FILES[kind].encode())
+        other = [] if other_flag is None else [other_flag, str(tmp_path / "plain")]
+        code, out = run(tmp_path, *argv, flag, str(tmp_path / name), *other)
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 # Arbitrary JSON for the point and state readers: top-level documents, and

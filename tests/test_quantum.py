@@ -21,6 +21,8 @@ Core claims pinned here:
   * The dataclasses that hold arrays compare by identity and are hashable.
   * MeasurementSet names each kind of malformed input and stores one
     read-only (settings, outcomes, dim, dim) array per party.
+  * behaviour_from_state rejects a scenario that differs from its
+    measurement set's shape in n, m or d with one message naming both.
   * no_signalling_check agrees with a per-setting loop oracle, and Born-rule
     tables from random product measurements are normalized and pass it.
   * behaviour_bound_check, computed once on rho - sigma, matches the chain
@@ -103,9 +105,7 @@ def test_density_matrix_json_text_roundtrip(dim, seed):
 
 def test_measurement_set_validation():
     good = qu.zx_qubit_measurements(2)
-    assert good.n_parties == 2
-    assert good.settings_per_party == 2
-    assert good.outcomes_per_setting == 2
+    assert good.shape == st.REDUCED_SHAPE
     assert good.party_dims == (2, 2)
     assert good.total_dim == 4
     bad = ((np.diag([1.0, 0.0]), np.diag([0.0, 0.5])),)
@@ -154,6 +154,7 @@ _Z3 = tuple(np.diag(row) for row in np.eye(3))
         pytest.param(
             (np.zeros((1, 1, 0, 0)),), "^party 0: projectors act on an empty space$", id="empty-space-alone"
         ),
+        pytest.param((), "^measurement set has no parties$", id="no-parties"),
     ],
 )
 def test_measurement_set_rejects_malformed_input(parties, message):
@@ -205,6 +206,17 @@ def test_behaviour_from_state_dimension_checks():
         qu.behaviour_from_state(maximally_mixed(2), measurements, st.REDUCED_SHAPE)
     with pytest.raises(ValueError):
         qu.behaviour_from_state(maximally_mixed(4), measurements, st.FULL_SHAPE)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [st.ScenarioShape(3, 2, 2), st.ScenarioShape(2, 3, 2), st.ScenarioShape(2, 2, 3)],
+    ids=["n", "m", "d"],
+)
+def test_behaviour_from_state_rejects_a_scenario_other_than_the_measurements(shape):
+    message = f"measurement set scenario {st.REDUCED_SHAPE} does not match {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        qu.behaviour_from_state(bell(), qu.zx_qubit_measurements(2), shape)
 
 
 def test_full_distribution_validation():
@@ -323,6 +335,8 @@ def test_partial_trace():
         qu.partial_trace(bell(), (3, 2), "A")
     with pytest.raises(ValueError):
         qu.partial_trace(bell(), (2, 2), "C")
+    with pytest.raises(ValueError, match=r"^dims must be a pair, got 4$"):
+        qu.partial_trace(bell(), 4, "A")
 
 
 @pytest.mark.parametrize("dims", [(-2, -2), (2.0, 2.0), (True, 4), (0, 4)])
@@ -352,6 +366,12 @@ def test_trace_distance_metric_fuzz():
         assert dab == pytest.approx(qu.trace_distance(b, a), abs=1e-12)
         assert 0.0 <= dab <= 1.0 + 1e-12
         assert dab <= qu.trace_distance(a, c) + qu.trace_distance(c, b) + 1e-10
+
+
+@pytest.mark.parametrize("distance", [qu.trace_distance, qu.fidelity, qu.fidelity_bounds_check])
+def test_states_of_different_dimension_have_no_distance(distance):
+    with pytest.raises(ValueError, match="^states live on spaces of different dimension$"):
+        distance(bell(), maximally_mixed(2))
 
 
 def test_fidelity_basic():

@@ -95,6 +95,7 @@ _BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
         (["graph", "--rep", "full", "--format", "dot"], ["geometry"], False, ""),
         (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry"], True, ""),
         (["graph", "--layout", "svd", "--format", "dot"], [], False, _BAD_GRAPH_FLAGS),
+        (["graph", "--layout", "svd", "--format", "csv"], [], True, ""),
         (["analyze", "--rep", "reduced"], ["geometry"], False, ""),
         (["analyze", "--rep", "full"], ["geometry"], False, ""),
         (["simulate", "--kind", "honest"], ["quantum"], True, ""),
@@ -108,9 +109,9 @@ _BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
         (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["quantum"], True, ""),
     ],
     ids=[
-        "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "graph-svd-dot", "analyze", "analyze-full",
-        "simulate", "project", "project-rejected", "project-full26", "test-point", "test-point-rejected-observed",
-        "test-point-rejected-expected", "test-samples", "bound",
+        "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "graph-svd-dot", "graph-svd-csv",
+        "analyze", "analyze-full", "simulate", "project", "project-rejected", "project-full26", "test-point",
+        "test-point-rejected-observed", "test-point-rejected-expected", "test-samples", "bound",
     ],
 )
 def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, numpy, stderr):
