@@ -11,10 +11,12 @@ verb uses, is imported here; each verb imports the other layers it needs:
 ``project`` manifold, and ``test`` stats (plus manifold in point mode);
 ``graph --format csv`` writes only the SVD layout and loads no layer.
 ``project`` and ``test`` read and check their input files before they import
-a layer.  numpy is imported only by the layers and functions that compute
-with arrays, so ``vertices``, ``graph`` without a layout, ``analyze``,
-``project`` and point-mode ``test`` run without it, and so do a verb whose
-point file is rejected and ``graph`` with a rejected format and layout pair.
+a layer, and ``bound`` reads and parses both state files before it imports
+quantum.  numpy is imported only where a quantum state is computed, by
+``simulate`` and ``bound``: every other verb runs without it, the SVD layout
+and both modes of ``test`` included, and so does a ``bound`` whose state file
+is rejected while it is parsed.  Input JSON is parsed strictly: the constants
+NaN, Infinity and -Infinity are refused.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import tempfile
 from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .strategies import (
     BehaviourPoint,
@@ -42,11 +43,6 @@ from .strategies import (
     vertices_csv,
     vertices_json,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .quantum import DensityMatrix
 
 _REP_FLAGS = {"full": FULL_26, "reduced": REDUCED_8}
 
@@ -96,10 +92,15 @@ def _read_text(path_str: str) -> str:
         raise ValueError(f"cannot read {path_str!r}: {exc}")
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _load_json(path_str: str) -> dict:
     text = _read_text(path_str)
     try:
-        return json.loads(text)
+        # No accepted input holds NaN or an infinity, and strict JSON has neither.
+        return json.loads(text, parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, an integer past the digit limit, or nesting past the stack.
         raise ValueError(f"{path_str!r} is not valid JSON: {exc}")
@@ -114,13 +115,11 @@ def _load_behaviour_point(path_str: str) -> BehaviourPoint:
     raise ValueError(f"{path_str!r} does not contain a behaviour point")
 
 
-def _load_density_matrix(path_str: str) -> DensityMatrix:
-    from .quantum import DensityMatrix
-
+def _load_state_document(path_str: str) -> dict:
     data = _load_json(path_str)
     if not isinstance(data, dict):
         raise ValueError(f"{path_str!r} does not contain a density matrix")
-    return DensityMatrix.from_json_dict(data)
+    return data
 
 
 def _number(cell: str) -> float | None:
@@ -130,49 +129,105 @@ def _number(cell: str) -> float | None:
         return None
 
 
-def _read_samples(path_str: str) -> np.ndarray:
+def _read_samples(path_str: str) -> list[list[float]]:
     """Sample CSV: one real per line, or rows of comma-separated coordinates."""
-    import numpy as np
-
-    lines = [line.strip() for line in _read_text(path_str).split("\n") if line.strip()]
+    lines = [
+        (number, line.strip())
+        for number, line in enumerate(_read_text(path_str).split("\n"), 1)
+        if line.strip()
+    ]
     if not lines:
         raise ValueError(f"{path_str!r} holds no samples")
     rows = []
-    for index, line in enumerate(lines):
-        row = [_number(cell) for cell in line.split(",")]
-        if None not in row:
-            rows.append(row)
-        elif index or row.count(None) < len(row):  # line 1 is a header only if it holds no number
-            raise ValueError(f"{path_str!r} line {index + 1} is not numeric")
+    for index, (number, line) in enumerate(lines):
+        cells = line.split(",")
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError:
+            # The first line is a header only if it holds no number.
+            if index or any(_number(cell) is not None for cell in cells):
+                raise ValueError(f"{path_str!r} line {number} is not numeric") from None
     if not rows:
         raise ValueError(f"{path_str!r} holds no numeric rows")
     widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise ValueError(f"{path_str!r} has ragged rows (widths {sorted(widths)})")
-    return np.array(rows, dtype=float)
+    return rows
 
 
-def svd_layout(rows) -> np.ndarray:
-    """3-D node layout from the vertex table.
+def _symmetric_eigen(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvectors (the columns of the second result) of a
+    real symmetric matrix, by the cyclic Jacobi method (Golub & Van Loan,
+    *Matrix Computations*, section 8.5).
+
+    Each rotation zeroes one off-diagonal pair.  Sweeps over all pairs run
+    until the entries above the diagonal have at most 2**-52 of the
+    matrix's Frobenius norm, which bounds each eigenvalue's error by about
+    that fraction of the norm.
+    """
+    size = len(matrix)
+    a = [list(row) for row in matrix]
+    v = [[float(i == j) for j in range(size)] for i in range(size)]
+    norm = math.fsum(x * x for row in a for x in row)
+    for _ in range(64):
+        off = math.fsum(a[p][q] * a[p][q] for p in range(size) for q in range(p + 1, size))
+        if off <= 2.0**-104 * norm:
+            return [a[k][k] for k in range(size)], v
+        for p in range(size - 1):
+            for q in range(p + 1, size):
+                app, aqq, apq = a[p][p], a[q][q], a[p][q]
+                if apq == 0.0:
+                    continue
+                # The rotation angle's tangent t, the smaller root of
+                # t**2 + 2 theta t - 1 = 0; theta past ~1e154 gives t = 0.
+                theta = (aqq - app) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                # Rows and columns p and q turn; the 2 x 2 block is set after.
+                row_p, row_q = a[p], a[q]
+                for k, row in enumerate(a):
+                    akp, akq = row[p], row[q]
+                    row[p] = row_p[k] = c * akp - s * akq
+                    row[q] = row_q[k] = s * akp + c * akq
+                a[p][p] = app - t * apq
+                a[q][q] = aqq + t * apq
+                a[p][q] = a[q][p] = 0.0
+                for row in v:
+                    vkp, vkq = row[p], row[q]
+                    row[p] = c * vkp - s * vkq
+                    row[q] = s * vkp + c * vkq
+    raise ArithmeticError("Jacobi eigen-solve did not converge")
+
+
+def svd_layout(rows) -> list[list[float]]:
+    """3-D node layout from the vertex table, one [x, y, z] row per vertex.
 
     Columns are centered, the all-zero vertex is first replaced by a tiny
     uniform shift (1e-6) to keep it off the exact origin, and nodes are
-    projected onto the three leading right-singular directions.  Each
-    direction's sign is fixed by making its largest-magnitude entry positive,
-    so the layout is fully deterministic.
+    projected onto the three leading right-singular directions: the
+    eigenvectors of the centered table's Gram matrix with the largest
+    eigenvalues, taken in descending order by a stable sort.  Each
+    direction's sign is fixed by making its first largest-magnitude entry
+    positive.  The arithmetic is + - * / and sqrt, which IEEE 754 rounds
+    correctly, and correctly rounded sums, so the layout is fully
+    deterministic, to the byte on every platform.
     """
-    import numpy as np
-
-    matrix = np.array(rows, dtype=float)
-    zero_rows = ~matrix.any(axis=1)
-    matrix[zero_rows] = 1e-6
-    centered = matrix - matrix.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[:3].copy()
-    for row in basis:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
-    return centered @ basis.T
+    table = [[float(x) for x in row] if any(row) else [1e-6] * len(row) for row in rows]
+    means = [math.fsum(column) / len(table) for column in zip(*table)]
+    centered = [[x - mean for x, mean in zip(row, means)] for row in table]
+    columns = list(zip(*centered))
+    gram = [[math.fsum(x * y for x, y in zip(u, w)) for w in columns] for u in columns]
+    values, vectors = _symmetric_eigen(gram)
+    basis = []
+    for k in sorted(range(len(values)), key=values.__getitem__, reverse=True)[:3]:
+        direction = [row[k] for row in vectors]
+        if max(direction, key=abs) < 0.0:
+            direction = [-x for x in direction]
+        basis.append(direction)
+    return [[math.fsum(x * y for x, y in zip(row, direction)) for direction in basis] for row in centered]
 
 
 def _cmd_vertices(args) -> str:
@@ -204,7 +259,7 @@ def _cmd_graph(args) -> str:
         "edges": [list(edge) for edge in graph.edges()],
     }
     if layout is not None:
-        payload["layout"] = [[float(v) for v in row] for row in layout]
+        payload["layout"] = layout
     return _json_text(payload)
 
 
@@ -316,26 +371,22 @@ def _test_point_mode(args) -> dict:
 def _test_samples_mode(args) -> dict:
     expected = _read_samples(args.expected)
     observed = _read_samples(args.observed)
-    if expected.shape[1] != observed.shape[1]:
-        raise ValueError(
-            f"sample files disagree on column count ({expected.shape[1]} vs {observed.shape[1]})"
-        )
-    import numpy as np
-
+    width = len(expected[0])
+    if width != len(observed[0]):
+        raise ValueError(f"sample files disagree on column count ({width} vs {len(observed[0])})")
     from . import stats
 
+    columns = list(zip(*expected))
     per_coordinate = [
-        {
-            "t_p_value": stats.two_sample_t(expected[:, k], observed[:, k]),
-            "ks_p_value": stats.two_sample_ks(expected[:, k], observed[:, k]),
-        }
-        for k in range(expected.shape[1])
+        {"t_p_value": stats.two_sample_t(xs, ys), "ks_p_value": stats.two_sample_ks(xs, ys)}
+        for xs, ys in zip(columns, zip(*observed))
     ]
     distance_block = None
-    if expected.shape[1] > 1:
-        center = expected.mean(axis=0)
-        dist_expected = np.linalg.norm(expected - center, axis=1)
-        dist_observed = np.linalg.norm(observed - center, axis=1)
+    if width > 1:
+        # Each term is divided first, so the sum of a finite column cannot overflow.
+        center = [math.fsum([x / len(expected) for x in column]) for column in columns]
+        dist_expected = [math.dist(row, center) for row in expected]
+        dist_observed = [math.dist(row, center) for row in observed]
         distance_block = {
             "t_p_value": stats.two_sample_t(dist_expected, dist_observed),
             "ks_p_value": stats.two_sample_ks(dist_expected, dist_observed),
@@ -345,7 +396,7 @@ def _test_samples_mode(args) -> dict:
         p_values.extend(distance_block.values())
     return {
         "mode": "samples",
-        "columns": int(expected.shape[1]),
+        "columns": width,
         "per_coordinate": per_coordinate,
         "distance_statistic": distance_block,
         "alpha": args.alpha,
@@ -362,10 +413,10 @@ def _cmd_test(args) -> str:
 
 
 def _cmd_bound(args) -> str:
+    documents = [_load_state_document(args.rho), _load_state_document(args.sigma)]
     from . import quantum
 
-    rho = _load_density_matrix(args.rho)
-    sigma = _load_density_matrix(args.sigma)
+    rho, sigma = map(quantum.DensityMatrix.from_json_dict, documents)
     report = quantum.behaviour_bound_check(rho, sigma)
     f = quantum.fidelity(rho, sigma)
     d = report.delta_ab

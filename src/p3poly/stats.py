@@ -4,19 +4,19 @@ Implements the experiment-noise model (independent Gaussian perturbation per
 coordinate, relative by default), the propagated distance uncertainty, a
 z-score separability report for a point pair, and self-contained two-sample
 Welch t and Kolmogorov-Smirnov tests returning asymptotic two-sided
-p-values.
+p-values.  The two-sample tests take any flat sequence of real numbers and
+work on lists of Python floats; numpy is imported only by ``perturb`` and
+``norms``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .strategies import BehaviourPoint, _check_int, _check_real
-
-if TYPE_CHECKING:
-    import numpy as np
+from .strategies import BehaviourPoint, _check_int, _check_real, _is_real
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,32 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-def _finite_samples(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
+_NOT_A_SAMPLE = "two-sample tests need one-dimensional samples of real numbers"
 
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or ys.ndim != 1:
-        raise ValueError("two-sample tests need one-dimensional samples")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+
+def _finite_sample(sample) -> list[float]:
+    # One sample as Python floats.  Float entries pass as they are; only a
+    # sample holding another type pays for the real-number screen.
+    try:
+        values = list(sample)
+    except TypeError:  # a scalar, or numpy's 0-d array
+        raise ValueError(_NOT_A_SAMPLE) from None
+    if not {float}.issuperset(map(type, values)):
+        if not all(map(_is_real, values)):
+            raise ValueError(_NOT_A_SAMPLE)
+        try:
+            values = [float(x) for x in values]
+        except OverflowError:  # an int or a fraction beyond the float range
+            raise ValueError("two-sample tests need finite samples") from None
+    if not all(map(math.isfinite, values)):
         raise ValueError("two-sample tests need finite samples")
-    return xs, ys
+    return values
+
+
+def _mean_and_variance(xs: list[float]) -> tuple[float, float]:
+    # Correctly rounded sums, and the unbiased (n - 1) variance.
+    mean = math.fsum(xs) / len(xs)
+    return mean, math.fsum([(x - mean) * (x - mean) for x in xs]) / (len(xs) - 1)
 
 
 def two_sample_t(xs, ys) -> float:
@@ -177,38 +193,36 @@ def two_sample_t(xs, ys) -> float:
     Welch-Satterthwaite approximation and the p-value comes from the exact
     Student-t tail via the regularized incomplete beta.
     """
-    import numpy as np
-
-    xs, ys = _finite_samples(xs, ys)
-    if xs.size < 2 or ys.size < 2:
+    xs, ys = _finite_sample(xs), _finite_sample(ys)
+    if len(xs) < 2 or len(ys) < 2:
         raise ValueError("both samples need at least two observations")
     # One common power-of-two scale brings the largest magnitude into [0.5, 1),
-    # so the variances stay in the float range at any sample scale; only
-    # deviations below ~1e-161 of that magnitude are lost.  Dividing by a power
-    # of two is exact short of subnormals, so the statistic is the one the
-    # unscaled samples give wherever those stay in range.  The degrees of
+    # so the sums and variances stay in the float range at any sample scale;
+    # only deviations below ~1e-161 of that magnitude are lost.  Dividing by a
+    # power of two is exact short of subnormals, so the statistic is the one
+    # the unscaled samples give wherever those stay in range.  The degrees of
     # freedom are written in ratio form for the same reason.
-    _, exponent = math.frexp(float(max(np.abs(xs).max(), np.abs(ys).max())))
-    xs, ys = np.ldexp(xs, -exponent), np.ldexp(ys, -exponent)
-    var_x = xs.var(ddof=1)
-    var_y = ys.var(ddof=1)
+    _, exponent = math.frexp(max(map(abs, xs + ys)))
+    if exponent:
+        xs = [math.ldexp(x, -exponent) for x in xs]
+        ys = [math.ldexp(y, -exponent) for y in ys]
+    mean_x, var_x = _mean_and_variance(xs)
+    mean_y, var_y = _mean_and_variance(ys)
     if var_x == 0.0 and var_y == 0.0:
         raise ValueError("both samples have zero variance")
-    with np.errstate(all="ignore"):
-        sem_x = var_x / xs.size
-        sem_y = var_y / ys.size
-        sem = sem_x + sem_y
-        t = (xs.mean() - ys.mean()) / math.sqrt(sem)
-        df = 1.0 / ((sem_x / sem) ** 2 / (xs.size - 1) + (sem_y / sem) ** 2 / (ys.size - 1))
-        # A finite t past ~1e154 squares to inf, which gives the right limit 0.
-        x = df / (df + t * t)
-    if not np.isfinite([t, df]).all():
+    sem_x = var_x / len(xs)
+    sem_y = var_y / len(ys)
+    sem = sem_x + sem_y
+    if sem == 0.0:
         # A variance within a few subnormals of zero: its standard error rounds to 0.
         raise ValueError("Welch t-test is undefined: the standard error underflows to zero")
+    t = (mean_x - mean_y) / math.sqrt(sem)
     if t == 0.0:
         return 1.0
-    p = regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return float(min(max(p, 0.0), 1.0))
+    df = 1.0 / ((sem_x / sem) ** 2 / (len(xs) - 1) + (sem_y / sem) ** 2 / (len(ys) - 1))
+    # A finite t past ~1e154 squares to inf, which gives the right limit 0.
+    p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    return min(max(p, 0.0), 1.0)
 
 
 def _kolmogorov_sf(lam: float) -> float:
@@ -226,14 +240,30 @@ def _kolmogorov_sf(lam: float) -> float:
     return float(min(max(2.0 * total, 0.0), 1.0))
 
 
-def _ks_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
-    import numpy as np
-
-    # Maximum gap between the two empirical CDFs, evaluated at every sample.
-    pooled = np.concatenate([xs, ys])
-    cdf_x = np.searchsorted(xs, pooled, side="right") / xs.size
-    cdf_y = np.searchsorted(ys, pooled, side="right") / ys.size
-    return float(np.abs(cdf_x - cdf_y).max())
+def _ks_statistic(xs, ys) -> float:
+    # Maximum gap between the empirical CDFs of two sorted samples, from one
+    # merge pass.  With i of the n xs and j of the m ys passed, the gap is
+    # |i/n - j/m| = |i*m - j*n| / (n*m), exact in integers.  A value in both
+    # samples is passed in both at once, since a state between its copies
+    # is no point of either CDF; within a run of ties in one sample the gap
+    # is linear in the step, so it peaks at the run's ends, which are such
+    # points.  Once one sample is used up the gap only shrinks.
+    n, m = len(xs), len(ys)
+    i = j = widest = 0
+    while i < n and j < m:
+        x, y = xs[i], ys[j]
+        if x < y:
+            i += 1
+        elif y < x:
+            j += 1
+        else:
+            i, j = bisect_right(xs, x, i), bisect_right(ys, x, j)
+        gap = i * m - j * n
+        if gap > widest:
+            widest = gap
+        elif -gap > widest:
+            widest = -gap
+    return widest / (n * m)
 
 
 def two_sample_ks(xs, ys) -> float:
@@ -243,13 +273,11 @@ def two_sample_ks(xs, ys) -> float:
     Kolmogorov distribution at (sqrt(ne) + 0.12 + 0.11 / sqrt(ne)) * D with
     ne = n*m / (n + m), the small-sample-corrected effective size.
     """
-    import numpy as np
-
-    xs, ys = map(np.sort, _finite_samples(xs, ys))
-    if xs.size == 0 or ys.size == 0:
+    xs, ys = sorted(_finite_sample(xs)), sorted(_finite_sample(ys))
+    if not xs or not ys:
         raise ValueError("both samples must be non-empty")
     d = _ks_statistic(xs, ys)
-    ne = math.sqrt(xs.size * ys.size / (xs.size + ys.size))
+    ne = math.sqrt(len(xs) * len(ys) / (len(xs) + len(ys)))
     return _kolmogorov_sf((ne + 0.12 + 0.11 / ne) * d)
 
 

@@ -105,12 +105,42 @@ def test_graph_layout_determinism(tmp_path):
 
 
 def test_svd_layout_sign_convention():
-    layout = svd_layout(vertex_rows(REDUCED_8))
+    layout = np.asarray(svd_layout(vertex_rows(REDUCED_8)))
     assert layout.shape == (16, 3)
-    again = svd_layout(vertex_rows(REDUCED_8))
+    again = np.asarray(svd_layout(vertex_rows(REDUCED_8)))
     assert np.array_equal(layout, again)
     # Centered: column means vanish.
     assert np.abs(layout.mean(axis=0)).max() < 1e-9
+
+
+@pytest.mark.parametrize("representation", [REDUCED_8, FULL_26])
+def test_svd_layout_is_the_leading_principal_components(representation):
+    # numpy's SVD is the oracle here only.  The spectrum is degenerate (2.5243
+    # twice in reduced-8, 6.3723 three times in full-26), so the directions
+    # are checked as eigenvectors, not against numpy's choice of basis.
+    rows = vertex_rows(representation)
+    layout = svd_layout(rows)
+    assert all(type(x) is float for row in layout for x in row)
+    layout = np.asarray(layout)
+    table = np.array(rows, dtype=float)
+    table[~table.any(axis=1)] = 1e-6
+    centered = table - table.mean(axis=0)
+    singular = np.linalg.svd(centered, compute_uv=False)
+    norms = np.linalg.norm(layout, axis=0)
+    assert norms == pytest.approx(singular[:3], rel=1e-12)
+    gram = layout.T @ layout
+    assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-12 * singular[0] ** 2
+    # The basis is recovered exactly: layout = centered @ basis.T, with
+    # orthonormal rows, so basis = (centered^+ layout).T.
+    basis = np.linalg.lstsq(centered, layout, rcond=None)[0].T
+    assert basis @ basis.T == pytest.approx(np.eye(3), abs=1e-12)
+    for direction, value in zip(basis, singular[:3] ** 2):
+        residual = centered.T @ centered @ direction - value * direction
+        assert np.abs(residual).max() < 1e-12 * singular[0] ** 2
+        # Sign rule: the largest-magnitude entry is positive.  Entries can
+        # tie in magnitude, and which of them comes first is then down to
+        # rounding, so a positive one among those within 1e-12 suffices.
+        assert direction.max() > np.abs(direction).max() - 1e-12
 
 
 def test_analyze_full(tmp_path):
@@ -144,32 +174,37 @@ def test_analyze_reduced(tmp_path):
 
 # SHA-256 of the standard output of each structural command.  These bytes are
 # part of the output contract, so a change to them must be deliberate and
-# re-record the digest.  The SVD layouts are left out: their floats depend on
-# the BLAS.
+# re-record the digest.  The SVD layouts are among them: they are computed
+# with correctly rounded operations only, so they are the same bytes on every
+# platform.
 STRUCTURAL_DIGESTS = {
-    ("vertices", "full", "csv"): "e559cb81f86ab6a5ed785f805104e79eac5698fddc0bb40542178bd06cfcb37e",
-    ("vertices", "full", "json"): "c8c0e2711218add96b864ecdf00743cb7d7168a7ec969f00517a3979fe05090d",
-    ("graph", "full", "dot"): "815ff23bf93b51037fa9d753ceaf8be68537996dbe4340e12a6e17be8600149d",
-    ("graph", "full", "json"): "6e182617017a6e6f26a88bc4971f3ff05a5106b2ed0ee710039e3d5ae218eed7",
-    ("analyze", "full", None): "60cc542fbace52503d58daf69c65b4d7fba1646868c0900f0e73e8921aba6ce5",
-    ("vertices", "reduced", "csv"): "149f3191a435ab907e57f205da5ecd17876e654c4eb0337ad504b17336cc414d",
-    ("vertices", "reduced", "json"): "b57ed8831b1f8ba79f20d1911188f9a2c734edbaf9a609d1006f0f79faaa545f",
-    ("graph", "reduced", "dot"): "22edb6ee2e519689e1eb43ad320df267749e2bd5b1e00ee301c46df4242fb005",
-    ("graph", "reduced", "json"): "abadc6bc676aa38bcef825775a68354f4335323347f8e29f557bf0b95f195753",
-    ("analyze", "reduced", None): "e3f5fc47ccfe35f4952c749b5e21ca5dd50a3a41a945f307c99d7900c640bcac",
+    ("vertices", "full", "csv", None): "e559cb81f86ab6a5ed785f805104e79eac5698fddc0bb40542178bd06cfcb37e",
+    ("vertices", "full", "json", None): "c8c0e2711218add96b864ecdf00743cb7d7168a7ec969f00517a3979fe05090d",
+    ("graph", "full", "dot", None): "815ff23bf93b51037fa9d753ceaf8be68537996dbe4340e12a6e17be8600149d",
+    ("graph", "full", "json", None): "6e182617017a6e6f26a88bc4971f3ff05a5106b2ed0ee710039e3d5ae218eed7",
+    ("graph", "full", "csv", "svd"): "ef53c73cf9b9a5f2dc450e3e5eb4aec5b0fba0fa0469474b6132ef3ff06a78a2",
+    ("graph", "full", "json", "svd"): "e0f080a4566237bb7ba49443c61f9dc37af8d9ecb680de25d9050988b7d55dcb",
+    ("analyze", "full", None, None): "60cc542fbace52503d58daf69c65b4d7fba1646868c0900f0e73e8921aba6ce5",
+    ("vertices", "reduced", "csv", None): "149f3191a435ab907e57f205da5ecd17876e654c4eb0337ad504b17336cc414d",
+    ("vertices", "reduced", "json", None): "b57ed8831b1f8ba79f20d1911188f9a2c734edbaf9a609d1006f0f79faaa545f",
+    ("graph", "reduced", "dot", None): "22edb6ee2e519689e1eb43ad320df267749e2bd5b1e00ee301c46df4242fb005",
+    ("graph", "reduced", "json", None): "abadc6bc676aa38bcef825775a68354f4335323347f8e29f557bf0b95f195753",
+    ("graph", "reduced", "csv", "svd"): "59d6ab50047b1399136d0f12431dd828b7e1dc551b89fc8c361e1f7713228cf8",
+    ("graph", "reduced", "json", "svd"): "0e64de0c0f194062769d0af8256c58be43289a1d392e029b462f66c4366fa464",
+    ("analyze", "reduced", None, None): "e3f5fc47ccfe35f4952c749b5e21ca5dd50a3a41a945f307c99d7900c640bcac",
 }
 
 
 @pytest.mark.parametrize(
-    "verb, rep, fmt",
+    "verb, rep, fmt, layout",
     list(STRUCTURAL_DIGESTS),
     ids=["-".join(filter(None, key)) for key in STRUCTURAL_DIGESTS],
 )
-def test_structural_stdout_is_byte_identical(capsys, verb, rep, fmt):
-    argv = [verb, "--rep", rep, *(["--format", fmt] if fmt else [])]
+def test_structural_stdout_is_byte_identical(capsys, verb, rep, fmt, layout):
+    argv = [verb, "--rep", rep, *(["--format", fmt] if fmt else []), *(["--layout", layout] if layout else [])]
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == STRUCTURAL_DIGESTS[verb, rep, fmt]
+    assert digest == STRUCTURAL_DIGESTS[verb, rep, fmt, layout]
 
 
 def test_simulate_honest_exact(tmp_path):
@@ -315,6 +350,52 @@ def test_test_samples_mode_single_column(tmp_path):
     assert payload["columns"] == 1
     assert payload["distance_statistic"] is None
     assert payload["reject_any"] is True
+
+
+def _numpy_welch_t(xs, ys):
+    # Welch's t on numpy means and variances, through the package's own
+    # incomplete beta.
+    sem_x, sem_y = xs.var(ddof=1) / xs.size, ys.var(ddof=1) / ys.size
+    t = (xs.mean() - ys.mean()) / math.sqrt(sem_x + sem_y)
+    df = (sem_x + sem_y) ** 2 / (sem_x**2 / (xs.size - 1) + sem_y**2 / (ys.size - 1))
+    return sta.regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+
+
+def _numpy_ks(xs, ys):
+    # The KS statistic from searchsorted CDF gaps at every pooled value.
+    xs, ys = np.sort(xs), np.sort(ys)
+    pooled = np.concatenate([xs, ys])
+    gaps = np.searchsorted(xs, pooled, side="right") / xs.size - np.searchsorted(ys, pooled, side="right") / ys.size
+    ne = math.sqrt(xs.size * ys.size / (xs.size + ys.size))
+    return sta._kolmogorov_sf((ne + 0.12 + 0.11 / ne) * np.abs(gaps).max())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_samples_mode_p_values_match_a_numpy_formulation(tmp_path, seed):
+    # Two 2000 x 8 sample files with a header line, as a long experiment
+    # would give; every cell round-trips through its 17 digits.
+    rng = np.random.default_rng(seed)
+    samples = []
+    for name in ("expected.csv", "observed.csv"):
+        samples.append(rng.normal(0.5, 0.1, size=(2000, 8)))
+        lines = [",".join(f"x{k}" for k in range(8))]
+        lines += [",".join(f"{v:.17g}" for v in row) for row in samples[-1]]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    code, out = run(
+        tmp_path, "test", "--mode", "samples",
+        "--expected", str(tmp_path / "expected.csv"), "--observed", str(tmp_path / "observed.csv"),
+    )
+    assert code == 0
+    payload = read_json(out)
+    expected, observed = samples
+    center = expected.mean(axis=0)
+    pairs = [(expected[:, k], observed[:, k]) for k in range(8)]
+    pairs.append((np.linalg.norm(expected - center, axis=1), np.linalg.norm(observed - center, axis=1)))
+    for (xs, ys), block in zip(pairs, [*payload["per_coordinate"], payload["distance_statistic"]], strict=True):
+        assert block["ks_p_value"] == pytest.approx(_numpy_ks(xs, ys), abs=1e-12)
+        # At df ~ 4000 the incomplete beta adds lgamma terms of ~1e4, so its
+        # value moves by ~1e-12 when df moves by one ulp.
+        assert block["t_p_value"] == pytest.approx(_numpy_welch_t(xs, ys), abs=1e-11)
 
 
 def test_test_rejects_full_points(tmp_path, capsys):
@@ -587,6 +668,9 @@ _PAST_DIGIT_LIMIT = "bad' is not valid JSON: Exceeds the limit (4300 digits)"
 # Arrays nested deeper than the interpreter's stack lets json.loads recurse.
 _DEEP = "[" * 100_000 + "]" * 100_000
 _TOO_DEEP = "bad' is not valid JSON: maximum recursion depth exceeded"
+# json.dumps writes NaN and the infinities as bare constants, which strict
+# JSON has not; the readers refuse them while parsing.
+_CONSTANT = "bad' is not valid JSON: {} is not a finite number"
 
 
 _MALFORMED_FILES = {
@@ -597,7 +681,8 @@ _MALFORMED_FILES = {
         "no-point": (json.dumps({"exact": {}}), "does not contain a behaviour point"),
         "exact-point-number": (json.dumps({"exact_point": 5}), "needs 'representation'"),
         "no-representation": (json.dumps({"coords": [0] * 8}), "needs 'representation'"),
-        "nan": (_point([float("nan")] * 8), "not finite"),
+        "nan": (_point([float("nan")] * 8), _CONSTANT.format("NaN")),
+        "infinity": (_point([float("-inf")] + [0.0] * 7), _CONSTANT.format("-Infinity")),
         "huge-int": (_point([10**400] + [0] * 7), "outside [0, 1]: too large for a float"),
         "huge-digits": (_point([0] * 8).replace("[0,", f"[{_HUGE_DIGITS},", 1), _PAST_DIGIT_LIMIT),
         "deep-nesting": (_DEEP, _TOO_DEEP),
@@ -620,6 +705,7 @@ _MALFORMED_FILES = {
         "bom-first-row-kept": (b"\xef\xbb\xbf0.1,0.2\n0.3\n", "ragged rows (widths [1, 2])"),
         "mistyped-first-line": ("1.0,abc\n2.0,3.0\n", "line 1 is not numeric"),
         "not-numeric": ("0.1\nabc\n0.3\n", "line 2 is not numeric"),
+        "blank-line-before-bad": ("0.1\n\nabc\n0.3\n", "line 3 is not numeric"),
         "ragged": ("0.1,0.2\n0.3\n0.4,0.5\n", "ragged rows"),
         "nan-cell": ("0.1\nnan\n0.3\n", "finite samples"),
         "inf-cell": ("0.1\ninf\n0.3\n", "finite samples"),
@@ -648,7 +734,8 @@ _MALFORMED_FILES = {
         "not-hermitian": (_qubit_state([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
         "qubit": (_qubit_state([[1.0, 0.0], [0.0, 0.0]]), "state dimension 2 does not match measurement space 4"),
         "negative": (_qubit_state([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
-        "nan": (_qubit_state([[float("nan"), 0.0], [0.0, 0.5]]), "non-finite entries"),
+        "nan": (_qubit_state([[float("nan"), 0.0], [0.0, 0.5]]), _CONSTANT.format("NaN")),
+        "infinity": (_qubit_state([[float("inf"), 0.0], [0.0, 0.5]]), _CONSTANT.format("Infinity")),
         "huge-int": (_qubit_state([[10**400, 0], [0, 0]]), "'re' holds an entry too large for a float"),
         "huge-digits": (_qubit_state([[0, 0], [0, 1]]).replace("[[0,", f"[[{_HUGE_DIGITS},", 1), _PAST_DIGIT_LIMIT),
         "deep-nesting": (_DEEP, _TOO_DEEP),

@@ -1,10 +1,11 @@
 """What importing the package costs: numpy and nothing else outside the standard
 library, no layer for a bare ``import p3poly``, and for each CLI verb only the
-layers it uses, with numpy only for the verbs that compute with arrays (not
-for the vertex tables, the graph listings, the structural report, the
-projection, the point-mode test, nor a point file that is rejected).  Also the lazily filled ``p3poly`` namespace itself,
-that every module-level import of a layer is used and never shadowed, and
-that every module-level private name is used."""
+layers it uses, with numpy only where a quantum state is computed (not for the
+vertex tables, the graph listings and SVD layouts, the structural report, the
+projection, either mode of ``test``, nor a point or state file that is
+rejected while it is parsed).  Also the lazily filled ``p3poly`` namespace
+itself, that every module-level import of a layer is used and never shadowed,
+and that every module-level private name is used."""
 
 import ast
 import json
@@ -77,9 +78,10 @@ def test_bare_import_loads_no_layer_and_not_numpy():
     assert after_name == "['p3poly', 'p3poly.stats', 'p3poly.strategies']"
 
 
-# A malformed point file (a NaN coordinate), which the loader rejects before
-# a layer is imported.
-_REJECTED = "error: coordinate nan is not finite\n"
+# A point or state file holding a NaN constant, which the JSON reader refuses
+# before a layer is imported.
+_REJECTED = "error: 'nan.json' is not valid JSON: NaN is not a finite number\n"
+_REJECTED_STATE = "error: 'nan_rho.json' is not valid JSON: NaN is not a finite number\n"
 # A full-26 point, which the loader accepts and the projection rejects.
 _NOT_REDUCED = "error: projection is defined for reduced-8 points\n"
 # A flag pair that the graph verb rejects before it loads a layer.
@@ -93,9 +95,9 @@ _BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
         (["vertices", "--rep", "reduced", "--format", "csv"], [], False, ""),
         (["graph", "--rep", "reduced"], ["geometry"], False, ""),
         (["graph", "--rep", "full", "--format", "dot"], ["geometry"], False, ""),
-        (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry"], True, ""),
+        (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry"], False, ""),
         (["graph", "--layout", "svd", "--format", "dot"], [], False, _BAD_GRAPH_FLAGS),
-        (["graph", "--layout", "svd", "--format", "csv"], [], True, ""),
+        (["graph", "--layout", "svd", "--format", "csv"], [], False, ""),
         (["analyze", "--rep", "reduced"], ["geometry"], False, ""),
         (["analyze", "--rep", "full"], ["geometry"], False, ""),
         (["simulate", "--kind", "honest"], ["quantum"], True, ""),
@@ -105,13 +107,15 @@ _BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
         (["test", "--expected", "point.json", "--observed", "point.json"], ["manifold", "stats"], False, ""),
         (["test", "--expected", "point.json", "--observed", "nan.json"], [], False, _REJECTED),
         (["test", "--expected", "nan.json", "--observed", "point.json"], [], False, _REJECTED),
-        (["test", "--mode", "samples", "--expected", "a.csv", "--observed", "a.csv"], ["stats"], True, ""),
+        (["test", "--mode", "samples", "--expected", "a.csv", "--observed", "a.csv"], ["stats"], False, ""),
         (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["quantum"], True, ""),
+        (["bound", "--rho", "nan_rho.json", "--sigma", "bell.json"], [], False, _REJECTED_STATE),
     ],
     ids=[
         "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "graph-svd-dot", "graph-svd-csv",
         "analyze", "analyze-full", "simulate", "project", "project-rejected", "project-full26", "test-point",
         "test-point-rejected-observed", "test-point-rejected-expected", "test-samples", "bound",
+        "bound-rejected",
     ],
 )
 def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, numpy, stderr):
@@ -124,6 +128,9 @@ def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, numpy, stderr):
     (tmp_path / "full.json").write_text(json.dumps({"representation": FULL_26, "coords": [0.0] * 26}))
     (tmp_path / "a.csv").write_text("0.1\n0.2\n0.4\n")
     (tmp_path / "bell.json").write_text(json.dumps(qu.bell_pair_state().to_json_dict()))
+    (tmp_path / "nan_rho.json").write_text(
+        json.dumps({"dim": 4, "re": [[float("nan")] * 4] * 4, "im": [[0.0] * 4] * 4})
+    )
     out = _python(_VERB_PROBE, *argv, "--output", "out", cwd=tmp_path)
     code, loaded, numpy_loaded, err = json.loads(out)
     assert (code, err) == ((1, stderr) if stderr else (0, ""))

@@ -8,12 +8,15 @@ Core claims pinned here:
     in distance; its sigma_d must be positive and finite, and large enough
     that z is finite.
   * Welch t and KS implementations agree with scipy oracles; the Welch t
-    p-value is the same at every sample scale from 1e-300 to 1e300.
+    p-value is the same at every sample scale from 1e-300 to 1e300; the KS
+    statistic equals the exact fraction D, ties included; both tests take
+    any flat sequence of reals and reject anything else.
   * norms obeys l2 <= l1 and reproduces (0.5, sqrt(0.125)) on V.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -362,3 +365,65 @@ def test_calibration_t_test_small():
         if sta.two_sample_t(xs, ys) < 0.05:
             rejections += 1
     assert 0.02 <= rejections / trials <= 0.09
+
+
+def _exact_ks_statistic(xs, ys):
+    # D as a fraction: the largest gap between the two empirical CDFs at any
+    # pooled value.
+    return max(
+        abs(Fraction(sum(x <= v for x in xs), len(xs)) - Fraction(sum(y <= v for y in ys), len(ys)))
+        for v in [*xs, *ys]
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ks_statistic_is_exact_on_tied_samples_of_unequal_size(seed):
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(1, 120, size=2))
+    # Few distinct values, so nearly every value is tied within and across samples.
+    xs = np.sort(rng.integers(0, 6, size=n)).astype(float)
+    ys = np.sort(rng.integers(1, 8, size=m)).astype(float)
+    d = sta._ks_statistic(xs.tolist(), ys.tolist())
+    assert d == float(_exact_ks_statistic(xs.tolist(), ys.tolist()))
+    assert d == pytest.approx(scipy.stats.ks_2samp(xs, ys).statistic, abs=1e-15)
+
+
+def test_ks_statistic_of_identical_and_disjoint_samples():
+    assert sta._ks_statistic([1.0, 1.0, 2.0], [1.0, 1.0, 2.0]) == 0.0
+    assert sta._ks_statistic([1.0, 1.0], [1.0]) == 0.0
+    assert sta._ks_statistic([0.0, 1.0], [2.0, 3.0, 4.0]) == 1.0
+    assert sta._ks_statistic([2.0, 3.0, 4.0], [0.0, 1.0]) == 1.0
+    assert sta._ks_statistic([0.0, 2.0], [1.0]) == 0.5
+
+
+@pytest.mark.parametrize("two_sample", [sta.two_sample_t, sta.two_sample_ks])
+def test_two_sample_tests_take_any_flat_sequence_of_reals(two_sample):
+    xs, ys = [1, 2, 4, 7, 7], [1, 3, 5, 9]
+    expected = two_sample([float(x) for x in xs], [float(y) for y in ys])
+    for convert in (
+        tuple,
+        lambda v: np.array(v, dtype=np.float64),
+        lambda v: np.array(v, dtype=np.int64),
+        lambda v: [Fraction(x) for x in v],
+        lambda v: v,
+    ):
+        assert two_sample(convert(xs), convert(ys)) == expected
+
+
+@pytest.mark.parametrize("two_sample", [sta.two_sample_t, sta.two_sample_ks])
+@pytest.mark.parametrize(
+    "bad",
+    [np.float64(1.0), np.array(1.0), 3.0, [[1.0, 2.0]], ["0.5", "0.7"], [True, False, True], [1.0, 1j]],
+    ids=["numpy-scalar", "0-d", "float", "nested", "strings", "bools", "complex"],
+)
+def test_two_sample_tests_reject_what_is_not_a_sample(two_sample, bad):
+    with pytest.raises(ValueError) as error:
+        two_sample(bad, [0.1, 0.2, 0.3])
+    assert str(error.value) == "two-sample tests need one-dimensional samples of real numbers"
+
+
+@pytest.mark.parametrize("two_sample", [sta.two_sample_t, sta.two_sample_ks])
+def test_two_sample_tests_reject_an_int_beyond_the_float_range(two_sample):
+    with pytest.raises(ValueError) as error:
+        two_sample([1, 2, 10**400], [0.1, 0.2, 0.3])
+    assert str(error.value) == "two-sample tests need finite samples"
