@@ -31,7 +31,6 @@ path matrix, or a graph built from a matrix.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations
@@ -45,6 +44,7 @@ from .strategies import (
     _check_int,
     _check_real,
     _check_representation,
+    _Record,
 )
 
 if TYPE_CHECKING:
@@ -108,8 +108,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True, eq=False)
-class VisibilityGraph:
+class VisibilityGraph(_Record, eq=False):
     """Undirected visibility graph on nodes 0 .. n - 1.
 
     Bit j of the int ``row_masks[i]`` is set iff nodes i and j see each
@@ -125,8 +124,8 @@ class VisibilityGraph:
 
     row_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        masks = tuple(self.row_masks)
+    def __init__(self, row_masks: tuple[int, ...]) -> None:
+        masks = tuple(row_masks)
         n = len(masks)
         for node, mask in enumerate(masks):
             _check_int("row mask", mask, 0, (1 << n) - 1)
@@ -349,8 +348,7 @@ def minimum_generators(graph: VisibilityGraph) -> CoverageReport:
     return graph._minimum_generators
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(_Record):
     """Step-by-step coverage accounting for an ordered generator list."""
 
     members: tuple[int, ...]
@@ -358,8 +356,17 @@ class CoverageReport:
     running_totals: tuple[int, ...]
     complete: bool
 
+    def __init__(
+        self, members: tuple[int, ...], newly_covered: tuple[int, ...],
+        running_totals: tuple[int, ...], complete: bool,
+    ) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "newly_covered", newly_covered)
+        object.__setattr__(self, "running_totals", running_totals)
+        object.__setattr__(self, "complete", complete)
+
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "covered_count": self.running_totals[-1]}
+        return {**self._asdict(), "covered_count": self.running_totals[-1]}
 
 
 def verify_generator_set(graph: VisibilityGraph, members) -> CoverageReport:

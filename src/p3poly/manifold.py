@@ -23,10 +23,9 @@ only ``as_array`` and ``projection_gradient`` return arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
-from .strategies import BehaviourPoint, REDUCED_8, _check_real
+from .strategies import BehaviourPoint, REDUCED_8, _Record, _check_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,8 +44,7 @@ _KKT_TOL = 1e-9
 DEGENERATE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ManifoldParams:
+class ManifoldParams(_Record):
     """Marginal parameters (a0, a1, c0, c1) of an uncorrelated behaviour."""
 
     a0: float
@@ -54,14 +52,20 @@ class ManifoldParams:
     c0: float
     c1: float
 
-    def __post_init__(self) -> None:
-        for name in ("a0", "a1", "c0", "c1"):
-            _check_real(f"parameter {name}", getattr(self, name), 0, 1)
+    def __init__(self, a0: float, a1: float, c0: float, c1: float) -> None:
+        _check_real("parameter a0", a0, 0, 1)
+        _check_real("parameter a1", a1, 0, 1)
+        _check_real("parameter c0", c0, 0, 1)
+        _check_real("parameter c1", c1, 0, 1)
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
 
-        return np.array(astuple(self))
+        return np.array(self._astuple())
 
 
 def _embed(x) -> tuple:
@@ -71,7 +75,7 @@ def _embed(x) -> tuple:
 
 def embed(params: ManifoldParams) -> BehaviourPoint:
     """Uncorrelated behaviour point with the given marginals."""
-    return BehaviourPoint.reduced(_embed(astuple(params)))
+    return BehaviourPoint.reduced(_embed(params._astuple()))
 
 
 def _residual(x, target) -> tuple:
@@ -110,8 +114,7 @@ def projection_gradient(x: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.array(_gradient(x, target), dtype=float)
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(_Record):
     """Best point found on the manifold for a projection target.
 
     ``converged`` is set when the KKT residual is at most 1e-9.
@@ -128,9 +131,21 @@ class ProjectionResult:
     converged: bool
     global_gap: float
 
+    def __init__(
+        self, params: ManifoldParams, point: BehaviourPoint, squared_distance: float, distance: float,
+        iterations: int, converged: bool, global_gap: float,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "squared_distance", squared_distance)
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "global_gap", global_gap)
+
     def to_json_dict(self) -> dict:
         return {
-            "params": list(astuple(self.params)),
+            "params": list(self.params._astuple()),
             "point": self.point.to_json_dict(),
             "squared_distance": self.squared_distance,
             "distance": self.distance,

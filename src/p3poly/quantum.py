@@ -20,12 +20,13 @@ slice or row sums) accepts valid input, and only when it fails does the
 check name the first failure, on the same data.  Every constructor stores
 read-only private copies, so the caller's arrays are never frozen; a model's
 copies are C-ordered, so its row sums do not depend on the caller's layout.
+The array holders are ``strategies._Record`` classes with ``eq=False``: each
+runs its checks in its own ``__init__`` and compares by identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import product
 from typing import Optional
@@ -39,6 +40,7 @@ from .strategies import (
     ScenarioShape,
     _EVENT_MASKS,
     _REPRESENTATIONS,
+    _Record,
     _check_int,
     _check_real,
 )
@@ -59,8 +61,7 @@ def _check_finite(name: str, array: np.ndarray) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record, eq=False):
     """A validated quantum state.
 
     Construction checks Hermiticity, unit trace and positivity (eigenvalues
@@ -72,8 +73,8 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)  # a private copy, frozen below
+    def __init__(self, matrix: np.ndarray) -> None:
+        m = np.array(matrix, dtype=complex)  # a private copy, frozen below
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("expected a square matrix")
         if not m.size:
@@ -134,8 +135,7 @@ def _first_failure(failing: np.ndarray, message: str, **names) -> None:
         raise ValueError(message.format(*np.argwhere(failing)[0], **names))
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSet:
+class MeasurementSet(_Record, eq=False):
     """Projective measurements, one stacked projector array per party.
 
     ``projectors[party]`` is a read-only complex ``(settings, outcomes, dim,
@@ -150,8 +150,8 @@ class MeasurementSet:
 
     projectors: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        parties = tuple(self.projectors)
+    def __init__(self, projectors: tuple[np.ndarray, ...]) -> None:
+        parties = tuple(projectors)
         if not parties:
             raise ValueError("measurement set has no parties")
         if any(len(party) != len(parties[0]) for party in parties):
@@ -223,8 +223,7 @@ def zx_qubit_measurements(parties: int) -> MeasurementSet:
 _ZX_PAIR = zx_qubit_measurements(2)
 
 
-@dataclass(frozen=True, eq=False)
-class FullDistribution:
+class FullDistribution(_Record, eq=False):
     """Setting-conditional outcome distribution of an (n, m, d) scenario.
 
     ``table`` has n setting axes followed by n outcome axes; every
@@ -236,11 +235,11 @@ class FullDistribution:
     shape: ScenarioShape
     table: np.ndarray
 
-    def __post_init__(self) -> None:
-        n, m, d = self.shape.n, self.shape.m, self.shape.d
+    def __init__(self, shape: ScenarioShape, table: np.ndarray) -> None:
+        n, m, d = shape.n, shape.m, shape.d
         # Adding 0.0 makes a private copy and turns -0.0 into 0.0, as the
         # clip below would.
-        t = np.asarray(self.table, dtype=float) + 0.0
+        t = np.asarray(table, dtype=float) + 0.0
         if t.shape != (m,) * n + (d,) * n:
             raise ValueError(
                 f"table shape {t.shape} does not match scenario {(m,) * n + (d,) * n}"
@@ -258,6 +257,7 @@ class FullDistribution:
             _check_finite("distribution table", t)
             raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
         t.flags.writeable = False
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "table", t)
 
     def probability(self, settings: tuple[int, ...], outcomes: tuple[int, ...]) -> float:
@@ -270,7 +270,7 @@ class FullDistribution:
             block = self.table[settings].reshape(d**n)
             entries[",".join(map(str, settings))] = block.tolist()
         return {
-            "shape": asdict(self.shape),
+            "shape": self.shape._asdict(),
             "outcome_order": "row-major over outcome tuples",
             "table": entries,
         }
@@ -497,8 +497,7 @@ def _check_responses(left: int, right: int, a, b, c) -> None:
             raise ValueError(f"{name} rows are not probability distributions")
 
 
-@dataclass(frozen=True, eq=False)
-class LhvModel:
+class LhvModel(_Record, eq=False):
     """Two-source local hidden-variable model on the three-party chain.
 
     The first wing reads the left source, the last wing the right source, and
@@ -517,16 +516,23 @@ class LhvModel:
     response_middle: np.ndarray
     response_last: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        weights_left: np.ndarray,
+        weights_right: np.ndarray,
+        response_first: np.ndarray,
+        response_middle: np.ndarray,
+        response_last: np.ndarray,
+    ) -> None:
         # Private C-ordered copies, frozen below: the row sums, and so the
         # decision, do not depend on the layout of the caller's arrays.
-        wl = np.array(self.weights_left, dtype=float)
-        wr = np.array(self.weights_right, dtype=float)
+        wl = np.array(weights_left, dtype=float)
+        wr = np.array(weights_right, dtype=float)
         _check_weights("weights_left", wl)
         _check_weights("weights_right", wr)
         a, b, c = (
             np.array(x, dtype=float, order="C")
-            for x in (self.response_first, self.response_middle, self.response_last)
+            for x in (response_first, response_middle, response_last)
         )
         _check_responses(wl.size, wr.size, a, b, c)
         for name, array in (
@@ -611,11 +617,13 @@ def qkd_scenario(kind: str, noise: float = 0.0) -> tuple[DensityMatrix, Measurem
     return intercepted, _ZX_PAIR, REDUCED_SHAPE
 
 
-@dataclass(frozen=True)
-class NoSignallingResult:
+class NoSignallingResult(_Record):
     """Outcome of a no-signalling audit; ok and truthy iff it found no witness."""
 
     witness: Optional[dict]
+
+    def __init__(self, witness: Optional[dict]) -> None:
+        object.__setattr__(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -659,8 +667,7 @@ def no_signalling_check(distribution: FullDistribution) -> NoSignallingResult:
     return NoSignallingResult(None)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Norms of a behaviour difference against the trace-distance bound.
 
     The chain l2 <= l1 <= 2 * (delta_A + delta_B + delta_AB) must hold for
@@ -673,6 +680,13 @@ class BoundReport:
     delta_b: float
     delta_ab: float
 
+    def __init__(self, l2: float, l1: float, delta_a: float, delta_b: float, delta_ab: float) -> None:
+        object.__setattr__(self, "l2", l2)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "delta_a", delta_a)
+        object.__setattr__(self, "delta_b", delta_b)
+        object.__setattr__(self, "delta_ab", delta_ab)
+
     @property
     def rhs(self) -> float:
         return 2.0 * (self.delta_a + self.delta_b + self.delta_ab)
@@ -682,7 +696,7 @@ class BoundReport:
         return self.l2 <= self.l1 + _BOUND_TOL and self.l1 <= self.rhs + _BOUND_TOL
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "rhs": self.rhs, "holds": self.holds}
+        return {**self._asdict(), "rhs": self.rhs, "holds": self.holds}
 
 
 def behaviour_bound_check(rho: DensityMatrix, sigma: DensityMatrix) -> BoundReport:

@@ -13,26 +13,27 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .strategies import BehaviourPoint, _check_int, _check_real, _is_real
+from .strategies import BehaviourPoint, _Record, _check_int, _check_real, _is_real
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Record):
     """Per-coordinate Gaussian noise: sigma_k = sigma * x_k, or a flat sigma
     when ``absolute`` is set."""
 
     sigma: float
-    seed: int = 42
-    absolute: bool = False
+    seed: int
+    absolute: bool
 
-    def __post_init__(self) -> None:
-        _check_real("noise sigma", self.sigma, 0)
-        _check_int("seed", self.seed, 0)
-        if type(self.absolute) is not bool:
-            raise ValueError(f"absolute must be a bool, got {self.absolute!r}")
+    def __init__(self, sigma: float, seed: int = 42, absolute: bool = False) -> None:
+        _check_real("noise sigma", sigma, 0)
+        _check_int("seed", seed, 0)
+        if type(absolute) is not bool:
+            raise ValueError(f"absolute must be a bool, got {absolute!r}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "absolute", absolute)
 
 
 def _scales(coords: tuple[float, ...], noise: NoiseSpec) -> tuple[float, ...]:
@@ -67,8 +68,7 @@ def distance_sigma(point: BehaviourPoint, sigma: float, absolute: bool = False) 
     return sigma_d
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(_Record):
     """Separability verdict for a pair of behaviour points under noise."""
 
     distance: float
@@ -79,8 +79,20 @@ class TestReport:
     alpha: float
     reject: bool
 
+    def __init__(
+        self, distance: float, sigma_d: float, z: float, p_value: float, overlap: float,
+        alpha: float, reject: bool,
+    ) -> None:
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "sigma_d", sigma_d)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "p_value", p_value)
+        object.__setattr__(self, "overlap", overlap)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "reject", reject)
+
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _normal_cdf(x: float) -> float:
@@ -140,6 +152,30 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
 
+def _stirling_tail(x: float) -> float:
+    # The remainder of Stirling's series, ln Gamma(x) - ((x - 1/2) ln x - x
+    # + ln(2 pi) / 2); the terms kept leave an error below 1e-17 for x >= 20.
+    t = 1.0 / (x * x)
+    return (1 / 12 - t * (1 / 360 - t * (1 / 1260 - t * (1 / 1680 - t / 1188)))) / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b).
+
+    With the larger argument at 20 or more, ln Gamma(big + small) - ln
+    Gamma(big) comes from Stirling's series, as (big + small - 1/2)
+    log1p(small / big) + small (ln big - 1) plus the difference of the series
+    remainders, whose terms are all of the size of the result: the two lgamma
+    values, ~big ln big, would cancel and leave their rounding, ~1e-11 at
+    big ~ 2000 (DiDonato & Morris, ACM TOMS 18, 360, 1992).
+    """
+    small, big = sorted((a, b))
+    if big < 20.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    ratio = (big + small - 0.5) * math.log1p(small / big) + small * (math.log(big) - 1.0)
+    return math.lgamma(small) - (ratio + _stirling_tail(big + small) - _stirling_tail(big))
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
     _check_real("a", a, 0, strict=True)
@@ -147,10 +183,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     _check_real("x", x, 0, 1)
     if x == 0.0 or x == 1.0:
         return float(x)
-    log_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
     front = math.exp(log_front)
     # Use the expansion on whichever side converges fast.
     if x < (a + 1.0) / (a + b + 2.0):
@@ -220,8 +253,16 @@ def two_sample_t(xs, ys) -> float:
     if t == 0.0:
         return 1.0
     df = 1.0 / ((sem_x / sem) ** 2 / (len(xs) - 1) + (sem_y / sem) ** 2 / (len(ys) - 1))
-    # A finite t past ~1e154 squares to inf, which gives the right limit 0.
-    p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    # p = I_x(df / 2, 1/2) at x = df / (df + t^2).  For t^2 < df that x is
+    # near 1, where its own rounding would move p by up to ~1e-11 at df ~ 4000,
+    # so p comes from the complement 1 - x = t^2 / (df + t^2), taken exactly,
+    # as 1 - I_{1-x}(1/2, df / 2).  A finite t past ~1e154 squares to inf,
+    # which gives the right limit 0.
+    tt = t * t
+    if tt < df:
+        p = 1.0 - regularized_incomplete_beta(0.5, df / 2.0, tt / (df + tt))
+    else:
+        p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + tt))
     return min(max(p, 0.0), 1.0)
 
 

@@ -10,14 +10,19 @@ collapses the table to 16 distinct vertices in 8 coordinates.  Each
 coordinate's event is one bit mask over the singles block, read from its
 column name; the vertex tables here and ``quantum.collapse`` are both built
 from these masks.
+
+The package's immutable records (scenario shapes, strategies, points and
+the reports of every layer) share one small base here, ``_Record``, rather
+than ``dataclasses``, whose import costs every command-line verb ~11 ms of
+start-up: each record is an ordinary class with an explicit ``__init__``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from functools import cache
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -96,6 +101,54 @@ def _check_real(name: str, value, low, high=None, *, strict: bool = False) -> No
     raise ValueError(f"{name} must be a finite real number {bounds}, got {value!r}")
 
 
+class _Record:
+    """Base of an immutable record whose fields are its annotated names.
+
+    A subclass declares its fields as class annotations, in order, and sets
+    each one in its own ``__init__`` with ``object.__setattr__`` (not through
+    ``__dict__``, which would slow every later attribute read).  The base
+    gives the ``Name(field=value, ...)`` repr; equality and hash over the
+    field values, or identity with ``eq=False`` for a record holding arrays;
+    frozen fields; a pickle that rebuilds through the constructor, so its
+    checks run again; and the field values as a dict or a tuple.
+    """
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__annotations__)
+        # _astuple reads every field in one C call, which keeps equality and
+        # hashing as fast as on a tuple; attrgetter gives a lone field bare.
+        read = attrgetter(*fields)
+        cls._astuple = (lambda self: read(self)) if len(fields) > 1 else (lambda self: (read(self),))
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
 def _event_products(singles: tuple[int, ...], representation: str) -> tuple[int, ...]:
     # Coordinates of a deterministic behaviour.  Its singles are bits, so a column's
     # product is 1 exactly when its mask is all set in word: (word & mask) // mask.
@@ -103,17 +156,20 @@ def _event_products(singles: tuple[int, ...], representation: str) -> tuple[int,
     return tuple([(word & mask) // mask for mask in _EVENT_MASKS[representation]])
 
 
-@dataclass(frozen=True)
-class ScenarioShape:
+class ScenarioShape(_Record):
     """Measurement scenario size: n parties, m settings each, d outcomes each."""
 
     n: int
     m: int
     d: int
 
-    def __post_init__(self) -> None:
-        for name in ("n", "m", "d"):
-            _check_int(f"scenario shape field {name}", getattr(self, name), 1)
+    def __init__(self, n: int, m: int, d: int) -> None:
+        _check_int("scenario shape field n", n, 1)
+        _check_int("scenario shape field m", m, 1)
+        _check_int("scenario shape field d", d, 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d", d)
 
 
 FULL_SHAPE = ScenarioShape(3, 2, 2)
@@ -132,8 +188,7 @@ def _check_representation(representation: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(_Record):
     """One deterministic response function per wing: (first, middle, last).
 
     Each wing is an index w in 0..3 whose bits (w >> 1, w & 1) are the wing's
@@ -146,9 +201,12 @@ class DeterministicStrategy:
     middle: int
     last: int
 
-    def __post_init__(self) -> None:
-        for wing in (self.first, self.middle, self.last):
+    def __init__(self, first: int, middle: int, last: int) -> None:
+        for wing in (first, middle, last):
             _check_int("wing index", wing, 0, 3)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "last", last)
 
     @property
     def index(self) -> int:
@@ -181,18 +239,16 @@ def _checked_coords(coords) -> list[float]:
     return cleaned
 
 
-@dataclass(frozen=True)
-class BehaviourPoint:
+class BehaviourPoint(_Record):
     """A point of the behaviour space: probabilities in one of the two
     canonical coordinate orders; the representation tag fixes ``shape``."""
 
     coords: tuple[float, ...]
     representation: str
 
-    def __post_init__(self) -> None:
-        _check_representation(self.representation)
-        coords = self.coords
-        width = len(_REPRESENTATIONS[self.representation][1])
+    def __init__(self, coords: tuple[float, ...], representation: str) -> None:
+        _check_representation(representation)
+        width = len(_REPRESENTATIONS[representation][1])
         if len(coords) != width:
             raise ValueError(f"expected {width} coordinates, got {len(coords)}")
         # The screen: Python floats in [0, 1] are kept as they are (NaN fails
@@ -201,6 +257,7 @@ class BehaviourPoint:
         if not all(type(x) is float and 0.0 <= x <= 1.0 for x in coords):
             coords = _checked_coords(coords)
         object.__setattr__(self, "coords", tuple(coords))
+        object.__setattr__(self, "representation", representation)
 
     @classmethod
     def full(cls, coords) -> "BehaviourPoint":
@@ -229,7 +286,7 @@ class BehaviourPoint:
     def to_json_dict(self) -> dict:
         return {
             "representation": self.representation,
-            "shape": asdict(self.shape),
+            "shape": self.shape._asdict(),
             "coords": list(self.coords),
         }
 
@@ -340,7 +397,7 @@ def _csv_text(representation: str) -> str:
 @cache
 def _json_text(representation: str) -> str:
     payload = {
-        "shape": asdict(_REPRESENTATIONS[representation][0]),
+        "shape": _REPRESENTATIONS[representation][0]._asdict(),
         "representation": representation,
         "vertices": [list(row) for row in _VERTEX_ROWS[representation]],
     }

@@ -16,7 +16,6 @@ Core claims pinned here:
 """
 
 import itertools
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -170,7 +169,7 @@ def test_global_gap_is_a_lower_bound_everywhere(target, x, shift):
     # Weak duality: F(x) - gap(x) <= min F, for any x in the box, and for
     # solver answers moved off the optimum by up to 1e-3.
     best = _grid_oracle(np.array(target))
-    solved = astuple(mf.project(st.BehaviourPoint.reduced(target)).params)
+    solved = mf.project(st.BehaviourPoint.reduced(target)).params._astuple()
     moved = tuple(min(max(v + d, 0.0), 1.0) for v, d in zip(solved, shift))
     for point in (x, solved, moved):
         gap = mf._certificate(point, target)[1]

@@ -18,7 +18,8 @@ Core claims pinned here:
   * Random states survive a trip through their JSON text unchanged, and a
     'dim' that is not the side of the matrix, or entry tables that are not
     lists of rows of numbers, are rejected.
-  * The dataclasses that hold arrays compare by identity and are hashable.
+  * The records that hold arrays compare by identity and are hashable; their
+    fields are frozen, and a pickle rebuilds them through the constructor.
   * MeasurementSet names each kind of malformed input and stores one
     read-only (settings, outcomes, dim, dim) array per party.
   * behaviour_from_state rejects a scenario that differs from its
@@ -32,6 +33,7 @@ Core claims pinned here:
 """
 
 import json
+import pickle
 import re
 from itertools import product
 
@@ -885,6 +887,11 @@ def test_array_holding_dataclasses_compare_by_identity(build):
     first, second = build(), build()
     assert first == first and first != second
     assert len({first, first, second}) == 2
+    for name in first._fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(first, name, getattr(first, name))
+    clone = pickle.loads(pickle.dumps(first))
+    assert type(clone) is type(first) and clone != first and repr(clone) == repr(first)
 
 
 @pytest.mark.parametrize(

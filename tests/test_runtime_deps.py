@@ -3,9 +3,11 @@ library, no layer for a bare ``import p3poly``, and for each CLI verb only the
 layers it uses, with numpy only where a quantum state is computed (not for the
 vertex tables, the graph listings and SVD layouts, the structural report, the
 projection, either mode of ``test``, nor a point or state file that is
-rejected while it is parsed).  Also the lazily filled ``p3poly`` namespace
-itself, that every module-level import of a layer is used and never shadowed,
-and that every module-level private name is used."""
+rejected while it is parsed), and dataclasses never: no module of the
+package imports it, and no verb that runs without numpy loads it.  Also the
+lazily filled ``p3poly`` namespace itself, that every module-level import of
+a layer is used and never shadowed, and that every module-level private name
+is used."""
 
 import ast
 import json
@@ -39,14 +41,14 @@ print(",".join(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "p3poly"
 """
 
 # Runs main(argv) and prints its exit code, the p3poly submodules loaded by
-# then, whether numpy was loaded, and what it wrote to stderr.
+# then, whether numpy and dataclasses were loaded, and what it wrote to stderr.
 _VERB_PROBE = """
 import contextlib, io, json, sys
 from p3poly.cli import main
 with contextlib.redirect_stderr(io.StringIO()) as err:
     code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("p3poly."))
-print(json.dumps([code, loaded, "numpy" in sys.modules, err.getvalue()]))
+print(json.dumps([code, loaded, "numpy" in sys.modules, "dataclasses" in sys.modules, err.getvalue()]))
 """
 
 
@@ -132,11 +134,28 @@ def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, numpy, stderr):
         json.dumps({"dim": 4, "re": [[float("nan")] * 4] * 4, "im": [[0.0] * 4] * 4})
     )
     out = _python(_VERB_PROBE, *argv, "--output", "out", cwd=tmp_path)
-    code, loaded, numpy_loaded, err = json.loads(out)
+    code, loaded, numpy_loaded, dataclasses_loaded, err = json.loads(out)
     assert (code, err) == ((1, stderr) if stderr else (0, ""))
     assert loaded == sorted(f"p3poly.{m}" for m in ["cli", "strategies", *layers])
     assert numpy_loaded == numpy
+    # numpy may import dataclasses itself; a verb without numpy must not.
+    if not numpy:
+        assert not dataclasses_loaded
     assert (tmp_path / "out").exists() == (not stderr)
+
+
+def test_no_module_imports_dataclasses():
+    # The records share strategies._Record instead; importing dataclasses
+    # would cost every verb its ~11 ms again.
+    for path in sorted(Path(p3poly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {name.partition(".")[0] for name in names}, path.name
 
 
 def test_strategies_and_geometry_run_without_numpy():

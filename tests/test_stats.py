@@ -7,10 +7,12 @@ Core claims pinned here:
   * gaussian_separability separates P_U from P_B at z ~ 5.5 and is monotone
     in distance; its sigma_d must be positive and finite, and large enough
     that z is finite.
-  * Welch t and KS implementations agree with scipy oracles; the Welch t
-    p-value is the same at every sample scale from 1e-300 to 1e300; the KS
-    statistic equals the exact fraction D, ties included; both tests take
-    any flat sequence of reals and reject anything else.
+  * Welch t and KS implementations agree with scipy oracles, the incomplete
+    beta to 2e-13 at a in the thousands and the Welch t to 1e-12 on
+    2000-row samples; the Welch t p-value is the same at every sample scale
+    from 1e-300 to 1e300; the KS statistic equals the exact fraction D, ties
+    included; both tests take any flat sequence of reals and reject anything
+    else.
   * norms obeys l2 <= l1 and reproduces (0.5, sqrt(0.125)) on V.
 """
 
@@ -211,6 +213,30 @@ def test_incomplete_beta_against_scipy():
         sta.regularized_incomplete_beta(-1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         sta.regularized_incomplete_beta(1.0, 1.0, 1.5)
+
+
+def test_incomplete_beta_at_large_a_against_scipy():
+    # Welch t at a = df / 2 in the thousands, with x mostly near 1: the
+    # lgamma values of ~1e4 that ln B(a, b) would cancel used to leave ~1e-11.
+    rng = np.random.default_rng(61)
+    worst = 0.0
+    for _ in range(3000):
+        a = float(rng.uniform(45.0, 11000.0))
+        b = float(rng.choice([0.5, 1.5, 3.0]))
+        x = float(rng.uniform(0.98, 1.0) if rng.random() < 0.8 else rng.uniform(0.0, 1.0))
+        worst = max(worst, abs(sta.regularized_incomplete_beta(a, b, x) - scipy.special.betainc(a, b, x)))
+    assert worst <= 2e-13
+
+
+def test_two_sample_t_matches_scipy_on_long_samples():
+    # 2000-row samples give df ~ 4000; near-equal means give x = df / (df + t^2)
+    # near 1, where p now comes from the exact complement.
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        xs = rng.normal(0.5, 0.1, size=2000)
+        ys = rng.normal(0.5 + rng.normal(0.0, 0.005), 0.1 * rng.uniform(0.8, 1.25), size=2000)
+        expected = scipy.stats.ttest_ind(xs, ys, equal_var=False).pvalue
+        assert sta.two_sample_t(xs, ys) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

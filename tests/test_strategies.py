@@ -20,7 +20,6 @@ Core claims pinned here:
 
 import json
 import re
-from dataclasses import FrozenInstanceError
 from itertools import product
 
 import numpy as np
@@ -299,7 +298,7 @@ def test_strategy_equality_hash_and_repr_are_by_value():
     assert rebuilt == st.enumerate_strategies()[39]
     assert rebuilt != st.DeterministicStrategy(2, 0, 3)
     assert len({strategy, rebuilt, st.DeterministicStrategy(2, 0, 3)}) == 2
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'first'$"):
         strategy.first = 0
 
 
