@@ -253,14 +253,18 @@ def two_sample_t(xs, ys) -> float:
     if t == 0.0:
         return 1.0
     df = 1.0 / ((sem_x / sem) ** 2 / (len(xs) - 1) + (sem_y / sem) ** 2 / (len(ys) - 1))
-    # p = I_x(df / 2, 1/2) at x = df / (df + t^2).  For t^2 < df that x is
-    # near 1, where its own rounding would move p by up to ~1e-11 at df ~ 4000,
-    # so p comes from the complement 1 - x = t^2 / (df + t^2), taken exactly,
-    # as 1 - I_{1-x}(1/2, df / 2).  A finite t past ~1e154 squares to inf,
-    # which gives the right limit 0.
+    # p = I_x(df / 2, 1/2) at x = df / (df + t^2).  For small t that x is so
+    # near 1 that its own rounding would move p by up to ~1e-11 at df ~ 4000.
+    # There p comes instead from the complement y = 1 - x = t^2 / (df + t^2),
+    # computed from t^2 without forming x, as 1 - I_y(1/2, df / 2), but only
+    # while I_y itself uses its direct series in y, i.e. y < 1.5 / (df/2 + 2.5):
+    # past that it would form 1 - y again, and p, the smaller tail there and
+    # possibly tiny, would lose its relative precision to 1 - (1 - p).  A
+    # finite t past ~1e154 squares to inf, which gives the right limit 0.
     tt = t * t
-    if tt < df:
-        p = 1.0 - regularized_incomplete_beta(0.5, df / 2.0, tt / (df + tt))
+    y = tt / (df + tt)
+    if y < 1.5 / (df / 2.0 + 2.5):
+        p = 1.0 - regularized_incomplete_beta(0.5, df / 2.0, y)
     else:
         p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + tt))
     return min(max(p, 0.0), 1.0)

@@ -237,6 +237,15 @@ def test_two_sample_t_matches_scipy_on_long_samples():
         ys = rng.normal(0.5 + rng.normal(0.0, 0.005), 0.1 * rng.uniform(0.8, 1.25), size=2000)
         expected = scipy.stats.ttest_ind(xs, ys, equal_var=False).pvalue
         assert sta.two_sample_t(xs, ys) == pytest.approx(expected, abs=1e-12)
+    # Clearly shifted means (t from ~6 to ~28) put p far below 1e-16, where
+    # only a relative comparison (abs=0, so approx adds no 1e-12 floor)
+    # shows whether its digits survive.
+    for shift in (0.02, 0.04, 0.06, 0.08):
+        for _ in range(5):
+            xs = rng.normal(0.5, 0.1, size=2000)
+            ys = rng.normal(0.5 + shift, 0.1 * rng.uniform(0.8, 1.25), size=2000)
+            expected = scipy.stats.ttest_ind(xs, ys, equal_var=False).pvalue
+            assert sta.two_sample_t(xs, ys) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
