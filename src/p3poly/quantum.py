@@ -17,11 +17,24 @@ once on the difference rho - sigma instead of once per state.
 ``FullDistribution`` and ``LhvModel`` write each validation rule as one
 check: a screen of a constant number of whole-array operations (minima and
 slice or row sums) accepts valid input, and only when it fails does the
-check name the first failure, on the same data.  Every constructor stores
-read-only private copies, so the caller's arrays are never frozen; a model's
+check name the first failure, on the same data.  Every public constructor
+stores read-only private copies, so the caller's arrays are never frozen; a model's
 copies are C-ordered, so its row sums do not depend on the caller's layout.
 The array holders are ``strategies._Record`` classes with ``eq=False``: each
 runs its checks in its own ``__init__`` and compares by identity.
+
+Every public constructor keeps every check.  Each array holder also has a
+private constructor, ``_unchecked``, for arrays that the package built and
+that are valid by construction; both end in the same freeze-and-store step,
+``_store``.  Four producers use it and skip checks their construction makes
+redundant: ``model_from_strategy`` stores copies of rows of two tables that
+pass the public checks at import; ``lhv_evaluate`` stores sums of products of
+a valid model's nonnegative entries, whose slices sum to 1 within ~5e-9;
+``random_density_matrix`` stores G G+ / tr, Hermitian, of unit trace and
+positive to ~dim * eps, checking only that the trace is positive and finite;
+and ``partial_trace`` stores the reduction of an accepted state, which keeps
+the trace and whose Hermiticity and positivity residuals may grow by the
+traced-out dimension, so that a public ``DensityMatrix`` could reject it.
 """
 
 from __future__ import annotations
@@ -55,6 +68,24 @@ _BOUND_TOL = 1e-9
 _ROW_TOL = 1e-9
 
 
+def _store(record, *values):
+    # The last step of every constructor of an array holder, public or
+    # private: freeze each array, which the record owns, and set the fields
+    # in declaration order.
+    for name, value in zip(record._fields, values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)  # cheaper than going through .flags
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _unchecked(cls, *values):
+    # The private constructor of an array holder: it stores, unchecked and
+    # without copying, fresh arrays that the caller knows the public checks
+    # would store unchanged.
+    return _store(object.__new__(cls), *values)
+
+
 def _check_finite(name: str, array: np.ndarray) -> None:
     # NaN fails every tolerance comparison silently, so test for it first.
     if not np.isfinite(array).all():
@@ -66,7 +97,10 @@ class DensityMatrix(_Record, eq=False):
 
     Construction checks Hermiticity, unit trace and positivity (eigenvalues
     above -1e-10); each violation raises ValueError naming the failed
-    property.
+    property.  A reduced state from ``partial_trace`` is stored unchecked: it
+    keeps the trace, but its Hermiticity and positivity residuals may be the
+    input's times the traced-out dimension, so it may lie past these 1e-10
+    tolerances by that factor.
 
     Instances compare by identity: an array field has no single truth value.
     """
@@ -89,8 +123,9 @@ class DensityMatrix(_Record, eq=False):
         smallest = float(np.linalg.eigvalsh(m).min())
         if smallest < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has a negative eigenvalue ({smallest:.3e})")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        _store(self, m)
+
+    _unchecked = classmethod(_unchecked)
 
     @property
     def dim(self) -> int:
@@ -256,9 +291,9 @@ class FullDistribution(_Record, eq=False):
         if not worst <= NORMALIZATION_TOL:
             _check_finite("distribution table", t)
             raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
-        t.flags.writeable = False
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "table", t)
+        _store(self, shape, t)
+
+    _unchecked = classmethod(_unchecked)
 
     def probability(self, settings: tuple[int, ...], outcomes: tuple[int, ...]) -> float:
         return float(self.table[tuple(settings) + tuple(outcomes)])
@@ -376,7 +411,11 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
     """Trace out one half of a bipartite state.
 
     ``dims`` gives the (left, right) factor dimensions; ``keep`` selects the
-    surviving factor, "A" for the left and "B" for the right.
+    surviving factor, "A" for the left and "B" for the right.  The reduced
+    state keeps the trace; its Hermiticity residual and its most negative
+    eigenvalue are at most the input's times the traced-out dimension, so a
+    state at the 1e-10 tolerances of ``DensityMatrix`` may reduce to one past
+    them, which is returned as it is.
     """
     if not isinstance(dims, (tuple, list)) or len(dims) != 2:
         raise ValueError(f"dims must be a pair, got {dims!r}")
@@ -386,7 +425,10 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
         raise ValueError(f"dims {dims} do not factor dimension {rho.dim}")
     if keep not in ("A", "B"):
         raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(_partial(rho.matrix, dims, keep))
+    # Each reduced entry is a sum of (traced-out dimension) input entries, so
+    # the Hermiticity residual grows by at most that factor; and where
+    # rho + p I >= 0, its reduction, the result plus p * dimension * I, is too.
+    return DensityMatrix._unchecked(_partial(rho.matrix, dims, keep))
 
 
 def _partial(matrix: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -535,14 +577,11 @@ class LhvModel(_Record, eq=False):
             for x in (response_first, response_middle, response_last)
         )
         _check_responses(wl.size, wr.size, a, b, c)
-        for name, array in (
-            ("weights_left", wl), ("weights_right", wr),
-            ("response_first", a), ("response_middle", b), ("response_last", c),
-        ):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        _store(self, wl, wr, a, b, c)
 
-    @property
+    _unchecked = classmethod(_unchecked)
+
+    @cached_property
     def shape(self) -> ScenarioShape:
         return ScenarioShape(3, self.response_first.shape[0], self.response_first.shape[-1])
 
@@ -553,6 +592,11 @@ def lhv_evaluate(model: LhvModel) -> FullDistribution:
     p(x, y, z | s, t, u) is the product of the three wing responses averaged
     over both sources independently.
     """
+    # Every entry is a sum of products of the model's nonnegative entries,
+    # and each setting slice sums to the product of five sums that are each
+    # 1 +/- 1e-9 (a weight vector, or a response row summed over the other
+    # wings' states), so to 1 within ~5e-9 < NORMALIZATION_TOL.  Adding 0.0
+    # turns a -0.0 entry into 0.0, as the public constructor would.
     table = np.einsum(
         "slx,tlry,urz,l,r->stuxyz",
         model.response_first,
@@ -560,8 +604,8 @@ def lhv_evaluate(model: LhvModel) -> FullDistribution:
         model.response_last,
         model.weights_left,
         model.weights_right,
-    )
-    return FullDistribution(model.shape, table)
+    ) + 0.0
+    return FullDistribution._unchecked(model.shape, table)
 
 
 # Row w is the response table of wing index w: setting s puts all weight on
@@ -572,17 +616,30 @@ _ONE_STATE = np.ones(1)
 _ONE_STATE.flags.writeable = False
 
 
+def _strategy_arrays(first: int, middle: int, last: int) -> tuple[np.ndarray, ...]:
+    # Fresh C-ordered copies of table rows, in LhvModel's argument order: the
+    # model owns them, so nothing it is given reaches the shared tables.
+    r = _WING_RESPONSES
+    return (
+        _ONE_STATE.copy(), _ONE_STATE.copy(),
+        r[first, :, None].copy(), r[middle, :, None, None].copy(), r[last, :, None].copy(),
+    )
+
+
+# Every row of both tables passes the public checks once, here.
+for _wing in range(4):
+    LhvModel(*_strategy_arrays(_wing, _wing, _wing))
+del _wing
+
+
 def model_from_strategy(strategy: DeterministicStrategy) -> LhvModel:
     """Deterministic one-state-per-source model reproducing a strategy.
 
     A strategy bit is the indicator of producing the flagged outcome
     (outcome 0), so bit 1 puts all response weight on outcome 0.
     """
-    r = _WING_RESPONSES
-    return LhvModel(
-        _ONE_STATE, _ONE_STATE,
-        r[strategy.first, :, None], r[strategy.middle, :, None, None], r[strategy.last, :, None],
-    )
+    # Copies of rows that passed the public checks at import.
+    return LhvModel._unchecked(*_strategy_arrays(strategy.first, strategy.middle, strategy.last))
 
 
 def bell_pair_state() -> DensityMatrix:
@@ -727,4 +784,10 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     _check_int("dim", dim, 1)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / m.trace())
+    trace = m.trace()
+    # G G+ is Hermitian and positive semidefinite, so divided by a positive
+    # trace it is a state to within ~dim * eps, far inside the 1e-10
+    # tolerances; only a zero or non-finite trace is left to rule out.
+    if not 0.0 < trace.real < math.inf:
+        raise ValueError(f"random state has trace {float(trace.real)}, not a positive finite number")
+    return DensityMatrix._unchecked(m / trace)

@@ -341,6 +341,30 @@ def test_partial_trace():
         qu.partial_trace(bell(), 4, "A")
 
 
+_AT_TOLERANCE = {
+    # Eigenvalues down to -0.9e-10; the "A" reduction sums two of them.
+    "negative": np.diag([-0.9e-10, -0.9e-10, 1.0 + 1.8e-10, 0.0]),
+    # Hermitian to 0.9e-10; the "A" reduction sums both residuals.
+    "skew": np.eye(4) / 4 + 0.9e-10 * np.eye(4, k=2),
+}
+
+
+@pytest.mark.parametrize("keep", ["A", "B"])
+@pytest.mark.parametrize("case", sorted(_AT_TOLERANCE))
+def test_partial_trace_of_a_state_at_the_tolerances(case, keep):
+    # An accepted state reduces to a state, even where the reduction's
+    # residuals exceed the 1e-10 tolerances by up to the traced-out
+    # dimension, 2 here: the "A" reductions used to raise.
+    rho = qu.DensityMatrix(_AT_TOLERANCE[case])
+    reduced = qu.partial_trace(rho, (2, 2), keep).matrix
+    expected = np.einsum("ijkj->ik" if keep == "A" else "ijil->jl", rho.matrix.reshape(2, 2, 2, 2))
+    assert reduced.tobytes() == expected.tobytes() and not reduced.flags.writeable
+    assert not np.shares_memory(reduced, rho.matrix)
+    assert np.abs(reduced - reduced.conj().T).max() <= 2 * qu.HERMITICITY_TOL
+    assert abs(reduced.trace() - 1.0) <= qu.TRACE_TOL
+    assert np.linalg.eigvalsh(reduced).min() >= -2 * qu.POSITIVITY_TOL
+
+
 @pytest.mark.parametrize("dims", [(-2, -2), (2.0, 2.0), (True, 4), (0, 4)])
 def test_partial_trace_rejects_dims_that_are_not_two_positive_ints(dims):
     # (-2, -2) multiplies out to 4 and reached numpy's reshape; (2.0, 2.0)

@@ -13,6 +13,10 @@ them, ``model_from_strategy`` hands out read-only arrays that share nothing
 with its import-time tables, a model with no settings or no outcomes is
 rejected by name, and a model's verdict and stored arrays do not depend on
 the memory layout of the caller's arrays.
+
+Last, the producers that store through a private constructor and skip the
+checks (``model_from_strategy``, ``lhv_evaluate``, ``random_density_matrix``)
+must store exactly what the public constructor stores from the same arrays.
 """
 
 import math
@@ -401,3 +405,85 @@ def test_lhv_model_decides_the_same_for_every_memory_layout():
         else:
             assert outcomes[1] == outcomes[2] == outcomes[0], seed
     assert decisions == {"ok", "ValueError"}
+
+
+# --- producers that store arrays unchecked ----------------------------------------
+
+
+def _assert_stored_as_public(made, public, sources):
+    # ``made`` came through a private constructor, ``public`` through the
+    # public one from the same arrays: every field is bit-identical, and each
+    # stored array is read-only and shares memory with no source and no other
+    # field.
+    arrays = [getattr(made, name) for name in type(made)._fields]
+    for name, got in zip(type(made)._fields, arrays):
+        expected = getattr(public, name)
+        if not isinstance(got, np.ndarray):
+            assert got == expected
+            continue
+        assert _bits(got) == _bits(expected), name
+        assert not got.flags.writeable
+        others = [x for x in arrays if x is not got and isinstance(x, np.ndarray)]
+        assert not any(np.shares_memory(got, x) for x in [*sources, *others]), name
+
+
+def _assert_evaluated_as_public(model):
+    distribution = qu.lhv_evaluate(model)
+    public = qu.FullDistribution(model.shape, distribution.table)
+    _assert_stored_as_public(distribution, public, [getattr(model, f) for f in _LHV_FIELDS])
+    assert distribution.shape == model.shape
+    assert not np.signbit(distribution.table).any()
+
+
+def test_strategy_models_and_their_tables_match_the_public_constructors():
+    r, one = qu._WING_RESPONSES, qu._ONE_STATE
+    for strategy in st.enumerate_strategies():
+        first, middle, last = strategy.first, strategy.middle, strategy.last
+        model = qu.model_from_strategy(strategy)
+        # The public constructor on views of the two tables.
+        public = qu.LhvModel(one, one, r[first, :, None], r[middle, :, None, None], r[last, :, None])
+        _assert_stored_as_public(model, public, (r, one))
+        _assert_evaluated_as_public(model)
+
+
+def test_lhv_evaluate_matches_the_public_constructor_on_random_models():
+    # Sparse models hold -0.0 where a one-hot row has its zeros, and every
+    # row and weight vector is scaled to sum to 1 - 1e-9, 1 or 1 + 1e-9, each
+    # edge pulled in by 1e-15 so that rounding cannot take it past the model's
+    # row tolerance.
+    edge = 1e-9 - 1e-15
+    at_edge = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        arrays = _random_model(*map(int, rng.integers(1, 4, size=4)), seed, seed % 2 == 0)
+        for array in arrays:
+            array[array == 0.0] = -0.0
+            rows = array.reshape(-1, array.shape[-1])
+            rows *= 1.0 + rng.choice([-edge, 0.0, edge], size=(len(rows), 1))
+        model = qu.LhvModel(*arrays)
+        _assert_evaluated_as_public(model)
+        sums = [np.abs(x.sum(axis=-1) - 1.0).max() for x in arrays]
+        at_edge += max(sums) > 0.9e-9
+    assert at_edge == 200
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_random_density_matrix_matches_the_public_constructor(dim):
+    for seed in range(8):
+        made = qu.random_density_matrix(dim, np.random.default_rng([seed, dim]))
+        # The same state through the public constructor.
+        rng = np.random.default_rng([seed, dim])
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = g @ g.conj().T
+        _assert_stored_as_public(made, qu.DensityMatrix(m / m.trace()), ())
+
+
+@pytest.mark.parametrize("value, trace", [(0.0, "0.0"), (math.nan, "nan")])
+def test_random_density_matrix_needs_a_positive_finite_trace(value, trace):
+    class Constant:
+        def normal(self, size):
+            return np.full(size, value)
+
+    with pytest.raises(ValueError) as error:
+        qu.random_density_matrix(2, Constant())
+    assert str(error.value) == f"random state has trace {trace}, not a positive finite number"
