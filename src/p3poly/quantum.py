@@ -14,6 +14,18 @@ validates its inputs and calls one of them.  The Born rule, ``collapse`` and
 the partial trace are linear, so the bound report evaluates its whole chain
 once on the difference rho - sigma instead of once per state.
 
+The fixed linear maps are built once, on first use, never at import.  Each
+``MeasurementSet`` holds its Born map, one real matrix from the real and
+imaginary parts of a state to its table, so the Born rule is one matrix
+product; the bound report multiplies by that map for the Z/X pair composed
+with the reduced collapse, and takes each 2 x 2 marginal trace norm in
+closed form.  ``no_signalling_check`` first applies one +/-1 matrix per
+scenario that takes every marginal difference its loop compares, and
+accepts when each is at most half the tolerance; otherwise the loop alone
+decides and names the witness.  A map that would hold more than
+``_MAP_ENTRIES`` floats is not built, and the direct contraction or the
+loop runs instead.
+
 ``FullDistribution`` and ``LhvModel`` write each validation rule as one
 check: a screen of a constant number of whole-array operations (minima and
 slice or row sums) accepts valid input, and only when it fails does the
@@ -26,21 +38,25 @@ runs its checks in its own ``__init__`` and compares by identity.
 Every public constructor keeps every check.  Each array holder also has a
 private constructor, ``_unchecked``, for arrays that the package built and
 that are valid by construction; both end in the same freeze-and-store step,
-``_store``.  Four producers use it and skip checks their construction makes
+``_store``.  Five producers use it and skip checks their construction makes
 redundant: ``model_from_strategy`` stores copies of rows of two tables that
 pass the public checks at import; ``lhv_evaluate`` stores sums of products of
 a valid model's nonnegative entries, whose slices sum to 1 within ~5e-9;
 ``random_density_matrix`` stores G G+ / tr, Hermitian, of unit trace and
 positive to ~dim * eps, checking only that the trace is positive and finite;
-and ``partial_trace`` stores the reduction of an accepted state, which keeps
+``partial_trace`` stores the reduction of an accepted state, which keeps
 the trace and whose Hermiticity and positivity residuals may grow by the
-traced-out dimension, so that a public ``DensityMatrix`` could reject it.
+traced-out dimension, so that a public ``DensityMatrix`` could reject it;
+and ``behaviour_from_state``, and through it ``sample_behaviour``, stores
+the clipped Born table of an accepted state on at most 32 dimensions under
+an accepted measurement set, whose slices sum to 1 within
+(1 + sum of party dims + dim) * 1e-10 <= 6.5e-9.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from typing import Optional
 
@@ -66,6 +82,11 @@ NORMALIZATION_TOL = 1e-8
 NO_SIGNALLING_TOL = 1e-10
 _BOUND_TOL = 1e-9
 _ROW_TOL = 1e-9
+# The most floats a precomputed linear map may hold (2 MiB); a scenario whose
+# map would be larger runs the direct contraction or loop instead.
+_MAP_ENTRIES = 1 << 18
+# Born tables of states on at most this many dimensions are stored unchecked.
+_UNCHECKED_BORN_DIM = 32
 
 
 def _store(record, *values):
@@ -226,13 +247,36 @@ class MeasurementSet(_Record, eq=False):
     def shape(self) -> ScenarioShape:
         return ScenarioShape(len(self.projectors), *self.projectors[0].shape[:2])
 
-    @property
+    @cached_property
     def party_dims(self) -> tuple[int, ...]:
         return tuple(ops.shape[2] for ops in self.projectors)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return math.prod(self.party_dims)
+
+    @cached_property
+    def _born_map(self) -> Optional[np.ndarray]:
+        # The Born rule as one read-only real matrix, or None when it would
+        # hold more than _MAP_ENTRIES floats.  Row (settings, outcomes) of
+        # the table, row-major; column pair (2c, 2c + 1) reads the real and
+        # imaginary parts of entry c of the raveled state, as a complex array
+        # lies in memory, so that map @ rho.view(float) is Re Tr(rho * joint
+        # projector) for any complex rho.
+        n, m, d = self.shape.n, self.shape.m, self.shape.d
+        rows, cols = (m * d) ** n, self.total_dim**2
+        if rows * 2 * cols > _MAP_ENTRIES:
+            return None
+        # joint[x, a, i, j] = prod_k P_k[x_k, a_k, j_k, i_k], the transposed
+        # joint projector, so that p(x, a) = sum_{i,j} rho[i, j] joint[x, a, i, j].
+        # Subscripts: x_k is k, a_k is n + k, i_k is 2n + k and j_k is 3n + k.
+        operands = []
+        for k, ops in enumerate(self.projectors):
+            operands += [ops, [k, n + k, 3 * n + k, 2 * n + k]]
+        joint = np.einsum(*operands, list(range(4 * n))).reshape(rows, cols)
+        born_map = np.stack((joint.real, -joint.imag), axis=-1).reshape(rows, 2 * cols)
+        born_map.flags.writeable = False
+        return born_map
 
 
 _ZX_KETS = np.array([np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)], dtype=complex)
@@ -318,7 +362,19 @@ def behaviour_from_state(
     if measurements.shape != shape:
         raise ValueError(f"measurement set scenario {measurements.shape} does not match {shape}")
     _check_state_dim(rho, measurements)
-    return FullDistribution(shape, np.clip(_born(rho.matrix, measurements).real, 0.0, None))
+    # Adding 0.0 turns a -0.0 entry into 0.0, as the public constructor would.
+    table = np.clip(_born(rho.matrix, measurements), 0.0, None) + 0.0
+    if measurements.total_dim > _UNCHECKED_BORN_DIM:
+        return FullDistribution(shape, table)
+    # Before clipping, a setting slice sums to tr(rho C), C the tensor
+    # product of the parties' projector sums, each the identity to within
+    # its dim * 1e-10 in norm; clipping adds back at most the state's
+    # negative eigenvalue mass, dim * 1e-10.  So for a state and a
+    # measurement set that passed the public checks, every slice sums to 1
+    # within (1 + sum of party dims + dim) * 1e-10, 6.5e-9 < NORMALIZATION_TOL
+    # at dim 32.  A reduced state from partial_trace carries its larger
+    # residuals into this bound (see partial_trace).
+    return FullDistribution._unchecked(shape, table)
 
 
 def _check_state_dim(rho: DensityMatrix, measurements: MeasurementSet) -> None:
@@ -329,14 +385,19 @@ def _check_state_dim(rho: DensityMatrix, measurements: MeasurementSet) -> None:
 
 
 def _born(matrix: np.ndarray, measurements: MeasurementSet) -> np.ndarray:
-    # p(x, a) = sum_{i,j} rho[i_1..i_n, j_1..j_n] * prod_k P_k[x_k, a_k, j_k, i_k],
-    # linear in the matrix.  Subscripts: i_k is k, j_k is n + k, x_k is 2n + k
-    # and a_k is 3n + k.  The complex table has the settings axes first.
-    n = len(measurements.projectors)
+    # p(x, a) = Re sum_{i,j} rho[i_1..i_n, j_1..j_n] * prod_k P_k[x_k, a_k, j_k, i_k],
+    # linear in the complex matrix: one product with the measurement set's
+    # Born map, or, when that map would be too large, the direct
+    # contraction.  The real table has the settings axes first.
+    n, m, d = measurements.shape.n, measurements.shape.m, measurements.shape.d
+    born_map = measurements._born_map
+    if born_map is not None:
+        return (born_map @ matrix.reshape(-1).view(float)).reshape((m,) * n + (d,) * n)
+    # Subscripts: i_k is k, j_k is n + k, x_k is 2n + k and a_k is 3n + k.
     operands = [matrix.reshape(measurements.party_dims * 2), list(range(2 * n))]
     for k, ops in enumerate(measurements.projectors):
         operands += [ops, [2 * n + k, 3 * n + k, n + k, k]]
-    return np.einsum(*operands, list(range(2 * n, 4 * n)))
+    return np.einsum(*operands, list(range(2 * n, 4 * n))).real
 
 
 def _collapse_matrix(shape: ScenarioShape, representation: str) -> np.ndarray:
@@ -451,7 +512,14 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _trace_norm(delta: np.ndarray) -> float:
-    # Half the trace norm of a Hermitian matrix.
+    # Half the trace norm of a Hermitian matrix, read from its lower
+    # triangle as eigvalsh reads it.  [[a, b*], [b, d]] has eigenvalues
+    # (a + d) / 2 +/- sqrt((a - d)**2 + 4 |b|**2) / 2, whose absolute values
+    # sum to the larger of |a + d| and that root; hypot neither overflows
+    # nor underflows.
+    if delta.shape == (2, 2):
+        (a, _), (b, d) = delta.tolist()
+        return 0.5 * max(abs(a.real + d.real), math.hypot(a.real - d.real, 2.0 * abs(b)))
     return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
 
 
@@ -698,6 +766,15 @@ def no_signalling_check(distribution: FullDistribution) -> NoSignallingResult:
     offending (party, co-party) pair together with the co-party setting whose
     marginal deviates most from its setting 0, and that worst deviation.
     """
+    # The screen: every marginal difference the loop below takes, as one
+    # precomputed +/-1 map of the table.  Its sums differ from the loop's
+    # only by rounding, below 1e-13, so a table it accepts at half the
+    # tolerance passes the loop too; otherwise the loop alone decides and
+    # names the witness.
+    screen = _signalling_screen(distribution.shape)
+    if screen is not None:
+        if (abs(screen @ distribution.table.ravel()) <= NO_SIGNALLING_TOL / 2).all():
+            return NoSignallingResult(None)
     n = distribution.shape.n
     for party in range(n):
         # Marginal of this party's outcome for every joint setting choice.
@@ -722,6 +799,32 @@ def no_signalling_check(distribution: FullDistribution) -> NoSignallingResult:
                     }
                 )
     return NoSignallingResult(None)
+
+
+@cache
+def _signalling_screen(shape: ScenarioShape) -> Optional[np.ndarray]:
+    # Row (party p, co-party q, joint setting x with x_q > 0, outcome a): p's
+    # marginal probability of a at x minus that at x with x_q set to 0, as a
+    # read-only +/-1 map of table.ravel(); None when it would hold more than
+    # _MAP_ENTRIES floats.
+    n, m, d = shape.n, shape.m, shape.d
+    size = (m * d) ** n
+    if n * (n - 1) * (m - 1) * m ** (n - 1) * d * size > _MAP_ENTRIES:
+        return None
+    entries = np.indices((m,) * n + (d,) * n).reshape(2 * n, 1, size)
+    cells = np.indices((m,) * n + (d,)).reshape(n + 1, -1, 1)
+    same_settings = (entries[:n] == cells[:n]).all(axis=0)
+    blocks = []
+    for p in range(n):
+        # marginal[x, a] sums the entries at settings x where p gives a.
+        marginal = (same_settings & (entries[n + p] == cells[n])).reshape((m,) * n + (d, size)) * 1.0
+        for q in range(n):
+            if q != p:
+                differences = np.delete(marginal - marginal.take([0], axis=q), 0, axis=q)
+                blocks.append(differences.reshape(-1, size))
+    screen = np.reshape(blocks, (-1, size))
+    screen.flags.writeable = False
+    return screen
 
 
 class BoundReport(_Record):
@@ -756,6 +859,15 @@ class BoundReport(_Record):
         return {**self._asdict(), "rhs": self.rhs, "holds": self.holds}
 
 
+@cache
+def _zx_behaviour_map() -> np.ndarray:
+    # The Z/X pair's Born map followed by the reduced collapse: one 8 x 32
+    # real map from a two-qubit matrix, as _born reads it, to its behaviour point.
+    behaviour_map = _COLLAPSE[REDUCED_SHAPE][0] @ _ZX_PAIR._born_map
+    behaviour_map.flags.writeable = False
+    return behaviour_map
+
+
 def behaviour_bound_check(rho: DensityMatrix, sigma: DensityMatrix) -> BoundReport:
     """Compare two two-qubit states through their behaviour points.
 
@@ -763,13 +875,14 @@ def behaviour_bound_check(rho: DensityMatrix, sigma: DensityMatrix) -> BoundRepo
     the l2 and l1 norms of the difference of their behaviour points next to
     twice the sum of the marginal and joint trace distances.  The Born rule,
     ``collapse`` and the partial trace are linear, so every quantity is
-    evaluated once on the difference rho - sigma: one Born-rule contraction,
-    one collapse and three trace norms.
+    evaluated once on the difference rho - sigma: one product with the
+    collapsed Born map, one eigenvalue solve for the joint trace distance and
+    the 2 x 2 closed form for each marginal one.
     """
     for state in (rho, sigma):
         _check_state_dim(state, _ZX_PAIR)
     delta = rho.matrix - sigma.matrix
-    diff = _COLLAPSE[REDUCED_SHAPE][0] @ _born(delta, _ZX_PAIR).real.ravel()
+    diff = _zx_behaviour_map() @ delta.reshape(-1).view(float)
     return BoundReport(
         l2=float(np.linalg.norm(diff)),
         l1=float(np.abs(diff).sum()),

@@ -11,8 +11,9 @@ Core claims pinned here:
     the Fuchs-van-de-Graaf style bounds; fidelity is exact to 1e-12 on pure
     and rank-deficient states, which saturate or nearly saturate them.
   * collapse(lhv_evaluate(model)) reproduces every vertex bit-exactly.
-  * The Born-rule contraction matches the kron/trace formula on complex
-    projectors, and collapse matches a per-coordinate loop oracle on
+  * The Born-rule map matches the kron/trace formula on complex
+    projectors, and so does the direct contraction that runs where the map
+    would be too large; collapse matches a per-coordinate loop oracle on
     signalling tables.
   * Every numeric constructor rejects non-finite input.
   * Random states survive a trip through their JSON text unchanged, and a
@@ -24,8 +25,13 @@ Core claims pinned here:
     read-only (settings, outcomes, dim, dim) array per party.
   * behaviour_from_state rejects a scenario that differs from its
     measurement set's shape in n, m or d with one message naming both.
-  * no_signalling_check agrees with a per-setting loop oracle, and Born-rule
-    tables from random product measurements are normalized and pass it.
+  * no_signalling_check agrees with a per-setting loop oracle, also on
+    tables whose deviation sits either side of its screen's half tolerance
+    and of the tolerance, and Born-rule tables from random product
+    measurements are normalized and pass it.
+  * The closed-form half trace norm of a 2 x 2 Hermitian matrix agrees with
+    its eigenvalues to 4 eps times its largest entry, out to |b| of 1e-300
+    and 1e300.
   * behaviour_bound_check, computed once on rho - sigma, matches the chain
     built per state from the public functions to 1e-12; sample_behaviour is
     bit-identical to collapsing the validated empirical distribution, and
@@ -394,6 +400,40 @@ def test_trace_distance_metric_fuzz():
         assert dab <= qu.trace_distance(a, c) + qu.trace_distance(c, b) + 1e-10
 
 
+def _qubit_edges():
+    ket = np.array([0.6, 0.8j])
+    yield "zero", np.zeros((2, 2), dtype=complex)
+    yield "rank-1", np.outer(ket, ket.conj())
+    yield "rank-1, negative", -0.3 * np.outer(ket, ket.conj())
+    yield "traceless", np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])
+    yield "diagonal", np.diag([0.7, -0.2]).astype(complex)
+    yield "diagonal, equal", np.diag([-0.25, -0.25]).astype(complex)
+    for b in (1e-300, 1e300):
+        for phase in (1.0, -1.0, 1j, np.exp(0.3j)):
+            yield f"|b| = {b}", np.array([[0.0, b * np.conj(phase)], [b * phase, 0.0]])
+            yield f"|b| = {b}, a, d = 0.5, -0.25", np.array([[0.5, b * np.conj(phase)], [b * phase, -0.25]])
+
+
+def _random_hermitian_2x2(rng):
+    scale = 10.0 ** rng.uniform(-8, 8)
+    a, d = scale * rng.normal(size=2)
+    b = scale * complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-6, 2)
+    return np.array([[a, np.conj(b)], [b, d]])
+
+
+def test_qubit_trace_norm_closed_form_matches_eigenvalues():
+    # Half the trace norm of a 2 x 2 Hermitian matrix in closed form, within
+    # 4 eps times its largest entry of the eigenvalue route.
+    rng = np.random.default_rng(2024)
+    cases = [("random", _random_hermitian_2x2(rng)) for _ in range(1000)] + list(_qubit_edges())
+    for name, matrix in cases:
+        value = qu._trace_norm(matrix)
+        assert type(value) is float
+        expected = 0.5 * np.abs(np.linalg.eigvalsh(matrix)).sum()
+        assert abs(value - expected) <= 4 * np.finfo(float).eps * np.abs(matrix).max(), name
+    assert qu._trace_norm(np.zeros((2, 2), dtype=complex)) == 0.0
+
+
 @pytest.mark.parametrize("distance", [qu.trace_distance, qu.fidelity, qu.fidelity_bounds_check])
 def test_states_of_different_dimension_have_no_distance(distance):
     with pytest.raises(ValueError, match="^states live on spaces of different dimension$"):
@@ -620,7 +660,12 @@ def random_unitary_measurements(dims, m, rng):
     return qu.MeasurementSet(tuple(parties))
 
 
-def oracle_table(kind, n, m, rng):
+# Deviations planted in "threshold" tables, as multiples of the tolerance:
+# either side of the screen's half tolerance and of the tolerance itself.
+_THRESHOLD_FACTORS = (0.49, 0.51, 0.99, 1.01)
+
+
+def oracle_table(kind, n, m, rng, trial=0):
     shape = st.ScenarioShape(n, m, 2)
     if kind == "uniform":
         raw = rng.uniform(size=(m**n, 2**n))
@@ -630,6 +675,22 @@ def oracle_table(kind, n, m, rng):
     table = qu.behaviour_from_state(rho, random_unitary_measurements(dims, m, rng), shape).table
     if kind == "born":
         return table
+    if kind == "threshold":
+        # Mixed with the uniform table, every entry is at least 2**-(n + 1);
+        # then, at one joint setting where co-party q's setting is above 0,
+        # the planted amount moves from party p's outcome 1 to its outcome 0,
+        # which leaves every slice sum and every other party's marginal as
+        # it was.
+        table = (table + 2.0**-n) / 2.0
+        p, q = rng.choice(n, size=2, replace=False)
+        at = [int(x) for x in rng.integers(m, size=n)] + [int(a) for a in rng.integers(2, size=n)]
+        at[q] = int(rng.integers(1, m))
+        shift = _THRESHOLD_FACTORS[trial % 4] * qu.NO_SIGNALLING_TOL
+        at[n + p] = 1
+        table[tuple(at)] -= shift
+        at[n + p] = 0
+        table[tuple(at)] += shift
+        return table
     # Planted signal: party p's outcome copies co-party q's setting parity.
     p, q = rng.choice(n, size=2, replace=False)
     index = np.indices(table.shape)
@@ -638,15 +699,18 @@ def oracle_table(kind, n, m, rng):
     return (1.0 - weight) * table + weight * planted
 
 
-@pytest.mark.parametrize("kind", ["born", "planted", "uniform"])
+@pytest.mark.parametrize("kind", ["born", "planted", "uniform", "threshold"])
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_no_signalling_matches_loop_oracle(kind, n, m):
     rng = np.random.default_rng([n, m, ord(kind[0])])
-    for _ in range(10):
-        table = oracle_table(kind, n, m, rng)
-        result = qu.no_signalling_check(qu.FullDistribution(st.ScenarioShape(n, m, 2), table))
+    for trial in range(12 if kind == "threshold" else 10):
+        table = oracle_table(kind, n, m, rng, trial)
+        distribution = qu.FullDistribution(st.ScenarioShape(n, m, 2), table)
+        assert np.array_equal(distribution.table, table)
+        result = qu.no_signalling_check(distribution)
         expected = no_signalling_reference(table, n, m, qu.NO_SIGNALLING_TOL)
-        assert result.ok == (expected is None) == (kind == "born")
+        ok = kind == "born" or (kind == "threshold" and _THRESHOLD_FACTORS[trial % 4] < 1.0)
+        assert result.ok == (expected is None) == ok
         assert result.witness == expected
 
 
@@ -799,7 +863,7 @@ def random_basis_projectors(dim, rng):
     return (first, np.eye(dim) - first)
 
 
-@pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (3, 2)])
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (3, 2), (2, 3), (3, 2, 2)])
 def test_born_rule_matches_kron_trace_reference(dims):
     rng = np.random.default_rng(sum(dims) * 10 + len(dims))
     shape = st.ScenarioShape(len(dims), 2, 2)
@@ -816,6 +880,36 @@ def test_born_rule_matches_kron_trace_reference(dims):
         rho = qu.random_density_matrix(int(np.prod(dims)), rng)
         table = qu.behaviour_from_state(rho, measurements, shape).table
         assert np.abs(table - kron_trace_table(rho, measurements, shape)).max() <= 1e-12
+
+
+def test_born_rule_and_no_signalling_without_their_precomputed_maps(monkeypatch):
+    # A scenario whose map would exceed _MAP_ENTRIES takes the direct Born
+    # contraction and the no-signalling loop alone; both agree with the maps.
+    rng = np.random.default_rng(47)
+    cases = []
+    for dims in [(2,), (2, 3), (3, 2, 2)]:
+        measurements = random_unitary_measurements(dims, 2, rng)
+        rho = qu.random_density_matrix(int(np.prod(dims)), rng)
+        cases.append((rho, measurements, qu.behaviour_from_state(rho, measurements, measurements.shape)))
+    monkeypatch.setattr(qu, "_MAP_ENTRIES", 0)
+    qu._signalling_screen.cache_clear()
+    try:
+        for rho, measurements, mapped in cases:
+            direct = qu.MeasurementSet(measurements.projectors)
+            assert direct._born_map is None
+            table = qu.behaviour_from_state(rho, direct, direct.shape).table
+            assert np.abs(table - mapped.table).max() <= 1e-15
+            n, m = direct.shape.n, direct.shape.m
+            if n == 1:
+                continue  # one party has no co-party: an empty screen
+            assert qu._signalling_screen(direct.shape) is None
+            for kind in ("born", "planted", "threshold"):
+                table = oracle_table(kind, n, m, rng, trial=3)
+                result = qu.no_signalling_check(qu.FullDistribution(direct.shape, table))
+                assert result.witness == no_signalling_reference(table, n, m, qu.NO_SIGNALLING_TOL)
+                assert result.ok == (kind == "born")
+    finally:
+        qu._signalling_screen.cache_clear()
 
 
 def collapse_oracle(table, shape, names, wings):

@@ -15,11 +15,13 @@ rejected by name, and a model's verdict and stored arrays do not depend on
 the memory layout of the caller's arrays.
 
 Last, the producers that store through a private constructor and skip the
-checks (``model_from_strategy``, ``lhv_evaluate``, ``random_density_matrix``)
-must store exactly what the public constructor stores from the same arrays.
+checks (``model_from_strategy``, ``lhv_evaluate``, ``random_density_matrix``,
+``behaviour_from_state``) must store exactly what the public constructor
+stores from the same arrays.
 """
 
 import math
+from itertools import product
 from fractions import Fraction
 from numbers import Real
 
@@ -487,3 +489,88 @@ def test_random_density_matrix_needs_a_positive_finite_trace(value, trace):
     with pytest.raises(ValueError) as error:
         qu.random_density_matrix(2, Constant())
     assert str(error.value) == f"random state has trace {trace}, not a positive finite number"
+
+
+def _projective_measurements(dims, rng):
+    # Two settings per party, each splitting a random unitary basis into two
+    # outcome subspaces; a split may leave one of them empty.
+    parties = []
+    for dim in dims:
+        settings_ = []
+        for _ in range(2):
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            split = int(rng.integers(0, dim + 1))
+            low, high = q[:, :split], q[:, split:]
+            settings_.append((low @ low.conj().T, high @ high.conj().T))
+        parties.append(tuple(settings_))
+    return qu.MeasurementSet(tuple(parties))
+
+
+_FACTORS = {1: [(1,)], 2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 5: [(5,)],
+            6: [(6,), (2, 3), (3, 2)], 7: [(7,)], 8: [(8,), (2, 4), (2, 2, 2)]}
+
+
+def _assert_born_table_stored_as_public(rho, measurements):
+    shape = measurements.shape
+    made = qu.behaviour_from_state(rho, measurements, shape)
+    public = qu.FullDistribution(shape, qu._born(rho.matrix, measurements))
+    _assert_stored_as_public(made, public, [rho.matrix, *measurements.projectors])
+    assert not np.signbit(made.table).any()
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_behaviour_from_state_matches_the_public_constructor(dim):
+    # Random states and their partial traces under random projective
+    # measurements; and under the Z/X pair on qubits, a random state, the
+    # products of |0>, |+> and I/2, the Bell pair, and a state whose
+    # eigenvalues sit at -0.9e-10, so that the Z outcomes that miss its
+    # first basis vector come out negative and are clipped.
+    for seed in range(6):
+        rng = np.random.default_rng([seed, dim])
+        rho = qu.random_density_matrix(dim, rng)
+        for dims in _FACTORS[dim]:
+            _assert_born_table_stored_as_public(rho, _projective_measurements(dims, rng))
+        for left in (2, 3):
+            whole = qu.random_density_matrix(left * dim, rng)
+            for keep, reduced_dims in (("A", (left,)), ("B", (dim,))):
+                reduced = qu.partial_trace(whole, (left, dim), keep)
+                _assert_born_table_stored_as_public(
+                    reduced, _projective_measurements(reduced_dims, rng)
+                )
+    if dim in (2, 4, 8):
+        parties = dim.bit_length() - 1
+        zx = qu.zx_qubit_measurements(parties)
+        plus = np.full((2, 2), 0.5)
+        zero = np.diag([1.0, 0.0])
+        states = [qu.random_density_matrix(dim, np.random.default_rng(dim))]
+        for factors in product((zero, plus, np.eye(2) / 2), repeat=parties):
+            matrix = np.ones((1, 1))
+            for factor in factors:
+                matrix = np.kron(matrix, factor)
+            states.append(qu.DensityMatrix(matrix))
+        if parties == 2:
+            states.append(qu.bell_pair_state())
+        states.append(qu.DensityMatrix(np.diag([1.0 + (dim - 1) * 0.9e-10] + [-0.9e-10] * (dim - 1))))
+        assert (qu._born(states[-1].matrix, zx) < 0).any()
+        for rho in states:
+            _assert_born_table_stored_as_public(rho, zx)
+
+
+def test_behaviour_from_state_checks_tables_past_dimension_32(monkeypatch):
+    # The bound on a slice sum grows with the dimension, so above 32 the
+    # public constructor runs.
+    checked = []
+
+    def init(self, shape, table, _inner=qu.FullDistribution.__init__):
+        checked.append(shape)
+        _inner(self, shape, table)
+
+    monkeypatch.setattr(qu.FullDistribution, "__init__", init)
+    rng = np.random.default_rng(33)
+    for dims in ((4, 8), (3, 11), (6, 6)):
+        measurements = _projective_measurements(dims, rng)
+        rho = qu.random_density_matrix(math.prod(dims), rng)
+        made = qu.behaviour_from_state(rho, measurements, measurements.shape)
+        assert len(checked) == (math.prod(dims) > 32)
+        checked.clear()
+        assert not made.table.flags.writeable
