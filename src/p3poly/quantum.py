@@ -26,12 +26,10 @@ decides and names the witness.  A map that would hold more than
 ``_MAP_ENTRIES`` floats is not built, and the direct contraction or the
 loop runs instead.
 
-``FullDistribution`` and ``LhvModel`` write each validation rule as one
-check: a screen of a constant number of whole-array operations (minima and
-slice or row sums) accepts valid input, and only when it fails does the
-check name the first failure, on the same data.  Every public constructor
-stores read-only private copies, so the caller's arrays are never frozen; a model's
-copies are C-ordered, so its row sums do not depend on the caller's layout.
+``FullDistribution`` and ``LhvModel`` run their checks in one fixed order
+and raise on the first failure.  Every public constructor stores read-only
+private copies, so the caller's arrays are never frozen; a model's copies
+are C-ordered, so its row sums do not depend on the caller's layout.
 The array holders are ``strategies._Record`` classes with ``eq=False``: each
 runs its checks in its own ``__init__`` and compares by identity.
 
@@ -323,17 +321,13 @@ class FullDistribution(_Record, eq=False):
             raise ValueError(
                 f"table shape {t.shape} does not match scenario {(m,) * n + (d,) * n}"
             )
-        # Each rule screens first, NaN failing every comparison, and names
-        # the failure only when its screen fails; entries within tolerance
-        # below 0 are clipped.
-        if not t.min() >= 0.0:
-            _check_finite("distribution table", t)
-            if t.min() < -NORMALIZATION_TOL:
-                raise ValueError(f"negative probability {t.min():.3e} in distribution")
-            t = np.clip(t, 0.0, None)
+        _check_finite("distribution table", t)
+        if t.min() < -NORMALIZATION_TOL:
+            raise ValueError(f"negative probability {t.min():.3e} in distribution")
+        # Entries within tolerance below 0 are clipped.
+        np.clip(t, 0.0, None, out=t)
         worst = np.abs(t.reshape((m,) * n + (d**n,)).sum(axis=-1) - 1.0).max()
-        if not worst <= NORMALIZATION_TOL:
-            _check_finite("distribution table", t)
+        if worst > NORMALIZATION_TOL:
             raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
         _store(self, shape, t)
 
@@ -568,13 +562,11 @@ def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
 
 
 def _check_weights(name: str, w: np.ndarray) -> None:
-    # The screen: NaN fails both comparisons and an infinity the min or the sum.
-    if w.ndim == 1 and w.size and w.min() >= 0 and abs(w.sum() - 1.0) <= _ROW_TOL:
-        return
     _check_finite(name, w)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{name} must be a non-empty vector")
-    raise ValueError(f"{name} is not a probability distribution")
+    if w.min() < 0 or abs(w.sum() - 1.0) > _ROW_TOL:
+        raise ValueError(f"{name} is not a probability distribution")
 
 
 def _check_responses(left: int, right: int, a, b, c) -> None:
@@ -595,15 +587,10 @@ def _check_responses(left: int, right: int, a, b, c) -> None:
         raise ValueError(
             f"wings need at least one setting and one outcome, got {a.shape[0]} and {a.shape[-1]}"
         )
-    # The screen: one min and one row sum over the rows of all three tables;
-    # the per-table checks sum the same rows, so the two cannot disagree.
-    rows = [table.reshape(-1, a.shape[-1]) for table in (a, b, c)]
-    stacked = np.concatenate(rows)
-    if stacked.min() >= 0 and np.abs(stacked.sum(axis=1) - 1.0).max() <= _ROW_TOL:
-        return
-    for name, table in zip(("response_first", "response_middle", "response_last"), rows):
+    names = ("response_first", "response_middle", "response_last")
+    for name, table in zip(names, (a, b, c)):
         _check_finite(name, table)
-        if table.min() < 0 or np.abs(table.sum(axis=1) - 1.0).max() > _ROW_TOL:
+        if table.min() < 0 or np.abs(table.sum(axis=-1) - 1.0).max() > _ROW_TOL:
             raise ValueError(f"{name} rows are not probability distributions")
 
 

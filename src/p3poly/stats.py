@@ -4,9 +4,12 @@ Implements the experiment-noise model (independent Gaussian perturbation per
 coordinate, relative by default), the propagated distance uncertainty, a
 z-score separability report for a point pair, and self-contained two-sample
 Welch t and Kolmogorov-Smirnov tests returning asymptotic two-sided
-p-values.  The two-sample tests take any flat sequence of real numbers and
-work on lists of Python floats; numpy is imported only by ``perturb`` and
-``norms``.
+p-values.  Each tail comes from one routine that picks its own expansion:
+the normal tail from ``math.erfc``, the Student-t tail from the incomplete
+beta given x and its exact complement, and the Kolmogorov tail from one of
+two four-term series.  The two-sample tests take any flat sequence of real
+numbers and work on lists of Python floats; numpy is imported only by
+``perturb`` and ``norms``.
 """
 
 from __future__ import annotations
@@ -95,10 +98,6 @@ class TestReport(_Record):
         return self._asdict()
 
 
-def _normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def gaussian_separability(
     p: BehaviourPoint, q: BehaviourPoint, sigma_d: float, alpha: float = 0.01
 ) -> TestReport:
@@ -118,8 +117,9 @@ def gaussian_separability(
     z = distance / sigma_d
     if not math.isfinite(z):
         raise ValueError(f"sigma_d {sigma_d!r} is too small for the distance {distance!r}: z overflows")
-    p_value = 2.0 * (1.0 - _normal_cdf(z))
-    overlap = 2.0 * _normal_cdf(-z / 2.0)
+    # 2 * Phi(-z) straight from erfc: 2 * (1 - Phi(z)) cancels to 0 from z ~ 8.3.
+    p_value = math.erfc(z * math.sqrt(0.5))
+    overlap = math.erfc(z * math.sqrt(0.125))
     return TestReport(distance, sigma_d, z, p_value, overlap, alpha, bool(p_value < alpha))
 
 
@@ -181,14 +181,23 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     _check_real("a", a, 0, strict=True)
     _check_real("b", b, 0, strict=True)
     _check_real("x", x, 0, 1)
-    if x == 0.0 or x == 1.0:
-        return float(x)
-    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    front = math.exp(log_front)
+    return _incomplete_beta(a, b, float(x), 1.0 - x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    # I_x(a, b) from x and its exact complement y = 1 - x: each logarithm reads
+    # the smaller of the two, and the far-side expansion takes y as given.
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return 1.0
+    log_x = math.log1p(-y) if x >= 0.5 else math.log(x)
+    log_y = math.log1p(-x) if y >= 0.5 else math.log(y)
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b))
     # Use the expansion on whichever side converges fast.
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
 
 
 _NOT_A_SAMPLE = "two-sample tests need one-dimensional samples of real numbers"
@@ -250,39 +259,29 @@ def two_sample_t(xs, ys) -> float:
         # A variance within a few subnormals of zero: its standard error rounds to 0.
         raise ValueError("Welch t-test is undefined: the standard error underflows to zero")
     t = (mean_x - mean_y) / math.sqrt(sem)
-    if t == 0.0:
-        return 1.0
     df = 1.0 / ((sem_x / sem) ** 2 / (len(xs) - 1) + (sem_y / sem) ** 2 / (len(ys) - 1))
-    # p = I_x(df / 2, 1/2) at x = df / (df + t^2).  For small t that x is so
-    # near 1 that its own rounding would move p by up to ~1e-11 at df ~ 4000.
-    # There p comes instead from the complement y = 1 - x = t^2 / (df + t^2),
-    # computed from t^2 without forming x, as 1 - I_y(1/2, df / 2), but only
-    # while I_y itself uses its direct series in y, i.e. y < 1.5 / (df/2 + 2.5):
-    # past that it would form 1 - y again, and p, the smaller tail there and
-    # possibly tiny, would lose its relative precision to 1 - (1 - p).  A
-    # finite t past ~1e154 squares to inf, which gives the right limit 0.
+    # p = I_x(df / 2, 1/2) at x = df / (df + t^2), with its complement formed
+    # from t^2 too: near t = 0, x rounds near 1 but y keeps every digit.  A
+    # finite t past ~1e154 squares to inf, so x = 0 and p takes its limit 0.
     tt = t * t
-    y = tt / (df + tt)
-    if y < 1.5 / (df / 2.0 + 2.5):
-        p = 1.0 - regularized_incomplete_beta(0.5, df / 2.0, y)
-    else:
-        p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + tt))
+    p = _incomplete_beta(df / 2.0, 0.5, df / (df + tt), tt / (df + tt))
     return min(max(p, 0.0), 1.0)
 
 
 def _kolmogorov_sf(lam: float) -> float:
-    # Q(lambda) = 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2)
+    # The Kolmogorov tail from whichever series converges fast, four terms
+    # leaving ~1e-30 at the switch (Marsaglia, Tsang & Wang, J. Stat. Softw.
+    # 8(18), 2003): 1 - sqrt(2 pi) / lambda * sum_j exp(-(2j - 1)^2 pi^2 /
+    # (8 lambda^2)) below 1.18, 2 sum_j (-1)^(j - 1) exp(-2 j^2 lambda^2) above.
     if lam <= 0.0:
         return 1.0
-    total = 0.0
-    sign = 1.0
-    for j in range(1, 101):
-        term = sign * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-12:
-            break
-        sign = -sign
-    return float(min(max(2.0 * total, 0.0), 1.0))
+    if lam < 1.18:
+        # Divided, not squared: a tiny lambda gives w = -inf and 0 / lambda.
+        w = -math.pi * math.pi / 8.0 / lam / lam
+        theta = math.exp(w) + math.exp(9.0 * w) + math.exp(25.0 * w) + math.exp(49.0 * w)
+        return 1.0 - theta * math.sqrt(2.0 * math.pi) / lam
+    w = -2.0 * lam * lam
+    return 2.0 * (math.exp(w) - math.exp(4.0 * w) + math.exp(9.0 * w) - math.exp(16.0 * w))
 
 
 def _ks_statistic(xs, ys) -> float:
@@ -322,8 +321,8 @@ def two_sample_ks(xs, ys) -> float:
     if not xs or not ys:
         raise ValueError("both samples must be non-empty")
     d = _ks_statistic(xs, ys)
-    ne = math.sqrt(len(xs) * len(ys) / (len(xs) + len(ys)))
-    return _kolmogorov_sf((ne + 0.12 + 0.11 / ne) * d)
+    root_ne = math.sqrt(len(xs) * len(ys) / (len(xs) + len(ys)))
+    return _kolmogorov_sf((root_ne + 0.12 + 0.11 / root_ne) * d)
 
 
 class Norms(NamedTuple):

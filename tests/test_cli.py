@@ -299,6 +299,22 @@ def test_test_point_mode_distinct_points(tmp_path):
     assert payload["normalized_score"] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_test_point_mode_reports_a_tail_far_past_z_8(tmp_path):
+    # The README's honest and intercepted simulate outputs at 3% noise: z ~ 9.2,
+    # where 2 * (1 - Phi(z)) cancels to 0.0.
+    honest, intercepted = tmp_path / "honest.json", tmp_path / "intercepted.json"
+    assert main(["simulate", "--kind", "honest", "--output", str(honest)]) == 0
+    assert main(["simulate", "--kind", "intercepted", "--noise", "0.1", "--output", str(intercepted)]) == 0
+    code, out = run(
+        tmp_path, "test", "--expected", str(honest), "--observed", str(intercepted), "--noise", "0.03"
+    )
+    assert code == 0
+    report = read_json(out)["report"]
+    assert report["p_value"] == pytest.approx(2.35e-20, rel=1e-3, abs=0.0)
+    assert report["p_value"] == pytest.approx(2.0 * scipy.special.ndtr(-report["z"]), rel=1e-13, abs=0.0)
+    assert report["reject"] is True
+
+
 def test_test_point_mode_degenerate_reference(tmp_path):
     pu_file = tmp_path / "pu.json"
     pu_file.write_text(json.dumps({"representation": REDUCED_8, "coords": list(P_U)}))

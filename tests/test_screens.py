@@ -1,12 +1,12 @@
-"""Screen-then-explain validation of behaviour points, distributions and
-hidden-variable models.
+"""Validation of behaviour points, distributions and hidden-variable models.
 
-``BehaviourPoint``, ``FullDistribution`` and ``LhvModel`` accept valid input
-on a constant number of whole-array checks, and run their per-item checks
-only when that screen fails, to name the first failure.  The oracles below
-are those per-item check sequences as they stood before the screens were
-added, copied verbatim.  Each constructor must reach the oracle's accept or
-reject decision, raise its exact message, and store bit-identical values.
+``BehaviourPoint`` accepts valid input on a constant number of whole-array
+checks, and runs its per-item checks only when that screen fails, to name
+the first failure; ``FullDistribution`` and ``LhvModel`` run one straight
+check sequence.  The oracles below are the per-item check sequences as they
+stood before any screen was added, copied verbatim.  Each constructor must
+reach the oracle's accept or reject decision, raise its exact message, and
+store bit-identical values.
 
 Also pinned here: the constructors copy the caller's arrays and never freeze
 them, ``model_from_strategy`` hands out read-only arrays that share nothing

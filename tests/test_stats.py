@@ -6,11 +6,13 @@ Core claims pinned here:
   * distance_sigma(P_B, 5%) equals the frozen oracle 0.0637...
   * gaussian_separability separates P_U from P_B at z ~ 5.5 and is monotone
     in distance; its sigma_d must be positive and finite, and large enough
-    that z is finite.
+    that z is finite; its p-value and overlap match scipy's normal tail to
+    1e-13 relative for z up to 37.
   * Welch t and KS implementations agree with scipy oracles, the incomplete
     beta to 2e-13 at a in the thousands and the Welch t to 1e-12 on
     2000-row samples; the Welch t p-value is the same at every sample scale
-    from 1e-300 to 1e300; the KS statistic equals the exact fraction D, ties
+    from 1e-300 to 1e300; the Kolmogorov tail matches scipy to 1e-14 from
+    lambda = 1e-3; the KS statistic equals the exact fraction D, ties
     included; both tests take any flat sequence of reals and reject anything
     else.
   * norms obeys l2 <= l1 and reproduces (0.5, sqrt(0.125)) on V.
@@ -161,6 +163,19 @@ def test_gaussian_separability_rejects_sigma_d_that_overflows_z(sigma_d):
     assert sta.gaussian_separability(zero, zero, sigma_d).z == 0.0
 
 
+def test_gaussian_separability_tails_against_scipy():
+    # Both tails keep their relative precision out to z = 37, where
+    # 2 * (1 - Phi(z)) had cancelled to 0 since z ~ 8.3.
+    zero = st.BehaviourPoint.reduced([0.0] * 8)
+    assert sta.gaussian_separability(zero, zero, 1.0).p_value == 1.0
+    for z in np.linspace(0.1, 37.0, 371):
+        report = sta.gaussian_separability(zero, pb(), math.dist(P_B, zero.coords) / z)
+        # abs=0: approx would otherwise add a 1e-12 floor that hides any tiny tail.
+        expected = 2.0 * scipy.stats.norm.sf([report.z, report.z / 2.0])
+        assert report.p_value == pytest.approx(expected[0], rel=1e-13, abs=0.0)
+        assert report.overlap == pytest.approx(expected[1], rel=1e-13, abs=0.0)
+
+
 def test_gaussian_separability_validation():
     with pytest.raises(ValueError):
         sta.gaussian_separability(pb(), pu(), 0.05, alpha=1.5)
@@ -264,6 +279,12 @@ def test_kolmogorov_sf_against_scipy():
         assert sta._kolmogorov_sf(lam) == pytest.approx(
             scipy.special.kolmogorov(lam), abs=1e-10
         )
+    # Small lambda, where a truncated alternating series had not converged
+    # (0.397 at 0.005), both sides of the series switch at 1.18, and the far tail.
+    for lam in (1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 1.17, 1.18, 1.19, 5.0, 8.0):
+        assert sta._kolmogorov_sf(lam) == pytest.approx(
+            scipy.special.kolmogorov(lam), abs=1e-14
+        )
     assert sta._kolmogorov_sf(0.0) == 1.0
 
 
@@ -295,6 +316,9 @@ def test_two_sample_ks_extremes():
     low = np.arange(50, dtype=float)
     high = low + 1000.0
     assert sta.two_sample_ks(low, high) < 1e-10
+    # Interleaved samples: D = 1 / 20000 and lambda ~ 0.005, asymptotic p = 1.
+    interleaved = np.arange(20000, dtype=float)
+    assert sta.two_sample_ks(interleaved, interleaved + 0.5) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         sta.two_sample_ks([], [1.0])
 
