@@ -8,15 +8,16 @@ validation failure without leaving partial files behind.
 Start-up is most of a command's time, so only ``strategies``, which every
 verb uses, is imported here, and no layer imports ``dataclasses`` (~11 ms
 with the modules it pulls in); each verb imports the other layers it needs:
-``graph`` and ``analyze`` geometry, ``simulate`` and ``bound`` quantum,
-``project`` manifold, and ``test`` stats (plus manifold in point mode);
-``graph --format csv`` writes only the SVD layout and loads no layer.
-``project`` and ``test`` read and check their input files before they import
-a layer, and ``bound`` reads and parses both state files before it imports
-quantum.  numpy is imported only where a quantum state is computed, by
-``simulate`` and ``bound``: every other verb runs without it, the SVD layout
-and both modes of ``test`` included, and so does a ``bound`` whose state file
-is rejected while it is parsed.  Input JSON is parsed strictly: the constants
+``graph`` and ``analyze`` geometry, ``project`` manifold, ``test`` stats
+(plus manifold in point mode), and ``bound`` and the SVD layout linalg, the
+plain-Python Jacobi solvers; ``graph --format csv`` writes only the layout
+and loads no other layer.  ``project`` and ``test`` read and check their
+input files before they import a layer, and ``bound`` reads both state
+files before it imports linalg.  numpy only draws shots: ``simulate --shots
+N`` with N > 0 imports quantum for its seeded multinomial draw.  Exact
+``simulate`` writes the protocol's Born table from its closed form, and
+``bound`` checks and compares the two states on Python floats, so every
+other verb runs without numpy.  Input JSON is parsed strictly: the constants
 NaN, Infinity and -Infinity are refused.
 """
 
@@ -35,6 +36,7 @@ from .strategies import (
     BehaviourPoint,
     FULL_26,
     REDUCED_8,
+    REDUCED_SHAPE,
     _check_int,
     _check_real,
     enumerate_strategies,
@@ -155,53 +157,6 @@ def _read_samples(path_str: str) -> list[list[float]]:
     return rows
 
 
-def _symmetric_eigen(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Eigenvalues and eigenvectors (the columns of the second result) of a
-    real symmetric matrix, by the cyclic Jacobi method (Golub & Van Loan,
-    *Matrix Computations*, section 8.5).
-
-    Each rotation zeroes one off-diagonal pair.  Sweeps over all pairs run
-    until the entries above the diagonal have at most 2**-52 of the
-    matrix's Frobenius norm, which bounds each eigenvalue's error by about
-    that fraction of the norm.
-    """
-    size = len(matrix)
-    a = [list(row) for row in matrix]
-    v = [[float(i == j) for j in range(size)] for i in range(size)]
-    norm = math.fsum(x * x for row in a for x in row)
-    for _ in range(64):
-        off = math.fsum(a[p][q] * a[p][q] for p in range(size) for q in range(p + 1, size))
-        if off <= 2.0**-104 * norm:
-            return [a[k][k] for k in range(size)], v
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                app, aqq, apq = a[p][p], a[q][q], a[p][q]
-                if apq == 0.0:
-                    continue
-                # The rotation angle's tangent t, the smaller root of
-                # t**2 + 2 theta t - 1 = 0; theta past ~1e154 gives t = 0.
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # Rows and columns p and q turn; the 2 x 2 block is set after.
-                row_p, row_q = a[p], a[q]
-                for k, row in enumerate(a):
-                    akp, akq = row[p], row[q]
-                    row[p] = row_p[k] = c * akp - s * akq
-                    row[q] = row_q[k] = s * akp + c * akq
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-                for row in v:
-                    vkp, vkq = row[p], row[q]
-                    row[p] = c * vkp - s * vkq
-                    row[q] = s * vkp + c * vkq
-    raise ArithmeticError("Jacobi eigen-solve did not converge")
-
-
 def svd_layout(rows) -> list[list[float]]:
     """3-D node layout from the vertex table, one [x, y, z] row per vertex.
 
@@ -220,6 +175,8 @@ def svd_layout(rows) -> list[list[float]]:
     centered = [[x - mean for x, mean in zip(row, means)] for row in table]
     columns = list(zip(*centered))
     gram = [[math.fsum(x * y for x, y in zip(u, w)) for w in columns] for u in columns]
+    from .linalg import _symmetric_eigen
+
     values, vectors = _symmetric_eigen(gram)
     basis = []
     for k in sorted(range(len(values)), key=values.__getitem__, reverse=True)[:3]:
@@ -304,17 +261,27 @@ def _cmd_analyze(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
-    from . import quantum
-
     _check_int("shots", args.shots, 0)
     _check_int("seed", args.seed, 0)
-    rho, measurements, shape = quantum.qkd_scenario(args.kind, args.noise)
-    distribution = quantum.behaviour_from_state(rho, measurements, shape)
-    audit = quantum.no_signalling_check(distribution)
-    exact = quantum.collapse(distribution)
+    _check_real("noise", args.noise, 0, 1)
+    # The Z/X protocol's Born table in closed form: p(a, c | x, z) =
+    # (1 + (-1)**(a ^ c) * E_xz) / 4 with E_xz = v [x = z], where v = 1 - noise
+    # for the depolarized pair and v = 0 for the intercepted line, whose end
+    # users hold the product of the pair's I/2 marginals.
+    visibility = 1.0 - args.noise if args.kind == "honest" else 0.0
+    table = {}
+    for x in (0, 1):
+        for z in (0, 1):
+            e = visibility if x == z else 0.0
+            table[f"{x},{z}"] = [(1.0 + e) / 4, (1.0 - e) / 4, (1.0 - e) / 4, (1.0 + e) / 4]
+    # Each single is 1/2; each pair a_x c_z is the (0, 0) entry of block (x, z).
+    exact = BehaviourPoint((0.5,) * 4 + tuple(block[0] for block in table.values()), REDUCED_8)
     sampled = errors = None
     if args.shots > 0:
-        point, ses = quantum.sample_behaviour(rho, measurements, shape, args.shots, args.seed)
+        from . import quantum
+
+        scenario = quantum.qkd_scenario(args.kind, args.noise)
+        point, ses = quantum.sample_behaviour(*scenario, args.shots, args.seed)
         sampled = point.to_json_dict()
         errors = [float(v) for v in ses]
     payload = {
@@ -322,12 +289,18 @@ def _cmd_simulate(args) -> str:
         "noise": args.noise,
         "shots": args.shots,
         "seed": args.seed,
-        "shape": shape._asdict(),
+        "shape": REDUCED_SHAPE._asdict(),
         "exact_point": exact.to_json_dict(),
-        "distribution": distribution.to_json_dict(),
+        "distribution": {
+            "shape": REDUCED_SHAPE._asdict(),
+            "outcome_order": "row-major over outcome tuples",
+            "table": table,
+        },
         "sampled_point": sampled,
         "standard_errors": errors,
-        "no_signalling_ok": bool(audit),
+        # Every marginal of the table is 1/2 whatever the settings, so the
+        # table cannot signal.
+        "no_signalling_ok": True,
     }
     return _json_text(payload)
 
@@ -414,11 +387,11 @@ def _cmd_test(args) -> str:
 
 def _cmd_bound(args) -> str:
     documents = [_load_state_document(args.rho), _load_state_document(args.sigma)]
-    from . import quantum
+    from . import linalg
 
-    rho, sigma = map(quantum.DensityMatrix.from_json_dict, documents)
-    report = quantum.behaviour_bound_check(rho, sigma)
-    f = quantum.fidelity(rho, sigma)
+    rho, sigma = map(linalg._read_state, documents)
+    report = linalg._bound_report(rho, sigma)
+    f = linalg._fidelity(rho, sigma)
     d = report.delta_ab
     # The verdict compares the upper bound squared, D**2 <= 1 - F; the two
     # "_squared" keys are the numbers it compares.
@@ -430,7 +403,7 @@ def _cmd_bound(args) -> str:
         "fidelity_upper_bound_squared": 1.0 - f,
         "trace_distance": d,
         "trace_distance_squared": d * d,
-        "fidelity_bounds_hold": quantum._fidelity_bounds_hold(f, d),
+        "fidelity_bounds_hold": linalg._fidelity_bounds_hold(f, d),
     }
     return _json_text(payload)
 

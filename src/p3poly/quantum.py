@@ -8,6 +8,13 @@ key-distribution protocol (honest source vs intercepted line), and the report
 chaining the l2 / l1 norms of a behaviour difference against the trace
 distances of the underlying states.
 
+The density-matrix tolerances, the JSON table parser behind
+``DensityMatrix.from_json_dict``, the 2 x 2 closed form of the trace norm,
+``BoundReport`` and the fidelity bounds check are defined once, in
+``linalg``, and imported here.  ``linalg`` computes the bound report and
+the fidelity on Python floats for the ``bound`` verb; the numpy kernels here
+share no arithmetic with it and are the tests' reference for it.
+
 The Born rule, the partial trace and the trace norm are private array
 kernels (``_born``, ``_partial``, ``_trace_norm``); each public function
 validates its inputs and calls one of them.  The Born rule, ``collapse`` and
@@ -60,6 +67,15 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import (
+    BoundReport,
+    HERMITICITY_TOL,
+    POSITIVITY_TOL,
+    TRACE_TOL,
+    _fidelity_bounds_hold,
+    _parse_state,
+    _qubit_trace_norm,
+)
 from .strategies import (
     BehaviourPoint,
     DeterministicStrategy,
@@ -72,13 +88,9 @@ from .strategies import (
     _check_real,
 )
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-POSITIVITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
 NORMALIZATION_TOL = 1e-8
 NO_SIGNALLING_TOL = 1e-10
-_BOUND_TOL = 1e-9
 _ROW_TOL = 1e-9
 # The most floats a precomputed linear map may hold (2 MiB); a scenario whose
 # map would be larger runs the direct contraction or loop instead.
@@ -159,28 +171,10 @@ class DensityMatrix(_Record, eq=False):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        try:
-            dim = data["dim"]
-            tables = {name: data[name] for name in ("re", "im")}
-        except (KeyError, TypeError):
-            raise ValueError("density matrix JSON needs 'dim' and the 're' and 'im' entry tables")
-        # np.array would also read booleans and numeric strings as numbers.
-        for name, rows in tables.items():
-            if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
-            ):
-                raise ValueError(f"density matrix {name!r} must be a list of rows of numbers")
-            try:
-                tables[name] = np.array(rows, dtype=float)
-            except OverflowError:
-                raise ValueError(f"density matrix {name!r} holds an entry too large for a float")
-        re, im = tables["re"], tables["im"]
-        if re.shape != im.shape:
-            raise ValueError("real and imaginary parts differ in shape")
-        _check_int("density matrix 'dim'", dim, 1)
-        if re.shape != (dim, dim):
-            raise ValueError(f"density matrix 'dim' must equal the side of 're' {re.shape}, got {dim}")
-        return cls(re + 1j * im)
+        re, im = _parse_state(data)
+        matrix = np.array(re, dtype=complex)
+        matrix.imag = im  # re + 1j * im would warn at an infinite im: 1j * inf has 0 * inf
+        return cls(matrix)
 
 
 def _first_failure(failing: np.ndarray, message: str, **names) -> None:
@@ -507,13 +501,10 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _trace_norm(delta: np.ndarray) -> float:
     # Half the trace norm of a Hermitian matrix, read from its lower
-    # triangle as eigvalsh reads it.  [[a, b*], [b, d]] has eigenvalues
-    # (a + d) / 2 +/- sqrt((a - d)**2 + 4 |b|**2) / 2, whose absolute values
-    # sum to the larger of |a + d| and that root; hypot neither overflows
-    # nor underflows.
+    # triangle as eigvalsh reads it; a 2 x 2 one in closed form.
     if delta.shape == (2, 2):
         (a, _), (b, d) = delta.tolist()
-        return 0.5 * max(abs(a.real + d.real), math.hypot(a.real - d.real, 2.0 * abs(b)))
+        return _qubit_trace_norm(a.real, d.real, abs(b))
     return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
 
 
@@ -543,14 +534,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     core = sqrt_r[:, None] * (vecs[0].conj().T @ vecs[1]) * sqrt_s
     value = float(np.linalg.svd(core, compute_uv=False).sum() ** 2)
     return min(max(value, 0.0), 1.0)
-
-
-def _fidelity_bounds_hold(f: float, delta: float) -> bool:
-    # 1 - sqrt(F) <= D <= sqrt(1 - F) for fidelity F and trace distance D,
-    # each to within _BOUND_TOL.  The upper bound is checked squared, as
-    # D**2 <= 1 - F: near F = 1 a square root would multiply the rounding of
-    # F by 1 / (2 sqrt(1 - F)).
-    return bool(1.0 - math.sqrt(f) <= delta + _BOUND_TOL and delta * delta <= 1.0 - f + _BOUND_TOL)
 
 
 def fidelity_bounds_check(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
@@ -812,38 +795,6 @@ def _signalling_screen(shape: ScenarioShape) -> Optional[np.ndarray]:
     screen = np.reshape(blocks, (-1, size))
     screen.flags.writeable = False
     return screen
-
-
-class BoundReport(_Record):
-    """Norms of a behaviour difference against the trace-distance bound.
-
-    The chain l2 <= l1 <= 2 * (delta_A + delta_B + delta_AB) must hold for
-    behaviour points generated from two states by the same measurements.
-    """
-
-    l2: float
-    l1: float
-    delta_a: float
-    delta_b: float
-    delta_ab: float
-
-    def __init__(self, l2: float, l1: float, delta_a: float, delta_b: float, delta_ab: float) -> None:
-        object.__setattr__(self, "l2", l2)
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "delta_a", delta_a)
-        object.__setattr__(self, "delta_b", delta_b)
-        object.__setattr__(self, "delta_ab", delta_ab)
-
-    @property
-    def rhs(self) -> float:
-        return 2.0 * (self.delta_a + self.delta_b + self.delta_ab)
-
-    @property
-    def holds(self) -> bool:
-        return self.l2 <= self.l1 + _BOUND_TOL and self.l1 <= self.rhs + _BOUND_TOL
-
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "rhs": self.rhs, "holds": self.holds}
 
 
 @cache

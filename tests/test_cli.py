@@ -20,6 +20,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from p3poly import linalg as la
 from p3poly import quantum as qu
 from p3poly import stats as sta
 from p3poly.cli import main, svd_layout
@@ -224,6 +225,55 @@ def test_simulate_intercepted_exact(tmp_path):
     assert code == 0
     payload = read_json(out)
     assert np.allclose(payload["exact_point"]["coords"], P_U)
+
+
+# Noise levels for the exact tables: the ends, the smallest subnormal, the
+# largest float below 1 and a few in between.
+_NOISES = [0.0, 5e-324, 1e-12, 0.03, 0.1, 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("kind", ["honest", "intercepted"])
+@pytest.mark.parametrize("noise", _NOISES)
+def test_exact_simulate_is_the_born_rule_of_its_scenario(tmp_path, kind, noise):
+    # The closed-form table against the Born rule on the scenario's state.
+    code, out = run(tmp_path, "simulate", "--kind", kind, "--noise", repr(noise))
+    assert code == 0
+    payload = read_json(out)
+    assert payload["noise"] == noise
+    distribution = qu.behaviour_from_state(*qu.qkd_scenario(kind, noise))
+    reference = distribution.to_json_dict()
+    table = payload["distribution"].pop("table")
+    assert payload["distribution"] == {key: reference[key] for key in reference if key != "table"}
+    assert table.keys() == reference["table"].keys()
+    for key, block in reference["table"].items():
+        assert np.abs(np.subtract(table[key], block)).max() <= 1e-15
+    exact = qu.collapse(distribution).to_json_dict()
+    coords = payload["exact_point"].pop("coords")
+    assert payload["exact_point"] == {key: exact[key] for key in exact if key != "coords"}
+    assert np.abs(np.subtract(coords, exact["coords"])).max() <= 1e-15
+    assert payload["no_signalling_ok"] is bool(qu.no_signalling_check(distribution))
+
+
+def test_exact_simulate_is_exact(tmp_path):
+    _, out = run(tmp_path, "simulate", "--kind", "honest")
+    honest = read_json(out)
+    for key, block in honest["distribution"]["table"].items():
+        assert block == ([0.5, 0.0, 0.0, 0.5] if key in ("0,0", "1,1") else [0.25] * 4)
+    assert honest["exact_point"]["coords"] == list(P_B)
+    _, out = run(tmp_path, "simulate", "--kind", "intercepted", "--noise", "0.3")
+    intercepted = read_json(out)
+    assert all(block == [0.25] * 4 for block in intercepted["distribution"]["table"].values())
+    assert intercepted["exact_point"]["coords"] == list(P_U)
+
+
+@pytest.mark.parametrize("kind", ["honest", "intercepted"])
+def test_simulate_shots_are_the_samplers(tmp_path, kind):
+    code, out = run(tmp_path, "simulate", "--kind", kind, "--noise", "0.1", "--shots", "5000", "--seed", "7")
+    assert code == 0
+    payload = read_json(out)
+    point, errors = qu.sample_behaviour(*qu.qkd_scenario(kind, 0.1), 5000, 7)
+    assert payload["sampled_point"] == point.to_json_dict()
+    assert payload["standard_errors"] == errors.tolist()
 
 
 def test_simulate_with_shots_deterministic(tmp_path):
@@ -454,42 +504,35 @@ def test_bound_identical_states(tmp_path):
 
 
 def test_bound_computes_each_quantity_once(tmp_path, monkeypatch):
-    # One fidelity, and one trace norm for each of the two marginals and the
-    # joint state, all taken on rho - sigma: the bound check builds no
-    # intermediate DensityMatrix.
-    calls = {"fidelity": 0, "_trace_norm": 0}
+    # Each state file is read and checked once, with one eigen-solve; then
+    # one fidelity on the two checked states, and one trace norm for each of
+    # the two marginals and the joint state, all taken on rho - sigma.
+    names = ("_read_state", "_symmetric_eigen", "_fidelity", "_qubit_trace_norm", "_trace_norm")
+    calls = {name: [] for name in names}
     for name in calls:
-        def counted(*args, _name=name, _inner=getattr(qu, name)):
-            calls[_name] += 1
-            return _inner(*args)
+        def counted(*args, _name=name, _inner=getattr(la, name)):
+            result = _inner(*args)
+            calls[_name].append((args, result))
+            return result
 
-        monkeypatch.setattr(qu, name, counted)
-    built = []
-
-    def init(self, matrix, _inner=qu.DensityMatrix.__init__):
-        built.append(1)
-        _inner(self, matrix)
-
-    monkeypatch.setattr(qu.DensityMatrix, "__init__", init)
-    inside = []
-
-    def bound_check(*args, _inner=qu.behaviour_bound_check):
-        before = len(built)
-        report = _inner(*args)
-        inside.append(len(built) - before)
-        return report
-
-    monkeypatch.setattr(qu, "behaviour_bound_check", bound_check)
-    bell_file = tmp_path / "bell.json"
-    bell_file.write_text(json.dumps(qu.bell_pair_state().to_json_dict()))
-    product_file = tmp_path / "product.json"
-    product_file.write_text(json.dumps(qu.DensityMatrix(np.eye(4, dtype=complex) / 4).to_json_dict()))
-    built.clear()
-    code, _ = run(tmp_path, "bound", "--rho", str(bell_file), "--sigma", str(product_file))
+        monkeypatch.setattr(la, name, counted)
+    bell, mixed = qu.bell_pair_state().matrix, np.eye(4, dtype=complex) / 4
+    files = []
+    for name, matrix in (("bell.json", bell), ("mixed.json", mixed)):
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(qu.DensityMatrix(matrix).to_json_dict()))
+    code, _ = run(tmp_path, "bound", "--rho", str(files[0]), "--sigma", str(files[1]))
     assert code == 0
-    assert calls == {"fidelity": 1, "_trace_norm": 3}
-    assert inside == [0]
-    assert len(built) == 2  # the two input files
+    counts = {name: len(made) for name, made in calls.items()}
+    assert counts == dict(zip(names, (2, 3, 1, 2, 1)))
+    states = [state for _, state in calls["_read_state"]]
+    assert all(a is b for a, b in zip(calls["_fidelity"][0][0], states))
+    delta = bell - mixed
+    ((re, im), _), = calls["_trace_norm"]
+    assert np.array_equal(np.array(re) + 1j * np.array(im), delta)
+    for (args, _), keep in zip(calls["_qubit_trace_norm"], ("A", "B")):
+        (a, _), (b, d) = qu._partial(delta, (2, 2), keep).tolist()
+        assert args == (a.real, d.real, abs(b))
 
 
 def test_bound_prints_the_numbers_its_verdict_compares(tmp_path):
@@ -674,6 +717,13 @@ def _qubit_state(re):
     return json.dumps({"dim": 2, "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]})
 
 
+def _spiked(x):
+    # Trace 1 and Hermitian, with eigenvalues 0.5 +/- x.  Past x ~ 1e154 the
+    # sum of squared entries overflows unless the Jacobi solve scales first.
+    re = [[0.5, x, 0.0, 0.0], [x, 0.5, 0.0, 0.0], [0.0] * 4, [0.0] * 4]
+    return {"dim": 4, "re": re, "im": [[0.0] * 4] * 4}
+
+
 # An integer of 5000 digits, past the interpreter's default limit for
 # converting text to int, so json.loads itself raises ValueError; the error
 # line still names the file (whose name ends in "bad").
@@ -748,6 +798,11 @@ _MALFORMED_FILES = {
         "not-hermitian": (_qubit_state([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
         "qubit": (_qubit_state([[1.0, 0.0], [0.0, 0.0]]), "state dimension 2 does not match measurement space 4"),
         "negative": (_qubit_state([[1.5, 0.0], [0.0, -0.5]]), "negative eigenvalue"),
+        "spike-1e154": (json.dumps(_spiked(1e154)), "negative eigenvalue (-1.000e+154)"),
+        "spike-1e200": (json.dumps(_spiked(1e200)), "negative eigenvalue (-1.000e+200)"),
+        "im-overflowing-literal": (
+            '{"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [1e400, 0]]}', "has non-finite entries"
+        ),
         "nan": (_qubit_state([[float("nan"), 0.0], [0.0, 0.5]]), _CONSTANT.format("NaN")),
         "infinity": (_qubit_state([[float("inf"), 0.0], [0.0, 0.5]]), _CONSTANT.format("Infinity")),
         "huge-int": (_qubit_state([[10**400, 0], [0, 0]]), "'re' holds an entry too large for a float"),
@@ -857,6 +912,8 @@ _DOCUMENTS = _VALUES | _FIELDS | _FIELDS.map(lambda point: {"exact_point": point
 @given(hs.sampled_from([r for r, (kind, *_) in _FILE_READERS.items() if kind != "samples"]), _DOCUMENTS)
 @example("project", {"representation": REDUCED_8, "coords": [10**400] + [0] * 7})
 @example("bound-sigma", {**_BELL, "im": [[0, 0, 0, -(10**400)]] + _BELL["im"][1:]})
+@example("bound-rho", _spiked(1e200))
+@example("bound-sigma", _spiked(1e154))
 def test_arbitrary_json_input_never_gives_a_traceback(reader, document):
     kind, argv, flag, other_flag = _FILE_READERS[reader]
     with tempfile.TemporaryDirectory() as tmp:

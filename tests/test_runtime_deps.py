@@ -1,13 +1,13 @@
 """What importing the package costs: numpy and nothing else outside the standard
 library, no layer for a bare ``import p3poly``, and for each CLI verb only the
-layers it uses, with numpy only where a quantum state is computed (not for the
-vertex tables, the graph listings and SVD layouts, the structural report, the
-projection, either mode of ``test``, nor a point or state file that is
-rejected while it is parsed), and dataclasses never: no module of the
-package imports it, and no verb that runs without numpy loads it.  Also the
-lazily filled ``p3poly`` namespace itself, that every module-level import of
-a layer is used and never shadowed, and that every module-level private name
-is used."""
+layers it uses, with numpy only to draw shots (``simulate --shots N`` with
+N > 0): not for the vertex tables, the graph listings and SVD layouts, the
+structural report, exact ``simulate``, the projection, either mode of
+``test``, ``bound``, nor a point or state file or a flag that is rejected,
+and dataclasses never: no module of the package imports it, and no verb that
+runs without numpy loads it.  Also the lazily filled ``p3poly`` namespace
+itself, that every module-level import of a layer is used and never
+shadowed, and that every module-level private name is used."""
 
 import ast
 import json
@@ -88,6 +88,8 @@ _REJECTED_STATE = "error: 'nan_rho.json' is not valid JSON: NaN is not a finite 
 _NOT_REDUCED = "error: projection is defined for reduced-8 points\n"
 # A flag pair that the graph verb rejects before it loads a layer.
 _BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
+# A noise level that simulate rejects before it loads a layer.
+_BAD_NOISE = "error: noise must be a finite real number in [0, 1], got 2.0\n"
 
 
 @pytest.mark.parametrize(
@@ -97,12 +99,15 @@ _BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
         (["vertices", "--rep", "reduced", "--format", "csv"], [], False, ""),
         (["graph", "--rep", "reduced"], ["geometry"], False, ""),
         (["graph", "--rep", "full", "--format", "dot"], ["geometry"], False, ""),
-        (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry"], False, ""),
+        (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry", "linalg"], False, ""),
         (["graph", "--layout", "svd", "--format", "dot"], [], False, _BAD_GRAPH_FLAGS),
-        (["graph", "--layout", "svd", "--format", "csv"], [], False, ""),
+        (["graph", "--layout", "svd", "--format", "csv"], ["linalg"], False, ""),
         (["analyze", "--rep", "reduced"], ["geometry"], False, ""),
         (["analyze", "--rep", "full"], ["geometry"], False, ""),
-        (["simulate", "--kind", "honest"], ["quantum"], True, ""),
+        (["simulate", "--kind", "honest"], [], False, ""),
+        (["simulate", "--kind", "intercepted", "--noise", "0.1"], [], False, ""),
+        (["simulate", "--kind", "honest", "--shots", "10"], ["linalg", "quantum"], True, ""),
+        (["simulate", "--kind", "honest", "--noise", "2"], [], False, _BAD_NOISE),
         (["project", "--input", "point.json"], ["manifold"], False, ""),
         (["project", "--input", "nan.json"], [], False, _REJECTED),
         (["project", "--input", "full.json"], ["manifold"], False, _NOT_REDUCED),
@@ -110,12 +115,13 @@ _BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
         (["test", "--expected", "point.json", "--observed", "nan.json"], [], False, _REJECTED),
         (["test", "--expected", "nan.json", "--observed", "point.json"], [], False, _REJECTED),
         (["test", "--mode", "samples", "--expected", "a.csv", "--observed", "a.csv"], ["stats"], False, ""),
-        (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["quantum"], True, ""),
+        (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["linalg"], False, ""),
         (["bound", "--rho", "nan_rho.json", "--sigma", "bell.json"], [], False, _REJECTED_STATE),
     ],
     ids=[
         "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "graph-svd-dot", "graph-svd-csv",
-        "analyze", "analyze-full", "simulate", "project", "project-rejected", "project-full26", "test-point",
+        "analyze", "analyze-full", "simulate", "simulate-intercepted", "simulate-shots",
+        "simulate-rejected-noise", "project", "project-rejected", "project-full26", "test-point",
         "test-point-rejected-observed", "test-point-rejected-expected", "test-samples", "bound",
         "bound-rejected",
     ],
