@@ -10,7 +10,7 @@ verb uses, is imported here, and no layer imports ``dataclasses`` (~11 ms
 with the modules it pulls in); each verb imports the other layers it needs:
 ``graph`` and ``analyze`` geometry, ``project`` manifold, ``test`` stats
 (plus manifold in point mode), and ``bound`` and the SVD layout linalg, the
-plain-Python Jacobi solvers; ``graph --format csv`` writes only the layout
+plain-Python Jacobi solver; ``graph --format csv`` writes only the layout
 and loads no other layer.  ``project`` and ``test`` read and check their
 input files before they import a layer, and ``bound`` reads both state
 files before it imports linalg.  numpy only draws shots: ``simulate --shots

@@ -2,12 +2,12 @@
 two-qubit state checks and report built on it.
 
 numpy costs a command ~80 ms to import, more than the rest of ``bound``, so
-this module works on lists of floats: the cyclic Jacobi method for real
-symmetric eigenproblems (Golub & Van Loan, *Matrix Computations*, section
-8.5) and its one-sided form for singular values, which keeps small singular
-values to high relative accuracy (Demmel & Veselic, SIAM J. Matrix Anal.
-Appl. 13, 1204 (1992)).  A Hermitian matrix H = A + iB is handled through its
-real embedding [[A, -B], [B, A]], which has each eigenvalue of H twice.
+this module works on lists of floats with one solver: the cyclic Jacobi
+method for real symmetric eigenproblems (Golub & Van Loan, *Matrix
+Computations*, section 8.5).  A Hermitian matrix H = A + iB is handled
+through its real embedding [[A, -B], [B, A]], which has each eigenvalue of H
+twice, and a real square matrix M through the Jordan-Wielandt matrix
+[[0, M], [M^T, 0]], whose eigenvalues are +/- each singular value of M.
 
 It also holds what ``quantum`` shares with it: the density-matrix
 tolerances, the JSON table parser behind ``DensityMatrix.from_json_dict``,
@@ -86,38 +86,15 @@ def _symmetric_eigen(matrix: list[list[float]]) -> tuple[list[float], list[list[
 
 
 def _singular_values(matrix: list[list[float]]) -> list[float]:
-    """Singular values of a real square matrix, by one-sided Jacobi.
-
-    Rotations of column pairs run until every pair is orthogonal to within
-    2**-52 of the product of their norms, or has an inner product below
-    2**-104 of the squared Frobenius norm, which the rotations keep: a
-    column of rounding residue stays parallel to the one it came from.  The
-    column norms are then the singular values, each accurate relative to
-    itself down to 2**-52 of the largest.
+    """Singular values of a real square matrix M: the n largest eigenvalues
+    of the symmetric [[0, M], [M^T, 0]], whose eigenvalues are +/- each
+    singular value of M (Golub & Van Loan, section 8.6).  Each is accurate
+    to about 2**-52 of the largest.
     """
-    columns = [list(column) for column in zip(*matrix)]
-    size = len(columns)
-    floor = 2.0**-104 * math.fsum(x * x for column in columns for x in column)
-    for _ in range(64):
-        rotated = False
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                u, w = columns[p], columns[q]
-                alpha = math.fsum(x * x for x in u)
-                beta = math.fsum(y * y for y in w)
-                gamma = math.fsum(x * y for x, y in zip(u, w))
-                if abs(gamma) <= max(_EPS * math.sqrt(alpha) * math.sqrt(beta), floor):
-                    continue
-                rotated = True
-                # The rotation that diagonalizes the pair's Gram matrix
-                # [[alpha, gamma], [gamma, beta]].
-                _, c, s = _rotation((beta - alpha) / (2.0 * gamma))
-                for k, (x, y) in enumerate(zip(u, w)):
-                    u[k] = c * x - s * y
-                    w[k] = s * x + c * y
-        if not rotated:
-            return [math.sqrt(math.fsum(x * x for x in column)) for column in columns]
-    raise ArithmeticError("one-sided Jacobi did not converge")
+    zero = [0.0] * len(matrix)
+    augmented = [zero + list(row) for row in matrix] + [list(column) + zero for column in zip(*matrix)]
+    values, _ = _symmetric_eigen(augmented)
+    return sorted(values, reverse=True)[: len(matrix)]
 
 
 def _embedding(re: list[list[float]], im: list[list[float]]) -> list[list[float]]:
@@ -144,6 +121,10 @@ def _trace_norm(re: list[list[float]], im: list[list[float]]) -> float:
     # has each one twice.
     values, _ = _symmetric_eigen(_embedding(re, im))
     return 0.25 * math.fsum(map(abs, values))
+
+
+def _dimension_error(dim: int, space: int) -> ValueError:
+    return ValueError(f"state dimension {dim} does not match measurement space {space}")
 
 
 def _parse_state(data: dict) -> tuple[list[list[float]], list[list[float]]]:
@@ -185,7 +166,9 @@ def _read_state(data: dict) -> tuple:
 
     The checks are ``DensityMatrix``'s, in its order, with its tolerances
     and messages: finite entries, Hermiticity, unit trace, no eigenvalue
-    below -1e-10.
+    below -1e-10.  A state on more than 4 dimensions, which
+    ``_bound_report`` refuses, is refused with its message before the
+    eigen-solve, whose cost grows as the cube of the side.
     """
     re, im = _parse_state(data)
     n = len(re)
@@ -199,6 +182,8 @@ def _read_state(data: dict) -> tuple:
     trace = sum(re[k][k] for k in range(n))
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace is not 1 (got {trace:.12g})")
+    if n > 4:
+        raise _dimension_error(n, 4)
     values, vectors = _symmetric_eigen(_embedding(re, im))
     smallest = min(values)
     if smallest < -POSITIVITY_TOL:
@@ -273,7 +258,7 @@ def _bound_report(rho: tuple, sigma: tuple) -> BoundReport:
     """
     for state in (rho, sigma):
         if len(state[0]) != 4:
-            raise ValueError(f"state dimension {len(state[0])} does not match measurement space 4")
+            raise _dimension_error(len(state[0]), 4)
     (re_r, im_r, *_), (re_s, im_s, *_) = rho, sigma
     re = [[x - y for x, y in zip(r, s)] for r, s in zip(re_r, re_s)]
     im = [[x - y for x, y in zip(r, s)] for r, s in zip(im_r, im_s)]
@@ -300,9 +285,12 @@ def _fidelity(rho: tuple, sigma: tuple) -> float:
 
     With the embeddings' eigenpairs rho_e = U diag(r) U^T and sigma_e =
     V diag(s) V^T, the product of the embedded roots has the singular
-    values of diag(sqrt r) U^T V diag(sqrt s), each of sqrt(rho) sqrt(sigma)
-    twice, so the roots are never formed.  An eigenvalue at most dim * eps
-    of the largest is zero, as in ``quantum.fidelity``.
+    values of the core C = diag(sqrt r) U^T V diag(sqrt s), each of
+    sqrt(rho) sqrt(sigma) twice, so the roots are never formed.  Those
+    singular values come from one more eigen-solve, of [[0, C], [C^T, 0]],
+    so their sum has the trace norms' absolute error, about 2**-52 of the
+    largest.  An eigenvalue at most dim * eps of the largest is zero, as in
+    ``quantum.fidelity``.
     """
     dim = len(rho[0])
     roots = []

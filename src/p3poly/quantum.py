@@ -72,6 +72,7 @@ from .linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     TRACE_TOL,
+    _dimension_error,
     _fidelity_bounds_hold,
     _parse_state,
     _qubit_trace_norm,
@@ -367,9 +368,7 @@ def behaviour_from_state(
 
 def _check_state_dim(rho: DensityMatrix, measurements: MeasurementSet) -> None:
     if rho.dim != measurements.total_dim:
-        raise ValueError(
-            f"state dimension {rho.dim} does not match measurement space {measurements.total_dim}"
-        )
+        raise _dimension_error(rho.dim, measurements.total_dim)
 
 
 def _born(matrix: np.ndarray, measurements: MeasurementSet) -> np.ndarray:

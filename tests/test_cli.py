@@ -505,9 +505,10 @@ def test_bound_identical_states(tmp_path):
 
 def test_bound_computes_each_quantity_once(tmp_path, monkeypatch):
     # Each state file is read and checked once, with one eigen-solve; then
-    # one fidelity on the two checked states, and one trace norm for each of
-    # the two marginals and the joint state, all taken on rho - sigma.
-    names = ("_read_state", "_symmetric_eigen", "_fidelity", "_qubit_trace_norm", "_trace_norm")
+    # one fidelity on the two checked states, whose singular values take one
+    # more eigen-solve, and one trace norm for each of the two marginals and
+    # the joint state, all taken on rho - sigma.
+    names = ("_read_state", "_symmetric_eigen", "_singular_values", "_fidelity", "_qubit_trace_norm", "_trace_norm")
     calls = {name: [] for name in names}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(la, name)):
@@ -524,15 +525,41 @@ def test_bound_computes_each_quantity_once(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "bound", "--rho", str(files[0]), "--sigma", str(files[1]))
     assert code == 0
     counts = {name: len(made) for name, made in calls.items()}
-    assert counts == dict(zip(names, (2, 3, 1, 2, 1)))
+    assert counts == dict(zip(names, (2, 4, 1, 1, 2, 1)))
     states = [state for _, state in calls["_read_state"]]
     assert all(a is b for a, b in zip(calls["_fidelity"][0][0], states))
+    # The two states and rho - sigma are embedded 8 x 8; the fidelity's 8 x 8
+    # core C is solved as [[0, C], [C^T, 0]].
+    assert [len(matrix) for (matrix,), _ in calls["_symmetric_eigen"]] == [8, 8, 8, 16]
+    ((core,), _), = calls["_singular_values"]
+    assert len(core) == 8 and all(len(row) == 8 for row in core)
     delta = bell - mixed
     ((re, im), _), = calls["_trace_norm"]
     assert np.array_equal(np.array(re) + 1j * np.array(im), delta)
     for (args, _), keep in zip(calls["_qubit_trace_norm"], ("A", "B")):
         (a, _), (b, d) = qu._partial(delta, (2, 2), keep).tolist()
         assert args == (a.real, d.real, abs(b))
+
+
+def test_bound_refuses_a_large_state_before_solving(tmp_path, monkeypatch):
+    # A state on more than 4 dimensions is refused after the trace check,
+    # before the eigen-solve, whose cost grows as the cube of the side.
+    solves = []
+    solve = la._symmetric_eigen
+    monkeypatch.setattr(la, "_symmetric_eigen", lambda matrix: solves.append(len(matrix)) or solve(matrix))
+    bell = tmp_path / "bell.json"
+    bell.write_text(json.dumps(qu.bell_pair_state().to_json_dict()))
+    for n in (5, 16, 64):
+        large = tmp_path / f"large-{n}.json"
+        large.write_text(json.dumps(qu.random_density_matrix(n, np.random.default_rng(n)).to_json_dict()))
+        for flags, solved in ((("--rho", large, "--sigma", bell), []), (("--rho", bell, "--sigma", large), [8])):
+            solves.clear()
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["bound", *map(str, flags), "--output", str(tmp_path / "out.json")])
+            assert code == 1
+            assert err.getvalue().splitlines() == [f"error: state dimension {n} does not match measurement space 4"]
+            assert solves == solved
 
 
 def test_bound_prints_the_numbers_its_verdict_compares(tmp_path):

@@ -9,8 +9,8 @@ Core claims pinned here:
   * The Jacobi eigen-solve scales by a power of two first, so a state whose
     entries are past ~1e154 gets its true eigenvalues, not a premature stop
     or an overflow.
-  * One-sided Jacobi gives numpy's singular values, rank-deficient
-    matrices included.
+  * The eigen-solve of [[0, M], [M^T, 0]] gives numpy's singular values,
+    rank-deficient matrices included.
   * A state file is checked as ``DensityMatrix`` checks it, with its
     messages, and neither reader warns on an infinite entry.
 """
