@@ -49,13 +49,9 @@ pass the public checks at import; ``lhv_evaluate`` stores sums of products of
 a valid model's nonnegative entries, whose slices sum to 1 within ~5e-9;
 ``random_density_matrix`` stores G G+ / tr, Hermitian, of unit trace and
 positive to ~dim * eps, checking only that the trace is positive and finite;
-``partial_trace`` stores the reduction of an accepted state, which keeps
-the trace and whose Hermiticity and positivity residuals may grow by the
-traced-out dimension, so that a public ``DensityMatrix`` could reject it;
-and ``behaviour_from_state``, and through it ``sample_behaviour``, stores
-the clipped Born table of an accepted state on at most 32 dimensions under
-an accepted measurement set, whose slices sum to 1 within
-(1 + sum of party dims + dim) * 1e-10 <= 6.5e-9.
+``partial_trace`` stores the reduction of an accepted state as it is (see
+there); and ``behaviour_from_state``, and through it ``sample_behaviour``,
+stores the clipped Born table, checking only its slice sums.
 """
 
 from __future__ import annotations
@@ -96,8 +92,6 @@ _ROW_TOL = 1e-9
 # The most floats a precomputed linear map may hold (2 MiB); a scenario whose
 # map would be larger runs the direct contraction or loop instead.
 _MAP_ENTRIES = 1 << 18
-# Born tables of states on at most this many dimensions are stored unchecked.
-_UNCHECKED_BORN_DIM = 32
 
 
 def _store(record, *values):
@@ -129,10 +123,8 @@ class DensityMatrix(_Record, eq=False):
 
     Construction checks Hermiticity, unit trace and positivity (eigenvalues
     above -1e-10); each violation raises ValueError naming the failed
-    property.  A reduced state from ``partial_trace`` is stored unchecked: it
-    keeps the trace, but its Hermiticity and positivity residuals may be the
-    input's times the traced-out dimension, so it may lie past these 1e-10
-    tolerances by that factor.
+    property.  A reduced state from ``partial_trace`` may lie past these
+    tolerances (see there).
 
     Instances compare by identity: an array field has no single truth value.
     """
@@ -190,7 +182,9 @@ class MeasurementSet(_Record, eq=False):
     ``projectors[party]`` is a read-only complex ``(settings, outcomes, dim,
     dim)`` array, so ``projectors[party][setting][outcome]`` is a projector on
     that party's local space.  Every setting must be a complete orthogonal
-    projective measurement; all parties must share the same setting and
+    projective measurement: its projectors sum to the identity and each P
+    has P P+ = P, true exactly of the Hermitian idempotents, both to within
+    1e-10 per entry.  All parties must share the same setting and
     outcome counts, which ``shape`` reports with the party count as a
     ``ScenarioShape``, but each party may have its own ``dim``.
 
@@ -229,7 +223,7 @@ class MeasurementSet(_Record, eq=False):
                 "party {p} setting {0}: projectors do not sum to identity", p=p,
             )
             _first_failure(
-                np.abs(ops @ ops - ops).max(axis=(2, 3)) > COMPLETENESS_TOL,
+                np.abs(ops @ ops.conj().swapaxes(2, 3) - ops).max(axis=(2, 3)) > COMPLETENESS_TOL,
                 "party {p} setting {0} outcome {1}: not a projector", p=p,
             )
             ops.flags.writeable = False
@@ -295,6 +289,14 @@ def zx_qubit_measurements(parties: int) -> MeasurementSet:
 _ZX_PAIR = zx_qubit_measurements(2)
 
 
+def _check_slice_sums(shape: ScenarioShape, table: np.ndarray) -> None:
+    # Over the few slices of a small scenario, a Python max takes half the
+    # time of numpy's abs and max.
+    worst = max(abs(s - 1.0) for s in table.reshape(shape.m**shape.n, -1).sum(axis=1).tolist())
+    if worst > NORMALIZATION_TOL:
+        raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
+
+
 class FullDistribution(_Record, eq=False):
     """Setting-conditional outcome distribution of an (n, m, d) scenario.
 
@@ -321,9 +323,7 @@ class FullDistribution(_Record, eq=False):
             raise ValueError(f"negative probability {t.min():.3e} in distribution")
         # Entries within tolerance below 0 are clipped.
         np.clip(t, 0.0, None, out=t)
-        worst = np.abs(t.reshape((m,) * n + (d**n,)).sum(axis=-1) - 1.0).max()
-        if worst > NORMALIZATION_TOL:
-            raise ValueError(f"a setting slice sums to 1 +/- {worst:.3e}, beyond tolerance")
+        _check_slice_sums(shape, t)
         _store(self, shape, t)
 
     _unchecked = classmethod(_unchecked)
@@ -347,22 +347,18 @@ class FullDistribution(_Record, eq=False):
 def behaviour_from_state(
     rho: DensityMatrix, measurements: MeasurementSet, shape: ScenarioShape
 ) -> FullDistribution:
-    """Born-rule distribution p(outcomes | settings) = Tr(rho * joint projector)."""
+    """Born-rule distribution p(outcomes | settings) = Tr(rho * joint projector).
+
+    Negative entries are clipped to 0; a table whose setting slices then sum
+    to 1 beyond ``NORMALIZATION_TOL`` raises ValueError.
+    """
     if measurements.shape != shape:
         raise ValueError(f"measurement set scenario {measurements.shape} does not match {shape}")
     _check_state_dim(rho, measurements)
     # Adding 0.0 turns a -0.0 entry into 0.0, as the public constructor would.
     table = np.clip(_born(rho.matrix, measurements), 0.0, None) + 0.0
-    if measurements.total_dim > _UNCHECKED_BORN_DIM:
-        return FullDistribution(shape, table)
-    # Before clipping, a setting slice sums to tr(rho C), C the tensor
-    # product of the parties' projector sums, each the identity to within
-    # its dim * 1e-10 in norm; clipping adds back at most the state's
-    # negative eigenvalue mass, dim * 1e-10.  So for a state and a
-    # measurement set that passed the public checks, every slice sums to 1
-    # within (1 + sum of party dims + dim) * 1e-10, 6.5e-9 < NORMALIZATION_TOL
-    # at dim 32.  A reduced state from partial_trace carries its larger
-    # residuals into this bound (see partial_trace).
+    # The table is finite and, clipped, nonnegative; clipping may move a slice sum.
+    _check_slice_sums(shape, table)
     return FullDistribution._unchecked(shape, table)
 
 
@@ -460,10 +456,10 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
 
     ``dims`` gives the (left, right) factor dimensions; ``keep`` selects the
     surviving factor, "A" for the left and "B" for the right.  The reduced
-    state keeps the trace; its Hermiticity residual and its most negative
-    eigenvalue are at most the input's times the traced-out dimension, so a
-    state at the 1e-10 tolerances of ``DensityMatrix`` may reduce to one past
-    them, which is returned as it is.
+    state keeps the trace and is returned unchecked: its Hermiticity residual
+    and its most negative eigenvalue are at most the input's times the
+    traced-out dimension, so a state at the 1e-10 tolerances of
+    ``DensityMatrix`` may reduce to one past them.
     """
     if not isinstance(dims, (tuple, list)) or len(dims) != 2:
         raise ValueError(f"dims must be a pair, got {dims!r}")

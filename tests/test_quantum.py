@@ -155,6 +155,11 @@ _Z3 = tuple(np.diag(row) for row in np.eye(3))
             "party 0 setting 1 outcome 0: not a projector",
             id="not-idempotent",
         ),
+        pytest.param(
+            (((np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[0.0, -2.0], [0.0, 1.0]])),),),
+            "party 0 setting 0 outcome 0: not a projector",
+            id="oblique",
+        ),
         pytest.param((np.zeros((0, 2, 2, 2)),), "^party 0 has no settings$", id="no-settings"),
         pytest.param(
             ((_Z, _X), np.zeros((2, 2, 0, 0))), "^party 1: projectors act on an empty space$", id="empty-space"
@@ -214,6 +219,19 @@ def test_behaviour_from_state_dimension_checks():
         qu.behaviour_from_state(maximally_mixed(2), measurements, st.REDUCED_SHAPE)
     with pytest.raises(ValueError):
         qu.behaviour_from_state(maximally_mixed(4), measurements, st.FULL_SHAPE)
+
+
+def test_behaviour_from_state_refuses_a_table_whose_clipping_moves_a_slice_sum():
+    # A 256-dimension state at the positivity tolerance reduces to an 8-dimension
+    # one with eigenvalues -32 * 0.97e-10; measured in its eigenbasis, the
+    # clipped table sums to 1 + 7 * 32 * 0.97e-10, past NORMALIZATION_TOL.
+    delta = 32 * 0.97e-10
+    rho = qu.DensityMatrix(np.kron(np.diag([1 + 7 * delta] + [-delta] * 7), np.eye(32) / 32))
+    reduced = qu.partial_trace(rho, (8, 32), "A")
+    measurements = qu.MeasurementSet(((tuple(np.diag(row) for row in np.eye(8)),),))
+    message = "a setting slice sums to 1 +/- 2.173e-08, beyond tolerance"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        qu.behaviour_from_state(reduced, measurements, measurements.shape)
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,11 @@ with its import-time tables, a model with no settings or no outcomes is
 rejected by name, and a model's verdict and stored arrays do not depend on
 the memory layout of the caller's arrays.
 
-Last, the producers that store through a private constructor and skip the
+Last, the producers that store through a private constructor and skip
 checks (``model_from_strategy``, ``lhv_evaluate``, ``random_density_matrix``,
 ``behaviour_from_state``) must store exactly what the public constructor
-stores from the same arrays.
+stores from the same arrays, and ``behaviour_from_state`` checks the slice
+sums of every table it stores.
 """
 
 import math
@@ -556,21 +557,21 @@ def test_behaviour_from_state_matches_the_public_constructor(dim):
             _assert_born_table_stored_as_public(rho, zx)
 
 
-def test_behaviour_from_state_checks_tables_past_dimension_32(monkeypatch):
-    # The bound on a slice sum grows with the dimension, so above 32 the
-    # public constructor runs.
+def test_behaviour_from_state_checks_slice_sums_at_every_dimension(monkeypatch):
+    # Clipping may move a slice sum, so every call checks them, on either
+    # side of 32 dimensions.
     checked = []
 
-    def init(self, shape, table, _inner=qu.FullDistribution.__init__):
+    def check(shape, table, _inner=qu._check_slice_sums):
         checked.append(shape)
-        _inner(self, shape, table)
+        _inner(shape, table)
 
-    monkeypatch.setattr(qu.FullDistribution, "__init__", init)
+    monkeypatch.setattr(qu, "_check_slice_sums", check)
     rng = np.random.default_rng(33)
-    for dims in ((4, 8), (3, 11), (6, 6)):
+    for dims in ((2, 2), (4, 8), (3, 11), (6, 6)):
         measurements = _projective_measurements(dims, rng)
         rho = qu.random_density_matrix(math.prod(dims), rng)
         made = qu.behaviour_from_state(rho, measurements, measurements.shape)
-        assert len(checked) == (math.prod(dims) > 32)
+        assert checked == [measurements.shape]
         checked.clear()
         assert not made.table.flags.writeable
