@@ -11,9 +11,11 @@ twice, and a real square matrix M through the Jordan-Wielandt matrix
 
 It also holds what ``quantum`` shares with it: the density-matrix
 tolerances, the JSON table parser behind ``DensityMatrix.from_json_dict``,
-the 2 x 2 closed form of the trace norm, ``BoundReport`` and the fidelity
-bounds check.  ``quantum`` computes the same quantities with numpy kernels,
-which the tests take as the reference.
+the exact Z/X effects (``_ZX_OUTCOME_0`` and the eight two-qubit
+``_ZX_EFFECTS``), the closed form of the two one-qubit marginal trace norms
+(``_marginal_trace_norms``), ``BoundReport`` and the fidelity bounds check.
+``quantum`` computes the joint trace norm and the fidelity with numpy
+kernels, which the tests take as the reference.
 """
 
 from __future__ import annotations
@@ -253,8 +255,8 @@ def _bound_report(rho: tuple, sigma: tuple) -> BoundReport:
 
     Every quantity is linear in the state, so each is taken once, on
     delta = rho - sigma: the eight coordinates Tr(delta E) of the effects,
-    the 2 x 2 closed form for each marginal and one eigen-solve for the
-    joint trace distance.
+    the closed forms of ``_marginal_trace_norms`` and one eigen-solve for
+    the joint trace distance.
     """
     for state in (rho, sigma):
         if len(state[0]) != 4:
@@ -264,18 +266,23 @@ def _bound_report(rho: tuple, sigma: tuple) -> BoundReport:
     im = [[x - y for x, y in zip(r, s)] for r, s in zip(im_r, im_s)]
     # A real symmetric effect reads only the real part of a Hermitian delta.
     diff = [math.fsum(x * e for r, row in zip(re, effect) for x, e in zip(r, row)) for effect in _ZX_EFFECTS]
-    # Qubit A is the high bit of a row or column index, qubit B the low bit;
-    # a marginal entry sums the delta entries that agree on the other qubit.
     return BoundReport(
-        l2=math.hypot(*diff),
-        l1=math.fsum(map(abs, diff)),
-        delta_a=_qubit_trace_norm(
+        math.hypot(*diff), math.fsum(map(abs, diff)), *_marginal_trace_norms(re, im), _trace_norm(re, im)
+    )
+
+
+def _marginal_trace_norms(re, im) -> tuple[float, float]:
+    # Half the trace norms of the two one-qubit marginals of the two-qubit
+    # Hermitian matrix whose lower triangle re + i im holds, each in closed
+    # form.  Qubit A is the high bit of a row or column index, qubit B the
+    # low bit; a marginal entry sums the entries that agree on the other qubit.
+    return (
+        _qubit_trace_norm(
             re[0][0] + re[1][1], re[2][2] + re[3][3], math.hypot(re[2][0] + re[3][1], im[2][0] + im[3][1])
         ),
-        delta_b=_qubit_trace_norm(
+        _qubit_trace_norm(
             re[0][0] + re[2][2], re[1][1] + re[3][3], math.hypot(re[1][0] + re[3][2], im[1][0] + im[3][2])
         ),
-        delta_ab=_trace_norm(re, im),
     )
 
 

@@ -9,29 +9,27 @@ chaining the l2 / l1 norms of a behaviour difference against the trace
 distances of the underlying states.
 
 The density-matrix tolerances, the JSON table parser behind
-``DensityMatrix.from_json_dict``, the 2 x 2 closed form of the trace norm,
-``BoundReport`` and the fidelity bounds check are defined once, in
-``linalg``, and imported here.  ``linalg`` computes the bound report and
-the fidelity on Python floats for the ``bound`` verb; the numpy kernels here
-share no arithmetic with it and are the tests' reference for it.
+``DensityMatrix.from_json_dict``, the exact Z/X effects, the closed form of
+the two one-qubit marginal trace norms, ``BoundReport`` and the fidelity
+bounds check are defined once, in ``linalg``, and imported here.  ``linalg``
+computes the bound report and the fidelity on Python floats for the
+``bound`` verb; the numpy kernels here are the tests' reference for it.
 
 The Born rule, the partial trace and the trace norm are private array
 kernels (``_born``, ``_partial``, ``_trace_norm``); each public function
-validates its inputs and calls one of them.  The Born rule, ``collapse`` and
-the partial trace are linear, so the bound report evaluates its whole chain
-once on the difference rho - sigma instead of once per state.
+validates its inputs and calls one of them.  The bound report is linear in
+the states, so it is evaluated once on the difference rho - sigma.
 
 The fixed linear maps are built once, on first use, never at import.  Each
 ``MeasurementSet`` holds its Born map, one real matrix from the real and
 imaginary parts of a state to its table, so the Born rule is one matrix
-product; the bound report multiplies by that map for the Z/X pair composed
-with the reduced collapse, and takes each 2 x 2 marginal trace norm in
-closed form.  ``no_signalling_check`` first applies one +/-1 matrix per
-scenario that takes every marginal difference its loop compares, and
-accepts when each is at most half the tolerance; otherwise the loop alone
-decides and names the witness.  A map that would hold more than
-``_MAP_ENTRIES`` floats is not built, and the direct contraction or the
-loop runs instead.
+product, and the bound report one product with the eight Z/X effects.
+``no_signalling_check``'s loop iterates ``_marginal_differences``; its
+screen, that generator applied once to an identity basis of tables, is one
++/-1 matrix per scenario, and accepts when each difference is at most half
+the tolerance; otherwise the loop alone decides and names the witness.  A
+map that would hold more than ``_MAP_ENTRIES`` floats is not built, and the
+direct contraction or the loop runs instead.
 
 ``FullDistribution`` and ``LhvModel`` run their checks in one fixed order
 and raise on the first failure.  Every public constructor stores read-only
@@ -68,10 +66,12 @@ from .linalg import (
     HERMITICITY_TOL,
     POSITIVITY_TOL,
     TRACE_TOL,
+    _ZX_EFFECTS,
+    _ZX_OUTCOME_0,
     _dimension_error,
     _fidelity_bounds_hold,
+    _marginal_trace_norms,
     _parse_state,
-    _qubit_trace_norm,
 )
 from .strategies import (
     BehaviourPoint,
@@ -266,14 +266,8 @@ class MeasurementSet(_Record, eq=False):
         return born_map
 
 
-_ZX_KETS = np.array([np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)], dtype=complex)
-
-
-def _projector(ket: np.ndarray) -> np.ndarray:
-    return np.outer(ket, ket.conj())
-
-
-_ZX = np.array([[_projector(ket) for ket in basis] for basis in _ZX_KETS])
+# Outcome 0 of each basis is linalg's exact projector P, outcome 1 is I - P.
+_ZX = np.array([[p, np.eye(2) - p] for p in _ZX_OUTCOME_0], dtype=complex)
 
 
 def zx_qubit_measurements(parties: int) -> MeasurementSet:
@@ -496,10 +490,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _trace_norm(delta: np.ndarray) -> float:
     # Half the trace norm of a Hermitian matrix, read from its lower
-    # triangle as eigvalsh reads it; a 2 x 2 one in closed form.
-    if delta.shape == (2, 2):
-        (a, _), (b, d) = delta.tolist()
-        return _qubit_trace_norm(a.real, d.real, abs(b))
+    # triangle as eigvalsh reads it.
     return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
 
 
@@ -677,8 +668,8 @@ def model_from_strategy(strategy: DeterministicStrategy) -> LhvModel:
 
 def bell_pair_state() -> DensityMatrix:
     """The two-qubit maximally entangled state (|00> + |11>) / sqrt(2)."""
-    ket = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    return DensityMatrix(np.outer(ket, ket.conj()))
+    ket = np.array([1, 0, 0, 1])  # the state's entries, 0 and 1/2, are exact
+    return DensityMatrix(np.outer(ket, ket) / 2)
 
 
 def depolarize(rho: DensityMatrix, noise: float) -> DensityMatrix:
@@ -694,17 +685,17 @@ def qkd_scenario(kind: str, noise: float = 0.0) -> tuple[DensityMatrix, Measurem
     ``kind`` selects the source seen by the two end users: "honest" is a
     (possibly depolarized) maximally entangled pair; "intercepted" models a
     measure-and-resend eavesdropper holding both line segments, which leaves
-    the end users with the product of their local marginals.
+    the end users with the product of their local marginals, I/2 at every
+    noise.  ``noise`` is checked for both kinds.
     """
     if kind not in ("honest", "intercepted"):
         raise ValueError(f"kind must be 'honest' or 'intercepted', got {kind!r}")
-    pair = depolarize(bell_pair_state(), noise)
     if kind == "honest":
-        return pair, _ZX_PAIR, REDUCED_SHAPE
-    left = partial_trace(pair, (2, 2), "A")
-    right = partial_trace(pair, (2, 2), "B")
-    intercepted = DensityMatrix(np.kron(left.matrix, right.matrix))
-    return intercepted, _ZX_PAIR, REDUCED_SHAPE
+        state = depolarize(bell_pair_state(), noise)
+    else:
+        _check_real("noise", noise, 0, 1)
+        state = DensityMatrix(np.eye(4) / 4)
+    return state, _ZX_PAIR, REDUCED_SHAPE
 
 
 class NoSignallingResult(_Record):
@@ -741,62 +732,59 @@ def no_signalling_check(distribution: FullDistribution) -> NoSignallingResult:
         if (abs(screen @ distribution.table.ravel()) <= NO_SIGNALLING_TOL / 2).all():
             return NoSignallingResult(None)
     n = distribution.shape.n
-    for party in range(n):
-        # Marginal of this party's outcome for every joint setting choice.
-        other_outcomes = tuple(n + i for i in range(n) if i != party)
-        marginal = distribution.table.sum(axis=other_outcomes)
-        # The marginal may depend on the party's own setting axis, but must be
-        # constant along every co-party's setting axis: compare each of that
-        # co-party's settings with its setting 0 and keep the worst.
-        for other in range(n):
-            if other == party:
-                continue
-            axes = tuple(i for i in range(n + 1) if i != other)
-            per_setting = abs(marginal - marginal.take([0], axis=other)).max(axis=axes)
-            setting = per_setting.argmax()
-            if per_setting[setting] > NO_SIGNALLING_TOL:
-                return NoSignallingResult(
-                    {
-                        "party": party,
-                        "varies_with_party": other,
-                        "settings_compared": (0, int(setting)),
-                        "max_deviation": float(per_setting[setting]),
-                    }
-                )
+    for party, other, differences in _marginal_differences(distribution.table, n):
+        # The marginal may depend on the party's own setting axis, but not on
+        # a co-party's: keep the worst deviation at each of its settings.
+        axes = tuple(i for i in range(n + 1) if i != other)
+        per_setting = abs(differences).max(axis=axes)
+        setting = per_setting.argmax()
+        if per_setting[setting] > NO_SIGNALLING_TOL:
+            return NoSignallingResult(
+                {
+                    "party": party,
+                    "varies_with_party": other,
+                    "settings_compared": (0, int(setting)),
+                    "max_deviation": float(per_setting[setting]),
+                }
+            )
     return NoSignallingResult(None)
+
+
+def _marginal_differences(table: np.ndarray, n: int):
+    # (p, q, p's outcome marginal at every joint setting x minus that at x
+    # with x_q set to 0) for each party p and co-party q.  Axes of ``table``
+    # after its n setting and n outcome axes are carried through.
+    for party in range(n):
+        other_outcomes = tuple(n + i for i in range(n) if i != party)
+        marginal = table.sum(axis=other_outcomes)
+        for other in range(n):
+            if other != party:
+                yield party, other, marginal - marginal.take([0], axis=other)
 
 
 @cache
 def _signalling_screen(shape: ScenarioShape) -> Optional[np.ndarray]:
-    # Row (party p, co-party q, joint setting x with x_q > 0, outcome a): p's
-    # marginal probability of a at x minus that at x with x_q set to 0, as a
-    # read-only +/-1 map of table.ravel(); None when it would hold more than
-    # _MAP_ENTRIES floats.
+    # _marginal_differences applied to an identity basis of tables, without
+    # the rows at x_q = 0, zero by construction: row (p, q, x with x_q > 0,
+    # outcome a) is a read-only +/-1 map of table.ravel().  None when the
+    # screen or the basis would hold more than _MAP_ENTRIES entries.
     n, m, d = shape.n, shape.m, shape.d
     size = (m * d) ** n
-    if n * (n - 1) * (m - 1) * m ** (n - 1) * d * size > _MAP_ENTRIES:
+    rows = n * (n - 1) * (m - 1) * m ** (n - 1) * d
+    if max(rows, size) * size > _MAP_ENTRIES:
         return None
-    entries = np.indices((m,) * n + (d,) * n).reshape(2 * n, 1, size)
-    cells = np.indices((m,) * n + (d,)).reshape(n + 1, -1, 1)
-    same_settings = (entries[:n] == cells[:n]).all(axis=0)
-    blocks = []
-    for p in range(n):
-        # marginal[x, a] sums the entries at settings x where p gives a.
-        marginal = (same_settings & (entries[n + p] == cells[n])).reshape((m,) * n + (d, size)) * 1.0
-        for q in range(n):
-            if q != p:
-                differences = np.delete(marginal - marginal.take([0], axis=q), 0, axis=q)
-                blocks.append(differences.reshape(-1, size))
-    screen = np.reshape(blocks, (-1, size))
+    basis = np.eye(size, dtype=np.int8).reshape((m,) * n + (d,) * n + (size,))
+    blocks = [np.delete(diff, 0, axis=q).reshape(-1, size) for _, q, diff in _marginal_differences(basis, n)]
+    screen = np.reshape(blocks, (-1, size)).astype(float)
     screen.flags.writeable = False
     return screen
 
 
 @cache
 def _zx_behaviour_map() -> np.ndarray:
-    # The Z/X pair's Born map followed by the reduced collapse: one 8 x 32
-    # real map from a two-qubit matrix, as _born reads it, to its behaviour point.
-    behaviour_map = _COLLAPSE[REDUCED_SHAPE][0] @ _ZX_PAIR._born_map
+    # linalg's eight Z/X effects as one 8 x 16 map from the real part of a
+    # Hermitian two-qubit matrix, all that a real symmetric effect reads.
+    behaviour_map = np.array(_ZX_EFFECTS).reshape(8, 16)
     behaviour_map.flags.writeable = False
     return behaviour_map
 
@@ -806,22 +794,21 @@ def behaviour_bound_check(rho: DensityMatrix, sigma: DensityMatrix) -> BoundRepo
 
     Measures both states with the fixed standard/Hadamard pair and reports
     the l2 and l1 norms of the difference of their behaviour points next to
-    twice the sum of the marginal and joint trace distances.  The Born rule,
-    ``collapse`` and the partial trace are linear, so every quantity is
-    evaluated once on the difference rho - sigma: one product with the
-    collapsed Born map, one eigenvalue solve for the joint trace distance and
-    the 2 x 2 closed form for each marginal one.
+    twice the sum of the marginal and joint trace distances.  Every quantity
+    is linear in the state, so each is evaluated once on the difference
+    rho - sigma: one product with the map of linalg's eight Z/X effects, one
+    eigenvalue solve for the joint trace distance and linalg's closed forms
+    for the two marginal ones.
     """
     for state in (rho, sigma):
         _check_state_dim(state, _ZX_PAIR)
     delta = rho.matrix - sigma.matrix
-    diff = _zx_behaviour_map() @ delta.reshape(-1).view(float)
+    diff = _zx_behaviour_map() @ delta.real.reshape(-1)
     return BoundReport(
-        l2=float(np.linalg.norm(diff)),
-        l1=float(np.abs(diff).sum()),
-        delta_a=_trace_norm(_partial(delta, (2, 2), "A")),
-        delta_b=_trace_norm(_partial(delta, (2, 2), "B")),
-        delta_ab=_trace_norm(delta),
+        float(np.linalg.norm(diff)),
+        float(np.abs(diff).sum()),
+        *_marginal_trace_norms(delta.real.tolist(), delta.imag.tolist()),
+        _trace_norm(delta),
     )
 
 

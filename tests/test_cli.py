@@ -267,6 +267,22 @@ def test_exact_simulate_is_exact(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["honest", "intercepted"])
+@pytest.mark.parametrize("noise", [0.0, 0.1, 0.3, 0.5, 1.0])
+def test_exact_simulate_is_the_born_table_of_its_scenario(tmp_path, kind, noise):
+    # The closed form that exact simulate writes equals the Born table of
+    # qkd_scenario bit for bit at noise 0, and on the intercepted line (I/4)
+    # at every noise; the depolarized pair's entries round differently.
+    _, out = run(tmp_path, "simulate", "--kind", kind, "--noise", repr(noise))
+    blocks = read_json(out)["distribution"]["table"]
+    closed = np.array([blocks[f"{x},{z}"] for x in (0, 1) for z in (0, 1)])
+    born = qu.behaviour_from_state(*qu.qkd_scenario(kind, noise)).table.reshape(4, 4)
+    if noise == 0.0 or kind == "intercepted":
+        assert np.array_equal(born, closed)
+    else:
+        assert np.abs(born - closed).max() <= 1e-16
+
+
+@pytest.mark.parametrize("kind", ["honest", "intercepted"])
 def test_simulate_shots_are_the_samplers(tmp_path, kind):
     code, out = run(tmp_path, "simulate", "--kind", kind, "--noise", "0.1", "--shots", "5000", "--seed", "7")
     assert code == 0

@@ -31,6 +31,10 @@ Core claims pinned here:
     mutating the caller's array leaves the graph and its answers unchanged.
   * Shortest paths and the diameter reject the 0-node graph with a message
     of their own.
+  * Both canonical graphs stand for the geometry: at omega in {0.5, 0.1,
+    0.01}, the reduced-8 columns of every visible pair's segment point
+    project onto the uncorrelated manifold at distance <= 1e-11, and every
+    hidden pair's at >= 5e-3, each projection converged and certified.
 """
 
 import re
@@ -43,6 +47,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from p3poly import geometry as ge
+from p3poly import manifold
 from p3poly import strategies as st
 
 
@@ -692,3 +697,29 @@ def test_quotient_searches_match_reference_loops_on_planted_twins(adjacency):
     assert generators.members == smallest
     assert all(type(m) is int for m in generators.members)
     assert ge.maximal_convex_clusters(graph) == reference_cliques(graph)
+
+
+@pytest.mark.parametrize("rep", [st.FULL_26, st.REDUCED_8])
+def test_visibility_graph_is_certified_by_projecting_segments(rep):
+    # Two vertices see each other iff the segment between them stays in the
+    # local set.  A hidden pair differs in both end wings, so along its
+    # segment the end parties are correlated, which no product point of
+    # reduced-8 allows; a visible pair mixes one source only.  So every
+    # segment point of a visible pair projects onto the manifold at distance
+    # 0, and every one of a hidden pair stays away from it.  This shares no
+    # code with geometry's wing rule: the reduced-8 columns are taken by
+    # name and projected by manifold.project.
+    columns = [st.column_names(rep).index(name) for name in st.REDUCED_COLUMN_NAMES]
+    rows = [[row[k] for k in columns] for row in st.vertex_rows(rep)]
+    adjacency = ge.build_visibility_graph(rep).adjacency
+    distances = {True: [], False: []}
+    for i, j in combinations(range(len(rows)), 2):
+        for omega in (0.5, 0.1, 0.01):
+            coords = [omega * x + (1.0 - omega) * y for x, y in zip(rows[i], rows[j])]
+            result = manifold.project(st.BehaviourPoint.reduced(coords))
+            assert result.converged and result.global_gap <= 1e-9, (i, j, omega)
+            distances[bool(adjacency[i, j])].append(result.distance)
+    pairs = len(rows) * (len(rows) - 1) // 2
+    assert len(distances[True]) + len(distances[False]) == 3 * pairs
+    assert max(distances[True]) <= 1e-11
+    assert min(distances[False]) >= 5e-3

@@ -5,8 +5,10 @@ Core claims pinned here:
     inputs with messages naming the violated property.
   * Born-rule distributions for the maximally entangled pair: matched bases
     perfectly correlated, crossed bases uniform.
-  * collapse produces the frozen expected points P_B / P_U and tracks the
-    flagged outcome 0.
+  * collapse produces the frozen expected points P_B / P_U, bit for bit at
+    noise 0, and tracks the flagged outcome 0; the Z/X projectors are
+    idempotent and complete to the bit, and qkd_scenario checks its noise
+    for both kinds.
   * Trace distance and fidelity agree with a scipy-based oracle and satisfy
     the Fuchs-van-de-Graaf style bounds; fidelity is exact to 1e-12 on pure
     and rank-deficient states, which saturate or nearly saturate them.
@@ -32,8 +34,9 @@ Core claims pinned here:
   * The closed-form half trace norm of a 2 x 2 Hermitian matrix agrees with
     its eigenvalues to 4 eps times its largest entry, out to |b| of 1e-300
     and 1e300.
-  * behaviour_bound_check, computed once on rho - sigma, matches the chain
-    built per state from the public functions to 1e-12; sample_behaviour is
+  * behaviour_bound_check, computed once on rho - sigma through linalg's
+    Z/X effects, matches the chain built per state from the public
+    functions to 1e-12; sample_behaviour is
     bit-identical to collapsing the validated empirical distribution, and
     takes only a positive int shot count.
 """
@@ -51,6 +54,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from p3poly import geometry as ge
+from p3poly import linalg as la
 from p3poly import quantum as qu
 from p3poly import stats as sta
 from p3poly import strategies as st
@@ -266,6 +270,21 @@ def test_collapse_expected_points():
     assert point_u.isclose(st.BehaviourPoint.reduced(P_U), tol=1e-12)
 
 
+@pytest.mark.parametrize("kind, expected", [("honest", P_B), ("intercepted", P_U)])
+def test_qkd_scenarios_collapse_to_the_expected_points_exactly(kind, expected):
+    # The Bell pair, I/4 and the Z/X projectors have exact entries, so at
+    # noise 0 the protocol's points are P_B and P_U to the bit.
+    assert qu.collapse(qu.behaviour_from_state(*qu.qkd_scenario(kind))).coords == expected
+
+
+def test_zx_projectors_are_exact():
+    # Each projector is idempotent and each setting's two sum to I, bit for bit.
+    for setting in qu._ZX:
+        for projector in setting:
+            assert np.array_equal(projector @ projector, projector)
+        assert np.array_equal(setting.sum(axis=0), np.eye(2))
+
+
 def test_collapse_concentrated_on_flagged_outcome():
     table = np.zeros((2, 2, 2, 2))
     table[:, :, 0, 0] = 1.0
@@ -445,11 +464,12 @@ def test_qubit_trace_norm_closed_form_matches_eigenvalues():
     rng = np.random.default_rng(2024)
     cases = [("random", _random_hermitian_2x2(rng)) for _ in range(1000)] + list(_qubit_edges())
     for name, matrix in cases:
-        value = qu._trace_norm(matrix)
+        (a, _), (b, d) = matrix.tolist()
+        value = la._qubit_trace_norm(a.real, d.real, abs(b))
         assert type(value) is float
         expected = 0.5 * np.abs(np.linalg.eigvalsh(matrix)).sum()
         assert abs(value - expected) <= 4 * np.finfo(float).eps * np.abs(matrix).max(), name
-    assert qu._trace_norm(np.zeros((2, 2), dtype=complex)) == 0.0
+    assert la._qubit_trace_norm(0.0, 0.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("distance", [qu.trace_distance, qu.fidelity, qu.fidelity_bounds_check])
@@ -567,6 +587,15 @@ def test_qkd_scenarios():
         qu.qkd_scenario("honest", noise=1.5)
     with pytest.raises(ValueError):
         qu.qkd_scenario("eavesdrop")
+
+
+@pytest.mark.parametrize("kind", ["honest", "intercepted"])
+@pytest.mark.parametrize("noise", [2.0, float("nan"), True])
+def test_qkd_scenario_checks_noise_for_both_kinds(kind, noise):
+    # The intercepted line's state is I/4 at every noise, yet its noise is checked.
+    message = f"^noise must be a finite real number in \\[0, 1\\], got {re.escape(repr(noise))}$"
+    with pytest.raises(ValueError, match=message):
+        qu.qkd_scenario(kind, noise)
 
 
 def test_depolarize_convexity():
@@ -817,6 +846,10 @@ def test_behaviour_bound_check_matches_per_state_reference(kind):
         assert report.holds
 
 
+def test_behaviour_bound_check_maps_through_linalgs_effects():
+    assert np.array_equal(qu._zx_behaviour_map(), np.array(la._ZX_EFFECTS).reshape(8, 16))
+
+
 @pytest.mark.parametrize("position", [0, 1])
 def test_behaviour_bound_check_rejects_a_state_of_the_wrong_dimension(position):
     states = [bell(), bell()]
@@ -885,10 +918,7 @@ def random_basis_projectors(dim, rng):
 def test_born_rule_matches_kron_trace_reference(dims):
     rng = np.random.default_rng(sum(dims) * 10 + len(dims))
     shape = st.ScenarioShape(len(dims), 2, 2)
-    y_basis = (
-        qu._projector(np.array([1.0, 1.0j]) / np.sqrt(2.0)),
-        qu._projector(np.array([1.0, -1.0j]) / np.sqrt(2.0)),
-    )
+    y_basis = tuple(np.outer(ket, ket.conj()) for ket in np.array([[1.0, 1.0j], [1.0, -1.0j]]) / np.sqrt(2.0))
     for trial in range(20):
         parties = []
         for dim in dims:
