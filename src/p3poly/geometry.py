@@ -133,17 +133,21 @@ class VisibilityGraph(_Record, eq=False):
                 raise ValueError("visibility graph has no self-loops")
         if any(not masks[j] >> i & 1 for i, mask in enumerate(masks) for j in _bits(mask)):
             raise ValueError("adjacency must be symmetric")
-        object.__setattr__(self, "row_masks", masks)
+        self._store(masks)
 
     @classmethod
     def from_adjacency(cls, adjacency) -> VisibilityGraph:
-        """Graph from a square boolean adjacency matrix (any array-like)."""
+        """Graph from a square adjacency matrix (any array-like) of booleans
+        or of the numbers 0 and 1."""
         import numpy as np
 
-        adj = np.asarray(adjacency, dtype=bool)
+        adj = np.asarray(adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be a square matrix")
-        packed = np.packbits(adj, axis=1, bitorder="little")
+        # A cast to bool would make an edge of NaN, 0.5, 2 or the string "0".
+        if adj.dtype.kind not in "biuf" or not ((adj == 0) | (adj == 1)).all():
+            raise ValueError("adjacency entries must be booleans or the numbers 0 and 1")
+        packed = np.packbits(adj.astype(bool), axis=1, bitorder="little")
         return cls(tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
 
     @cached_property
@@ -360,10 +364,7 @@ class CoverageReport(_Record):
         self, members: tuple[int, ...], newly_covered: tuple[int, ...],
         running_totals: tuple[int, ...], complete: bool,
     ) -> None:
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "newly_covered", newly_covered)
-        object.__setattr__(self, "running_totals", running_totals)
-        object.__setattr__(self, "complete", complete)
+        self._store(members, newly_covered, running_totals, complete)
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(), "covered_count": self.running_totals[-1]}

@@ -207,11 +207,7 @@ class BoundReport(_Record):
     delta_ab: float
 
     def __init__(self, l2: float, l1: float, delta_a: float, delta_b: float, delta_ab: float) -> None:
-        object.__setattr__(self, "l2", l2)
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "delta_a", delta_a)
-        object.__setattr__(self, "delta_b", delta_b)
-        object.__setattr__(self, "delta_ab", delta_ab)
+        self._store(l2, l1, delta_a, delta_b, delta_ab)
 
     @property
     def rhs(self) -> float:

@@ -57,10 +57,7 @@ class ManifoldParams(_Record):
         _check_real("parameter a1", a1, 0, 1)
         _check_real("parameter c0", c0, 0, 1)
         _check_real("parameter c1", c1, 0, 1)
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
+        self._store(a0, a1, c0, c1)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -135,13 +132,7 @@ class ProjectionResult(_Record):
         self, params: ManifoldParams, point: BehaviourPoint, squared_distance: float, distance: float,
         iterations: int, converged: bool, global_gap: float,
     ) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "squared_distance", squared_distance)
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "converged", converged)
-        object.__setattr__(self, "global_gap", global_gap)
+        self._store(params, point, squared_distance, distance, iterations, converged, global_gap)
 
     def to_json_dict(self) -> dict:
         return {

@@ -38,13 +38,15 @@ are C-ordered, so its row sums do not depend on the caller's layout.
 The array holders are ``strategies._Record`` classes with ``eq=False``: each
 runs its checks in its own ``__init__`` and compares by identity.
 
-Every public constructor keeps every check.  Each array holder also has a
-private constructor, ``_unchecked``, for arrays that the package built and
-that are valid by construction; both end in the same freeze-and-store step,
-``_store``.  Five producers use it and skip checks their construction makes
-redundant: ``model_from_strategy`` stores copies of rows of two tables that
-pass the public checks at import; ``lhv_evaluate`` stores sums of products of
-a valid model's nonnegative entries, whose slices sum to 1 within ~5e-9;
+Every public constructor keeps every check.  For arrays that the package
+built and that are valid by construction, an array holder has the private
+constructor every record inherits, ``_Record._unchecked``; it and the
+public constructors end in the base's one store step, ``_Record._store``,
+which sets the fields and freezes the arrays among them.  Five producers
+use it and skip checks their construction makes redundant:
+``model_from_strategy`` stores copies of rows of two tables that pass the
+public checks at import; ``lhv_evaluate`` stores sums of products of a
+valid model's nonnegative entries, whose slices sum to 1 within ~5e-9;
 ``random_density_matrix`` stores G G+ / tr, Hermitian, of unit trace and
 positive to ~dim * eps, checking only that the trace is positive and finite;
 ``partial_trace`` stores the reduction of an accepted state as it is (see
@@ -94,24 +96,6 @@ _ROW_TOL = 1e-9
 _MAP_ENTRIES = 1 << 18
 
 
-def _store(record, *values):
-    # The last step of every constructor of an array holder, public or
-    # private: freeze each array, which the record owns, and set the fields
-    # in declaration order.
-    for name, value in zip(record._fields, values, strict=True):
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)  # cheaper than going through .flags
-        object.__setattr__(record, name, value)
-    return record
-
-
-def _unchecked(cls, *values):
-    # The private constructor of an array holder: it stores, unchecked and
-    # without copying, fresh arrays that the caller knows the public checks
-    # would store unchanged.
-    return _store(object.__new__(cls), *values)
-
-
 def _check_finite(name: str, array: np.ndarray) -> None:
     # NaN fails every tolerance comparison silently, so test for it first.
     if not np.isfinite(array).all():
@@ -147,9 +131,7 @@ class DensityMatrix(_Record, eq=False):
         smallest = float(np.linalg.eigvalsh(m).min())
         if smallest < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has a negative eigenvalue ({smallest:.3e})")
-        _store(self, m)
-
-    _unchecked = classmethod(_unchecked)
+        self._store(m)
 
     @property
     def dim(self) -> int:
@@ -228,7 +210,7 @@ class MeasurementSet(_Record, eq=False):
             )
             ops.flags.writeable = False
             stacked.append(ops)
-        object.__setattr__(self, "projectors", tuple(stacked))
+        self._store(tuple(stacked))
 
     @cached_property
     def shape(self) -> ScenarioShape:
@@ -318,9 +300,7 @@ class FullDistribution(_Record, eq=False):
         # Entries within tolerance below 0 are clipped.
         np.clip(t, 0.0, None, out=t)
         _check_slice_sums(shape, t)
-        _store(self, shape, t)
-
-    _unchecked = classmethod(_unchecked)
+        self._store(shape, t)
 
     def probability(self, settings: tuple[int, ...], outcomes: tuple[int, ...]) -> float:
         return float(self.table[tuple(settings) + tuple(outcomes)])
@@ -470,8 +450,7 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
 
 
 def _partial(matrix: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    # Linear in the matrix: the partial trace of rho - sigma is the
-    # difference of the partial traces.
+    # The partial trace of any square matrix of side da * db, a state or not.
     da, db = dims
     return np.einsum("ijkj->ik" if keep == "A" else "ijil->jl", matrix.reshape(da, db, da, db))
 
@@ -601,9 +580,7 @@ class LhvModel(_Record, eq=False):
             for x in (response_first, response_middle, response_last)
         )
         _check_responses(wl.size, wr.size, a, b, c)
-        _store(self, wl, wr, a, b, c)
-
-    _unchecked = classmethod(_unchecked)
+        self._store(wl, wr, a, b, c)
 
     @cached_property
     def shape(self) -> ScenarioShape:
@@ -704,7 +681,7 @@ class NoSignallingResult(_Record):
     witness: Optional[dict]
 
     def __init__(self, witness: Optional[dict]) -> None:
-        object.__setattr__(self, "witness", witness)
+        self._store(witness)
 
     @property
     def ok(self) -> bool:

@@ -7,9 +7,9 @@ Welch t and Kolmogorov-Smirnov tests returning asymptotic two-sided
 p-values.  Each tail comes from one routine that picks its own expansion:
 the normal tail from ``math.erfc``, the Student-t tail from the incomplete
 beta given x and its exact complement, and the Kolmogorov tail from one of
-two four-term series.  The two-sample tests take any flat sequence of real
-numbers and work on lists of Python floats; numpy is imported only by
-``perturb`` and ``norms``.
+two four-term series.  The two-sample tests and ``norms`` take any flat
+sequence of real numbers and work on lists of Python floats; numpy is
+loaded only by ``perturb``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ class NoiseSpec(_Record):
         _check_int("seed", seed, 0)
         if type(absolute) is not bool:
             raise ValueError(f"absolute must be a bool, got {absolute!r}")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "absolute", absolute)
+        self._store(sigma, seed, absolute)
 
 
 def _scales(coords: tuple[float, ...], noise: NoiseSpec) -> tuple[float, ...]:
@@ -86,13 +84,7 @@ class TestReport(_Record):
         self, distance: float, sigma_d: float, z: float, p_value: float, overlap: float,
         alpha: float, reject: bool,
     ) -> None:
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "sigma_d", sigma_d)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "p_value", p_value)
-        object.__setattr__(self, "overlap", overlap)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "reject", reject)
+        self._store(distance, sigma_d, z, p_value, overlap, alpha, reject)
 
     def to_json_dict(self) -> dict:
         return self._asdict()
@@ -200,25 +192,32 @@ def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, y) / b
 
 
-_NOT_A_SAMPLE = "two-sample tests need one-dimensional samples of real numbers"
+# What a flat sequence of reals fails with: not one, or not finite.
+_SAMPLE_ERRORS = (
+    "two-sample tests need one-dimensional samples of real numbers",
+    "two-sample tests need finite samples",
+)
+_VECTOR_ERRORS = ("norms need a one-dimensional vector of real numbers", "norms need a finite vector")
 
 
-def _finite_sample(sample) -> list[float]:
-    # One sample as Python floats.  Float entries pass as they are; only a
-    # sample holding another type pays for the real-number screen.
+def _finite_floats(sequence, errors: tuple[str, str]) -> list[float]:
+    # A flat sequence of finite reals as Python floats.  Float entries pass
+    # as they are; only a sequence holding another type pays for the
+    # real-number screen.
+    not_real, not_finite = errors
     try:
-        values = list(sample)
+        values = list(sequence)
     except TypeError:  # a scalar, or numpy's 0-d array
-        raise ValueError(_NOT_A_SAMPLE) from None
+        raise ValueError(not_real) from None
     if not {float}.issuperset(map(type, values)):
         if not all(map(_is_real, values)):
-            raise ValueError(_NOT_A_SAMPLE)
+            raise ValueError(not_real)
         try:
             values = [float(x) for x in values]
         except OverflowError:  # an int or a fraction beyond the float range
-            raise ValueError("two-sample tests need finite samples") from None
+            raise ValueError(not_finite) from None
     if not all(map(math.isfinite, values)):
-        raise ValueError("two-sample tests need finite samples")
+        raise ValueError(not_finite)
     return values
 
 
@@ -235,7 +234,7 @@ def two_sample_t(xs, ys) -> float:
     Welch-Satterthwaite approximation and the p-value comes from the exact
     Student-t tail via the regularized incomplete beta.
     """
-    xs, ys = _finite_sample(xs), _finite_sample(ys)
+    xs, ys = _finite_floats(xs, _SAMPLE_ERRORS), _finite_floats(ys, _SAMPLE_ERRORS)
     if len(xs) < 2 or len(ys) < 2:
         raise ValueError("both samples need at least two observations")
     # One common power-of-two scale brings the largest magnitude into [0.5, 1),
@@ -317,7 +316,7 @@ def two_sample_ks(xs, ys) -> float:
     Kolmogorov distribution at (sqrt(ne) + 0.12 + 0.11 / sqrt(ne)) * D with
     ne = n*m / (n + m), the small-sample-corrected effective size.
     """
-    xs, ys = sorted(_finite_sample(xs)), sorted(_finite_sample(ys))
+    xs, ys = sorted(_finite_floats(xs, _SAMPLE_ERRORS)), sorted(_finite_floats(ys, _SAMPLE_ERRORS))
     if not xs or not ys:
         raise ValueError("both samples must be non-empty")
     d = _ks_statistic(xs, ys)
@@ -331,10 +330,12 @@ class Norms(NamedTuple):
 
 
 def norms(vector) -> Norms:
-    """l1 and l2 norms of a finite difference vector (so that l2 <= l1)."""
-    import numpy as np
-
-    v = np.asarray(vector, dtype=float)
-    if not np.isfinite(v).all():
-        raise ValueError("norms need a finite vector")
-    return Norms(l1=float(np.abs(v).sum()), l2=float(np.linalg.norm(v)))
+    """l1 and l2 norms of a finite difference vector, a flat sequence of real
+    numbers (so that l2 <= l1).  Raises ValueError when the l1 norm overflows
+    the float range."""
+    values = _finite_floats(vector, _VECTOR_ERRORS)
+    try:
+        l1 = math.fsum(map(abs, values))  # correctly rounded; raises past the float range
+    except OverflowError:
+        raise ValueError("norms overflow the float range") from None
+    return Norms(l1=l1, l2=math.hypot(*values))

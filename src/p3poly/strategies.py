@@ -104,11 +104,12 @@ def _check_real(name: str, value, low, high=None, *, strict: bool = False) -> No
 class _Record:
     """Base of an immutable record whose fields are its annotated names.
 
-    A subclass declares its fields as class annotations, in order, and sets
-    each one in its own ``__init__`` with ``object.__setattr__`` (not through
-    ``__dict__``, which would slow every later attribute read).  The base
-    gives the ``Name(field=value, ...)`` repr; equality and hash over the
-    field values, or identity with ``eq=False`` for a record holding arrays;
+    A subclass declares its fields as class annotations, in order, and its
+    ``__init__`` runs the checks and ends in ``_store``, the one step that
+    sets the fields; ``_unchecked`` is the private constructor that stores
+    values the package built valid and skips the checks.  The base gives
+    the ``Name(field=value, ...)`` repr; equality and hash over the field
+    values, or identity with ``eq=False`` for a record holding arrays;
     frozen fields; a pickle that rebuilds through the constructor, so its
     checks run again; and the field values as a dict or a tuple.
     """
@@ -123,6 +124,24 @@ class _Record:
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
+
+    def _store(self, *values) -> None:
+        # Set the fields in declaration order, with object.__setattr__ (not
+        # through __dict__, which would slow every later attribute read), and
+        # freeze each array among them, which the record owns.  An array is
+        # told by its setflags, so this module loads no numpy.
+        for name, value in zip(self._fields, values, strict=True):
+            if hasattr(value, "setflags"):
+                value.setflags(write=False)  # cheaper than going through .flags
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _unchecked(cls, *values):
+        # Stores, unchecked and without copying, values that the caller knows
+        # the public constructor would store unchanged.
+        record = object.__new__(cls)
+        record._store(*values)
+        return record
 
     def _asdict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
@@ -167,9 +186,7 @@ class ScenarioShape(_Record):
         _check_int("scenario shape field n", n, 1)
         _check_int("scenario shape field m", m, 1)
         _check_int("scenario shape field d", d, 1)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "d", d)
+        self._store(n, m, d)
 
 
 FULL_SHAPE = ScenarioShape(3, 2, 2)
@@ -204,9 +221,7 @@ class DeterministicStrategy(_Record):
     def __init__(self, first: int, middle: int, last: int) -> None:
         for wing in (first, middle, last):
             _check_int("wing index", wing, 0, 3)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "last", last)
+        self._store(first, middle, last)
 
     @property
     def index(self) -> int:
@@ -256,8 +271,7 @@ class BehaviourPoint(_Record):
         # checks, which clamp within the band or name the first bad coordinate.
         if not all(type(x) is float and 0.0 <= x <= 1.0 for x in coords):
             coords = _checked_coords(coords)
-        object.__setattr__(self, "coords", tuple(coords))
-        object.__setattr__(self, "representation", representation)
+        self._store(tuple(coords), representation)
 
     @classmethod
     def full(cls, coords) -> "BehaviourPoint":

@@ -123,6 +123,21 @@ def test_graph_validation():
 
 
 @pytest.mark.parametrize(
+    "entry", [float("nan"), 0.5, 2, -1, "0", "1", None, 1j], ids=repr,
+)
+def test_from_adjacency_takes_only_booleans_and_zero_or_one(entry):
+    # A cast to bool used to make each of these an edge.
+    with pytest.raises(ValueError, match="booleans or the numbers 0 and 1"):
+        ge.VisibilityGraph.from_adjacency([[0, entry], [entry, 0]])
+
+
+def test_from_adjacency_accepts_booleans_ints_floats_and_the_empty_graph():
+    for adjacency in ([[False, True], [True, False]], [[0, 1], [1, 0]], np.array([[0.0, 1.0], [1.0, 0.0]])):
+        assert ge.VisibilityGraph.from_adjacency(adjacency).row_masks == (0b10, 0b01)
+    assert ge.VisibilityGraph.from_adjacency(np.zeros((0, 0))).node_count == 0
+
+
+@pytest.mark.parametrize(
     "masks, message",
     [
         ((0b10, 0b01), None),

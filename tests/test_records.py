@@ -6,14 +6,17 @@ record with equal fields, built positionally, is equal and hashes equal; a
 record never equals a value of another type; every field refuses assignment
 and deletion with an AttributeError naming it; the dict form keeps the
 constructor's field order; and a pickle round trip rebuilds an equal record
-through the constructor.
+through the constructor.  Every record is either such a value record or an
+array holder, whose array fields are read-only however it was built.
 """
 
 import inspect
 import pickle
 
+import numpy as np
 import pytest
 
+from p3poly import cli, linalg  # noqa: F401 -- every layer is loaded for the walk below
 from p3poly import geometry as ge
 from p3poly import manifold as mf
 from p3poly import quantum as qu
@@ -100,3 +103,54 @@ def test_value_record_contract(build, text, monkeypatch):
     assert calls == [record._astuple()]
     assert type(clone) is cls and clone == record and repr(clone) == text
 
+
+def _lhv_fields():
+    # One state per source; every wing puts all weight on outcome 0.
+    response = np.zeros((2, 1, 2))
+    response[..., 0] = 1.0
+    return np.ones(1), np.ones(1), response, response[:, :, None].copy(), response.copy()
+
+
+# The records that compare by identity, each with a builder of fresh field
+# values; a holder's array fields are the fields that hold a numpy array.
+ARRAY_HOLDERS = {
+    qu.DensityMatrix: lambda: (np.eye(2, dtype=complex) / 2,),
+    qu.FullDistribution: lambda: (st.ScenarioShape(1, 1, 2), np.array([[0.25, 0.75]])),
+    qu.LhvModel: _lhv_fields,
+    # A tuple of stacks, which the public constructor freezes itself.
+    qu.MeasurementSet: lambda: ((np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]]),),),
+    ge.VisibilityGraph: lambda: ((0b10, 0b01),),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_is_covered():
+    # A record added without a place in RECORDS or ARRAY_HOLDERS fails here.
+    value_records = {type(build()) for build, _ in RECORDS}
+    records = set(_subclasses(st._Record))
+    assert records == value_records | set(ARRAY_HOLDERS)
+    assert not value_records & set(ARRAY_HOLDERS)
+    for cls in ARRAY_HOLDERS:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+@pytest.mark.parametrize("cls", list(ARRAY_HOLDERS), ids=lambda cls: cls.__name__)
+def test_array_holder_fields_are_read_only(cls):
+    build = ARRAY_HOLDERS[cls]
+    given = build()
+    public = cls(*given)
+    # The public constructor freezes private copies, never the caller's arrays.
+    assert all(a.flags.writeable for a in given if isinstance(a, np.ndarray))
+    # The private constructor stores the values themselves.
+    values = build()
+    unchecked = cls._unchecked(*values)
+    assert all(mine is theirs for mine, theirs in zip(unchecked._astuple(), values, strict=True))
+    for record in (public, unchecked):
+        for array in [value for value in record._astuple() if isinstance(value, np.ndarray)]:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0

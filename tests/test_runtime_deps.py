@@ -189,6 +189,7 @@ def test_manifold_and_point_stats_run_without_numpy():
         "assert mf.normalized_score(pu, pb) < 1e-8\n"
         "sigma_d = stats.distance_sigma(pb, 0.05)\n"
         "stats.gaussian_separability(pb, pu, sigma_d), stats.regularized_incomplete_beta(2.0, 3.0, 0.4)\n"
+        "stats.norms([p - u for p, u in zip(pb.coords, pu.coords)])\n"
         "print('numpy' in sys.modules)\n"
     )
     assert _python(probe).strip() == "False"

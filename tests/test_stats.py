@@ -332,6 +332,8 @@ def test_norms_examples():
     unit = np.zeros(5)
     unit[2] = 1.0
     assert sta.norms(unit) == (1.0, 1.0)
+    # Ints and fractions are real numbers too.
+    assert sta.norms([3, Fraction(-4)]) == (7.0, 5.0)
 
 
 def test_norms_ordering_fuzz():
@@ -347,6 +349,22 @@ def test_norms_ordering_fuzz():
 def test_norms_reject_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         sta.norms([0.5, bad])
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [["1", "2"], [True, False], [[1, 2], [3, 4]], np.ones((2, 2)), [0.5, None], 0.5, np.float64(0.5)],
+    ids=["strings", "bools", "matrix", "array-matrix", "none", "scalar", "numpy-scalar"],
+)
+def test_norms_refuse_what_is_not_a_flat_sequence_of_reals(vector):
+    # The number policy of the package: no strings, no bools, no nesting.
+    with pytest.raises(ValueError, match="^norms need a one-dimensional vector of real numbers$"):
+        sta.norms(vector)
+
+
+def test_norms_refuse_an_overflowing_vector():
+    with pytest.raises(ValueError, match="overflow"):
+        sta.norms([1e308, -1e308])
 
 
 @pytest.mark.parametrize("two_sample", [sta.two_sample_t, sta.two_sample_ks])
