@@ -13,12 +13,12 @@ with the modules it pulls in); each verb imports the other layers it needs:
 plain-Python Jacobi solver; ``graph --format csv`` writes only the layout
 and loads no other layer.  ``project`` and ``test`` read and check their
 input files before they import a layer, and ``bound`` reads both state
-files before it imports linalg.  numpy only draws shots: ``simulate --shots
-N`` with N > 0 imports quantum for its seeded multinomial draw.  Exact
-``simulate`` writes the protocol's Born table from its closed form, and
-``bound`` checks and compares the two states on Python floats, so every
-other verb runs without numpy.  Input JSON is parsed strictly: the constants
-NaN, Infinity and -Infinity are refused.
+files before it imports linalg.  No verb loads numpy.  ``simulate`` writes
+the protocol's Born table from its closed form, and with ``--shots N``, N >
+0, draws from those printed rows through sampling, a plain-Python replica
+of numpy's seeded multinomial; ``bound`` checks and compares the two states
+on Python floats.  Input JSON is parsed strictly: the constants NaN,
+Infinity and -Infinity are refused.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .strategies import (
     FULL_26,
     REDUCED_8,
     REDUCED_SHAPE,
+    _EVENT_MASKS,
     _check_int,
     _check_real,
     enumerate_strategies,
@@ -278,12 +279,24 @@ def _cmd_simulate(args) -> str:
     exact = BehaviourPoint((0.5,) * 4 + tuple(block[0] for block in table.values()), REDUCED_8)
     sampled = errors = None
     if args.shots > 0:
-        from . import quantum
+        _check_int("shots", args.shots, 1, 2**63 - 1)  # the int64 counts of numpy's draw
+        from .sampling import multinomial
 
-        scenario = quantum.qkd_scenario(args.kind, args.noise)
-        point, ses = quantum.sample_behaviour(*scenario, args.shots, args.seed)
-        sampled = point.to_json_dict()
-        errors = [float(v) for v in ses]
+        # The counts numpy's default_rng(seed).multinomial draws from the
+        # table's rows, flattened in the table's order.
+        counts = [n for row in multinomial(args.shots, list(table.values()), args.seed) for n in row]
+        # An entry's singles word sets bit 2 * p + s when party p, at setting
+        # s, gives outcome 0, as in quantum._collapse_matrix; a coordinate is
+        # the count of the entries whose word holds its event mask, over the
+        # shots of the setting pairs it averages: a correctly rounded ratio.
+        words = [(a == 0) << x | (c == 0) << (2 + z) for x in (0, 1) for z in (0, 1) for a in (0, 1) for c in (0, 1)]
+        coords = [
+            sum([n for n, word in zip(counts, words) if word & mask == mask])
+            / (args.shots << (2 - mask.bit_count()))
+            for mask in _EVENT_MASKS[REDUCED_8]
+        ]
+        sampled = BehaviourPoint(tuple(coords), REDUCED_8).to_json_dict()
+        errors = [math.sqrt(p * (1.0 - p) / args.shots) for p in coords]
     payload = {
         "kind": args.kind,
         "noise": args.noise,

@@ -45,9 +45,12 @@ def _rotation(theta: float) -> tuple[float, float, float]:
     return t, c, t * c
 
 
-def _symmetric_eigen(matrix: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+def _symmetric_eigen(
+    matrix: list[list[float]], *, vectors: bool = True
+) -> tuple[list[float], list[list[float]] | None]:
     """Eigenvalues and eigenvectors (the columns of the second result) of a
-    real symmetric matrix, by the cyclic Jacobi method.
+    real symmetric matrix, by the cyclic Jacobi method; with ``vectors``
+    false, the eigenvalues alone (the same floats) and None.
 
     Each rotation zeroes one off-diagonal pair.  Sweeps over all pairs run
     until the entries above the diagonal have at most 2**-52 of the
@@ -59,7 +62,7 @@ def _symmetric_eigen(matrix: list[list[float]]) -> tuple[list[float], list[list[
     size = len(matrix)
     _, exponent = math.frexp(max([abs(x) for row in matrix for x in row], default=0.0))
     a = [[math.ldexp(x, -exponent) for x in row] for row in matrix]
-    v = [[float(i == j) for j in range(size)] for i in range(size)]
+    v = [[float(i == j) for j in range(size)] for i in range(size)] if vectors else None
     norm = math.fsum(x * x for row in a for x in row)
     for _ in range(64):
         off = math.fsum(a[p][q] * a[p][q] for p in range(size) for q in range(p + 1, size))
@@ -80,7 +83,7 @@ def _symmetric_eigen(matrix: list[list[float]]) -> tuple[list[float], list[list[
                 a[p][p] = app - t * apq
                 a[q][q] = aqq + t * apq
                 a[p][q] = a[q][p] = 0.0
-                for row in v:
+                for row in v or ():
                     vkp, vkq = row[p], row[q]
                     row[p] = c * vkp - s * vkq
                     row[q] = s * vkp + c * vkq
@@ -95,7 +98,7 @@ def _singular_values(matrix: list[list[float]]) -> list[float]:
     """
     zero = [0.0] * len(matrix)
     augmented = [zero + list(row) for row in matrix] + [list(column) + zero for column in zip(*matrix)]
-    values, _ = _symmetric_eigen(augmented)
+    values, _ = _symmetric_eigen(augmented, vectors=False)
     return sorted(values, reverse=True)[: len(matrix)]
 
 
@@ -121,7 +124,7 @@ def _trace_norm(re: list[list[float]], im: list[list[float]]) -> float:
     # Half the trace norm of a Hermitian matrix, read from its lower
     # triangle: a quarter of the absolute eigenvalues of its embedding, which
     # has each one twice.
-    values, _ = _symmetric_eigen(_embedding(re, im))
+    values, _ = _symmetric_eigen(_embedding(re, im), vectors=False)
     return 0.25 * math.fsum(map(abs, values))
 
 

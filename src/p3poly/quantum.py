@@ -410,7 +410,12 @@ def sample_behaviour(
     Draws ``shots`` multinomial samples per joint setting (settings in
     lexicographic order, one draw from a single seeded generator, so results
     are reproducible), collapses the empirical distribution, and reports
-    sqrt(p * (1 - p) / shots) per behaviour coordinate.
+    sqrt(p * (1 - p) / shots) per behaviour coordinate.  The draw is
+    numpy's; ``simulate --shots`` draws the same counts from its printed
+    closed-form table through ``sampling.multinomial``, a plain-Python
+    replica, and takes each coordinate as an exact ratio of counts, so its
+    output can differ from this function's in the last bits, and where the
+    Born table and the printed one differ in the last bits, in counts.
     """
     _check_int("shots", shots, 1, 2**63 - 1)  # numpy's multinomial counts are int64
     _check_int("seed", seed, 0)
@@ -675,13 +680,33 @@ def qkd_scenario(kind: str, noise: float = 0.0) -> tuple[DensityMatrix, Measurem
     return state, _ZX_PAIR, REDUCED_SHAPE
 
 
+class _Witness(dict):
+    """A read-only dict, hashed by its items: a signalling witness, which
+    compares equal to the plain dict of the same items."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return _Witness, (dict(self),)
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a signalling witness is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
 class NoSignallingResult(_Record):
-    """Outcome of a no-signalling audit; ok and truthy iff it found no witness."""
+    """Outcome of a no-signalling audit; ok and truthy iff it found no witness.
+
+    A witness is stored as a read-only dict, so the result is hashable."""
 
     witness: Optional[dict]
 
     def __init__(self, witness: Optional[dict]) -> None:
-        self._store(witness)
+        self._store(None if witness is None else _Witness(witness))
 
     @property
     def ok(self) -> bool:

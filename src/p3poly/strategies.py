@@ -109,9 +109,10 @@ class _Record:
     sets the fields; ``_unchecked`` is the private constructor that stores
     values the package built valid and skips the checks.  The base gives
     the ``Name(field=value, ...)`` repr; equality and hash over the field
-    values, or identity with ``eq=False`` for a record holding arrays;
-    frozen fields; a pickle that rebuilds through the constructor, so its
-    checks run again; and the field values as a dict or a tuple.
+    values, or identity with ``eq=False`` for a record holding arrays,
+    whose arrays it freezes; frozen fields; a pickle that rebuilds through
+    the constructor, so its checks run again; and the field values as a
+    dict or a tuple.
     """
 
     def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
@@ -121,17 +122,21 @@ class _Record:
         # hashing as fast as on a tuple; attrgetter gives a lone field bare.
         read = attrgetter(*fields)
         cls._astuple = (lambda self: read(self)) if len(fields) > 1 else (lambda self: (read(self),))
+        # An array holder owns the arrays it stores and freezes them; a value
+        # record stores what it is given and leaves a caller's array alone.
+        cls._holds_arrays = not eq
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
 
     def _store(self, *values) -> None:
         # Set the fields in declaration order, with object.__setattr__ (not
-        # through __dict__, which would slow every later attribute read), and
-        # freeze each array among them, which the record owns.  An array is
-        # told by its setflags, so this module loads no numpy.
+        # through __dict__, which would slow every later attribute read),
+        # and, in an array holder, freeze each array among them.  An array
+        # is told by its setflags, so this module loads no numpy.
+        freeze = self._holds_arrays
         for name, value in zip(self._fields, values, strict=True):
-            if hasattr(value, "setflags"):
+            if freeze and hasattr(value, "setflags"):
                 value.setflags(write=False)  # cheaper than going through .flags
             object.__setattr__(self, name, value)
 

@@ -284,12 +284,28 @@ def test_exact_simulate_is_the_born_table_of_its_scenario(tmp_path, kind, noise)
 
 @pytest.mark.parametrize("kind", ["honest", "intercepted"])
 def test_simulate_shots_are_the_samplers(tmp_path, kind):
-    code, out = run(tmp_path, "simulate", "--kind", kind, "--noise", "0.1", "--shots", "5000", "--seed", "7")
-    assert code == 0
-    payload = read_json(out)
-    point, errors = qu.sample_behaviour(*qu.qkd_scenario(kind, 0.1), 5000, 7)
-    assert payload["sampled_point"] == point.to_json_dict()
-    assert payload["standard_errors"] == errors.tolist()
+    # The counts are numpy's seeded multinomial draw from the printed table's
+    # rows; each coordinate is the correctly rounded ratio of its count sum
+    # to the shots of the setting pairs it averages, and each error is
+    # sqrt(p (1 - p) / shots), bit for bit.
+    for noise, shots, seed in ((0.1, 5000, 7), (0.0, 1, 0), (0.3, 2**63 - 1, 2**128 + 7)):
+        code, out = run(
+            tmp_path, "simulate", "--kind", kind, "--noise", repr(noise), "--shots", str(shots), "--seed", str(seed)
+        )
+        assert code == 0
+        payload = read_json(out)
+        table = payload["distribution"]["table"]
+        rows = [table[f"{x},{z}"] for x in (0, 1) for z in (0, 1)]
+        # count[x][z][a][c], as Python ints: the sums pass the int64 range.
+        count = np.random.default_rng(seed).multinomial(shots, rows).reshape(2, 2, 2, 2).tolist()
+        sums = [
+            *(sum(count[x][z][0][c] for z in (0, 1) for c in (0, 1)) for x in (0, 1)),  # a0, a1
+            *(sum(count[x][z][a][0] for x in (0, 1) for a in (0, 1)) for z in (0, 1)),  # c0, c1
+            *(count[x][z][0][0] for x in (0, 1) for z in (0, 1)),  # a0c0, a0c1, a1c0, a1c1
+        ]
+        coords = [total / (shots * (2 if k < 4 else 1)) for k, total in enumerate(sums)]
+        assert payload["sampled_point"] == BehaviourPoint.reduced(coords).to_json_dict()
+        assert payload["standard_errors"] == [math.sqrt(p * (1.0 - p) / shots) for p in coords]
 
 
 def test_simulate_with_shots_deterministic(tmp_path):
@@ -527,8 +543,8 @@ def test_bound_computes_each_quantity_once(tmp_path, monkeypatch):
     names = ("_read_state", "_symmetric_eigen", "_singular_values", "_fidelity", "_qubit_trace_norm", "_trace_norm")
     calls = {name: [] for name in names}
     for name in calls:
-        def counted(*args, _name=name, _inner=getattr(la, name)):
-            result = _inner(*args)
+        def counted(*args, _name=name, _inner=getattr(la, name), **kwargs):
+            result = _inner(*args, **kwargs)
             calls[_name].append((args, result))
             return result
 
@@ -547,6 +563,8 @@ def test_bound_computes_each_quantity_once(tmp_path, monkeypatch):
     # The two states and rho - sigma are embedded 8 x 8; the fidelity's 8 x 8
     # core C is solved as [[0, C], [C^T, 0]].
     assert [len(matrix) for (matrix,), _ in calls["_symmetric_eigen"]] == [8, 8, 8, 16]
+    # Only the state checks keep the eigenvectors.
+    assert [vectors is not None for _, (_, vectors) in calls["_symmetric_eigen"]] == [True, True, False, False]
     ((core,), _), = calls["_singular_values"]
     assert len(core) == 8 and all(len(row) == 8 for row in core)
     delta = bell - mixed

@@ -660,6 +660,28 @@ def test_no_signalling_detects_violation():
     assert result.witness["max_deviation"] == pytest.approx(1.0)
 
 
+def test_signalling_witness_is_read_only_and_hashable():
+    table = np.zeros((2, 2, 2, 2))
+    table[0, :, :, 0] = 0.5
+    table[1, :, :, 1] = 0.5
+    result = qu.no_signalling_check(qu.FullDistribution(st.REDUCED_SHAPE, table))
+    witness = {"party": 1, "varies_with_party": 0, "settings_compared": (0, 1), "max_deviation": 1.0}
+    assert result.witness == witness and witness == result.witness
+    twin = qu.NoSignallingResult(dict(reversed(witness.items())))
+    assert twin == result and hash(twin) == hash(result)
+    assert pickle.loads(pickle.dumps(result)) == result
+    writes = [
+        lambda w: w.__setitem__("party", 99), lambda w: w.__delitem__("party"), lambda w: w.update(party=99),
+        lambda w: w.setdefault("other", 0), lambda w: w.pop("party"), lambda w: w.popitem(), lambda w: w.clear(),
+        lambda w: w.__ior__({"party": 99}),
+    ]
+    for write in writes:
+        with pytest.raises(TypeError, match="^a signalling witness is read-only$"):
+            write(result.witness)
+    assert result.witness == witness
+    assert repr(result) == f"NoSignallingResult(witness={witness!r})"
+
+
 def test_own_setting_dependence_is_not_signalling():
     # A deterministic strategy whose output changes with its own setting must
     # still pass the audit.

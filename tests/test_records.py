@@ -154,3 +154,11 @@ def test_array_holder_fields_are_read_only(cls):
         for array in [value for value in record._astuple() if isinstance(value, np.ndarray)]:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
+
+
+def test_value_record_leaves_a_callers_array_writable():
+    # Only an array holder freezes what it stores; a value record stores a
+    # caller's array as it is.
+    given = np.array(0.5)
+    report = linalg.BoundReport(given, 1.0, 0.25, 0.25, 0.5)
+    assert report.l2 is given and given.flags.writeable

@@ -1,13 +1,13 @@
 """What importing the package costs: numpy and nothing else outside the standard
 library, no layer for a bare ``import p3poly``, and for each CLI verb only the
-layers it uses, with numpy only to draw shots (``simulate --shots N`` with
-N > 0): not for the vertex tables, the graph listings and SVD layouts, the
-structural report, exact ``simulate``, the projection, either mode of
-``test``, ``bound``, nor a point or state file or a flag that is rejected,
-and dataclasses never: no module of the package imports it, and no verb that
-runs without numpy loads it.  Also the lazily filled ``p3poly`` namespace
-itself, that every module-level import of a layer is used and never
-shadowed, and that every module-level private name is used."""
+layers it uses, and numpy for none: not for the vertex tables, the graph
+listings and SVD layouts, the structural report, exact ``simulate`` nor its
+seeded draw of shots, the projection, either mode of ``test``, ``bound``, nor
+a point or state file or a flag that is rejected, and dataclasses never: no
+module of the package imports it, and no CLI verb loads it.  Also the lazily
+filled ``p3poly`` namespace itself, that every module-level import of a layer
+is used and never shadowed, and that every module-level private name is
+used."""
 
 import ast
 import json
@@ -88,45 +88,47 @@ _REJECTED_STATE = "error: 'nan_rho.json' is not valid JSON: NaN is not a finite 
 _NOT_REDUCED = "error: projection is defined for reduced-8 points\n"
 # A flag pair that the graph verb rejects before it loads a layer.
 _BAD_GRAPH_FLAGS = "error: svd layout output requires json or csv format\n"
-# A noise level that simulate rejects before it loads a layer.
+# A noise level and a shot count that simulate rejects before it loads a layer.
 _BAD_NOISE = "error: noise must be a finite real number in [0, 1], got 2.0\n"
+_BAD_SHOTS = f"error: shots must be an int in 1..{2**63 - 1}, got {2**63}\n"
 
 
 @pytest.mark.parametrize(
-    "argv, layers, numpy, stderr",
+    "argv, layers, stderr",
     [
-        (["vertices"], [], False, ""),
-        (["vertices", "--rep", "reduced", "--format", "csv"], [], False, ""),
-        (["graph", "--rep", "reduced"], ["geometry"], False, ""),
-        (["graph", "--rep", "full", "--format", "dot"], ["geometry"], False, ""),
-        (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry", "linalg"], False, ""),
-        (["graph", "--layout", "svd", "--format", "dot"], [], False, _BAD_GRAPH_FLAGS),
-        (["graph", "--layout", "svd", "--format", "csv"], ["linalg"], False, ""),
-        (["analyze", "--rep", "reduced"], ["geometry"], False, ""),
-        (["analyze", "--rep", "full"], ["geometry"], False, ""),
-        (["simulate", "--kind", "honest"], [], False, ""),
-        (["simulate", "--kind", "intercepted", "--noise", "0.1"], [], False, ""),
-        (["simulate", "--kind", "honest", "--shots", "10"], ["linalg", "quantum"], True, ""),
-        (["simulate", "--kind", "honest", "--noise", "2"], [], False, _BAD_NOISE),
-        (["project", "--input", "point.json"], ["manifold"], False, ""),
-        (["project", "--input", "nan.json"], [], False, _REJECTED),
-        (["project", "--input", "full.json"], ["manifold"], False, _NOT_REDUCED),
-        (["test", "--expected", "point.json", "--observed", "point.json"], ["manifold", "stats"], False, ""),
-        (["test", "--expected", "point.json", "--observed", "nan.json"], [], False, _REJECTED),
-        (["test", "--expected", "nan.json", "--observed", "point.json"], [], False, _REJECTED),
-        (["test", "--mode", "samples", "--expected", "a.csv", "--observed", "a.csv"], ["stats"], False, ""),
-        (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["linalg"], False, ""),
-        (["bound", "--rho", "nan_rho.json", "--sigma", "bell.json"], [], False, _REJECTED_STATE),
+        (["vertices"], [], ""),
+        (["vertices", "--rep", "reduced", "--format", "csv"], [], ""),
+        (["graph", "--rep", "reduced"], ["geometry"], ""),
+        (["graph", "--rep", "full", "--format", "dot"], ["geometry"], ""),
+        (["graph", "--rep", "reduced", "--layout", "svd"], ["geometry", "linalg"], ""),
+        (["graph", "--layout", "svd", "--format", "dot"], [], _BAD_GRAPH_FLAGS),
+        (["graph", "--layout", "svd", "--format", "csv"], ["linalg"], ""),
+        (["analyze", "--rep", "reduced"], ["geometry"], ""),
+        (["analyze", "--rep", "full"], ["geometry"], ""),
+        (["simulate", "--kind", "honest"], [], ""),
+        (["simulate", "--kind", "intercepted", "--noise", "0.1"], [], ""),
+        (["simulate", "--kind", "honest", "--shots", "10"], ["sampling"], ""),
+        (["simulate", "--kind", "honest", "--noise", "2"], [], _BAD_NOISE),
+        (["simulate", "--kind", "honest", "--shots", str(2**63)], [], _BAD_SHOTS),
+        (["project", "--input", "point.json"], ["manifold"], ""),
+        (["project", "--input", "nan.json"], [], _REJECTED),
+        (["project", "--input", "full.json"], ["manifold"], _NOT_REDUCED),
+        (["test", "--expected", "point.json", "--observed", "point.json"], ["manifold", "stats"], ""),
+        (["test", "--expected", "point.json", "--observed", "nan.json"], [], _REJECTED),
+        (["test", "--expected", "nan.json", "--observed", "point.json"], [], _REJECTED),
+        (["test", "--mode", "samples", "--expected", "a.csv", "--observed", "a.csv"], ["stats"], ""),
+        (["bound", "--rho", "bell.json", "--sigma", "bell.json"], ["linalg"], ""),
+        (["bound", "--rho", "nan_rho.json", "--sigma", "bell.json"], [], _REJECTED_STATE),
     ],
     ids=[
         "vertices", "vertices-csv", "graph", "graph-dot", "graph-svd", "graph-svd-dot", "graph-svd-csv",
         "analyze", "analyze-full", "simulate", "simulate-intercepted", "simulate-shots",
-        "simulate-rejected-noise", "project", "project-rejected", "project-full26", "test-point",
-        "test-point-rejected-observed", "test-point-rejected-expected", "test-samples", "bound",
+        "simulate-rejected-noise", "simulate-rejected-shots", "project", "project-rejected", "project-full26",
+        "test-point", "test-point-rejected-observed", "test-point-rejected-expected", "test-samples", "bound",
         "bound-rejected",
     ],
 )
-def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, numpy, stderr):
+def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, stderr):
     (tmp_path / "point.json").write_text(
         json.dumps({"representation": REDUCED_8, "coords": list(P_B)})
     )
@@ -143,10 +145,7 @@ def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, numpy, stderr):
     code, loaded, numpy_loaded, dataclasses_loaded, err = json.loads(out)
     assert (code, err) == ((1, stderr) if stderr else (0, ""))
     assert loaded == sorted(f"p3poly.{m}" for m in ["cli", "strategies", *layers])
-    assert numpy_loaded == numpy
-    # numpy may import dataclasses itself; a verb without numpy must not.
-    if not numpy:
-        assert not dataclasses_loaded
+    assert not numpy_loaded and not dataclasses_loaded
     assert (tmp_path / "out").exists() == (not stderr)
 
 
