@@ -37,9 +37,9 @@ from .strategies import (
     FULL_26,
     REDUCED_8,
     REDUCED_SHAPE,
-    _EVENT_MASKS,
     _check_int,
     _check_real,
+    _point_from_counts,
     enumerate_strategies,
     hamming_histogram,
     vertex_rows,
@@ -282,21 +282,10 @@ def _cmd_simulate(args) -> str:
         _check_int("shots", args.shots, 1, 2**63 - 1)  # the int64 counts of numpy's draw
         from .sampling import multinomial
 
-        # The counts numpy's default_rng(seed).multinomial draws from the
-        # table's rows, flattened in the table's order.
+        # The counts of numpy's default_rng(seed).multinomial, in the table's order.
         counts = [n for row in multinomial(args.shots, list(table.values()), args.seed) for n in row]
-        # An entry's singles word sets bit 2 * p + s when party p, at setting
-        # s, gives outcome 0, as in quantum._collapse_matrix; a coordinate is
-        # the count of the entries whose word holds its event mask, over the
-        # shots of the setting pairs it averages: a correctly rounded ratio.
-        words = [(a == 0) << x | (c == 0) << (2 + z) for x in (0, 1) for z in (0, 1) for a in (0, 1) for c in (0, 1)]
-        coords = [
-            sum([n for n, word in zip(counts, words) if word & mask == mask])
-            / (args.shots << (2 - mask.bit_count()))
-            for mask in _EVENT_MASKS[REDUCED_8]
-        ]
-        sampled = BehaviourPoint(tuple(coords), REDUCED_8).to_json_dict()
-        errors = [math.sqrt(p * (1.0 - p) / args.shots) for p in coords]
+        point, errors = _point_from_counts(counts, args.shots, REDUCED_8)
+        sampled = point.to_json_dict()
     payload = {
         "kind": args.kind,
         "noise": args.noise,

@@ -21,9 +21,8 @@ kernels, which the tests take as the reference.
 from __future__ import annotations
 
 import math
-from itertools import product
 
-from .strategies import _Record, _check_int
+from .strategies import REDUCED_8, _EVENT_MASKS, _Record, _check_int
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -237,16 +236,15 @@ def _kron(p: list[list[float]], q: list[list[float]]) -> list[list[float]]:
 
 
 # The eight Z/X effects whose expectations are the reduced behaviour
-# coordinates a0, a1, c0, c1, a0c0, a0c1, a1c0, a1c1: the projectors on
-# outcome 0 of the Z and the X basis, on either qubit and on both.  Their
-# entries are 0, 1/4, 1/2 and 1, so they are exact.
+# coordinates: per event mask, the kron over the two qubits of the outcome-0
+# projector of the Z (party bits 1) or X (bits 2) basis, or I (bits 0).
+# Their entries are 0, 1/4, 1/2 and 1, so they are exact.
 _ID = [[1.0, 0.0], [0.0, 1.0]]
 _ZX_OUTCOME_0 = ([[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]])
-_ZX_EFFECTS = (
-    [_kron(p, _ID) for p in _ZX_OUTCOME_0]
-    + [_kron(_ID, p) for p in _ZX_OUTCOME_0]
-    + [_kron(p, q) for p, q in product(_ZX_OUTCOME_0, repeat=2)]
-)
+_ZX_EFFECTS = [
+    _kron(*[_ZX_OUTCOME_0[bits >> 1] if bits else _ID for bits in (mask & 3, mask >> 2 & 3)])
+    for mask in _EVENT_MASKS[REDUCED_8]
+]
 
 
 def _bound_report(rho: tuple, sigma: tuple) -> BoundReport:

@@ -29,7 +29,8 @@ screen, that generator applied once to an identity basis of tables, is one
 +/-1 matrix per scenario, and accepts when each difference is at most half
 the tolerance; otherwise the loop alone decides and names the witness.  A
 map that would hold more than ``_MAP_ENTRIES`` floats is not built, and the
-direct contraction or the loop runs instead.
+direct contraction or the loop runs instead.  Import builds only the Z/X
+``MeasurementSet`` and the four wing responses, each checked once.
 
 ``FullDistribution`` and ``LhvModel`` run their checks in one fixed order
 and raise on the first failure.  Every public constructor stores read-only
@@ -80,11 +81,12 @@ from .strategies import (
     DeterministicStrategy,
     REDUCED_SHAPE,
     ScenarioShape,
-    _EVENT_MASKS,
     _REPRESENTATIONS,
     _Record,
     _check_int,
     _check_real,
+    _event_cells,
+    _point_from_counts,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -357,24 +359,24 @@ def _born(matrix: np.ndarray, measurements: MeasurementSet) -> np.ndarray:
     return np.einsum(*operands, list(range(2 * n, 4 * n))).real
 
 
-def _collapse_matrix(shape: ScenarioShape, representation: str) -> np.ndarray:
-    # Row c averages, over the settings of the parties column c leaves out,
-    # the probability that every party it names, at its named setting,
-    # produces outcome 0: a table entry counts when its singles word (bit
-    # 2 * p + s set when party p gives outcome 0 at setting s) holds the
-    # column's event mask.  Columns follow table.ravel().
-    n, m, d = shape.n, shape.m, shape.d
-    index = np.indices((m,) * n + (d,) * n).reshape(2 * n, -1)
-    words = sum((index[n + p] == 0) << (2 * p + index[p]) for p in range(n))
-    return np.array(
-        [((words & mask) == mask) / m ** (n - mask.bit_count()) for mask in _EVENT_MASKS[representation]]
-    )
+_CANONICAL = {shape: representation for representation, (shape, _) in _REPRESENTATIONS.items()}
 
 
-_COLLAPSE = {
-    shape: (_collapse_matrix(shape, representation), representation)
-    for representation, (shape, _) in _REPRESENTATIONS.items()
-}
+def _representation(shape: ScenarioShape) -> str:
+    try:
+        return _CANONICAL[shape]
+    except KeyError:
+        raise ValueError(f"no canonical behaviour representation for scenario {shape}") from None
+
+
+@cache
+def _collapse_matrix(representation: str) -> np.ndarray:
+    # The read-only map from table.ravel(): row c is 1 / k at coordinate c's cells, else 0.
+    shape = _REPRESENTATIONS[representation][0]
+    size = (shape.m * shape.d) ** shape.n
+    matrix = np.array([np.bincount(cells, minlength=size) / k for cells, k in _event_cells(representation)])
+    matrix.flags.writeable = False
+    return matrix
 
 
 def collapse(distribution: FullDistribution) -> BehaviourPoint:
@@ -386,16 +388,9 @@ def collapse(distribution: FullDistribution) -> BehaviourPoint:
     settings by no-signalling when it holds).  Supports the two canonical
     scenarios: (3, 2, 2) -> 26 coordinates and (2, 2, 2) -> 8 coordinates.
     """
-    return _collapse_table(distribution.shape, distribution.table)
-
-
-def _collapse_table(shape: ScenarioShape, table: np.ndarray) -> BehaviourPoint:
-    # ``table`` holds the entries of a valid distribution of ``shape`` in
-    # row-major order, settings first; any array shape with that ravel will do.
-    if shape not in _COLLAPSE:
-        raise ValueError(f"no canonical behaviour representation for scenario {shape}")
-    matrix, representation = _COLLAPSE[shape]
-    return BehaviourPoint(tuple((matrix @ table.ravel()).tolist()), representation)
+    representation = _representation(distribution.shape)
+    coords = _collapse_matrix(representation) @ distribution.table.ravel()
+    return BehaviourPoint(tuple(coords.tolist()), representation)
 
 
 def sample_behaviour(
@@ -409,25 +404,19 @@ def sample_behaviour(
 
     Draws ``shots`` multinomial samples per joint setting (settings in
     lexicographic order, one draw from a single seeded generator, so results
-    are reproducible), collapses the empirical distribution, and reports
-    sqrt(p * (1 - p) / shots) per behaviour coordinate.  The draw is
-    numpy's; ``simulate --shots`` draws the same counts from its printed
-    closed-form table through ``sampling.multinomial``, a plain-Python
-    replica, and takes each coordinate as an exact ratio of counts, so its
-    output can differ from this function's in the last bits, and where the
-    Born table and the printed one differ in the last bits, in counts.
+    are reproducible); each coordinate is the correctly rounded ratio of its
+    count sum to the shots it averages, with error sqrt(p * (1 - p) / shots).
+    ``simulate --shots`` draws numpy's counts from its printed table with
+    ``sampling.multinomial`` and gives the same bytes, unless the Born table
+    and the printed one differ in the last bits and so do the counts.
     """
     _check_int("shots", shots, 1, 2**63 - 1)  # numpy's multinomial counts are int64
     _check_int("seed", seed, 0)
-    table = behaviour_from_state(rho, measurements, shape).table
-    probs = table.reshape(shape.m**shape.n, shape.d**shape.n)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
-    # Each row of counts sums to shots, so counts / shots is a distribution.
-    point = _collapse_table(shape, counts / shots)
-    estimates = point.as_array()
-    errors = np.sqrt(estimates * (1.0 - estimates) / shots)
-    return point, errors
+    probs = behaviour_from_state(rho, measurements, shape).table.reshape(shape.m**shape.n, -1)
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
+    # As Python ints: a coordinate's count sum can pass the int64 range.
+    point, errors = _point_from_counts(counts.ravel().tolist(), shots, _representation(shape))
+    return point, np.array(errors)
 
 
 def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> DensityMatrix:

@@ -11,8 +11,8 @@ n * min(p, 1 - p) <= 30, else BTPE: Kachitvichyanukul & Schmeiser, CACM 31,
 Each float step is the C code's step in the same order (IEEE doubles, libm
 ``log``, ``log1p`` and ``exp``), and each C int64 expression is computed on
 Python ints, wrapped where C wraps; ``tests/test_sampling.py`` checks the
-counts against numpy 2.4.  ``quantum.sample_behaviour`` draws with numpy
-itself, which is faster per call once numpy is loaded.
+counts against numpy 2.4 and, in CI, 1.24.  ``quantum.sample_behaviour``
+draws with numpy itself, which is faster per call once numpy is loaded.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ set, written as a 26-entry 0/1 vector: 6 single-output events, 12 two-wing
 pair events and 8 first/last triple events.  Discarding the middle wing
 collapses the table to 16 distinct vertices in 8 coordinates.  Each
 coordinate's event is one bit mask over the singles block, read from its
-column name; the vertex tables here and ``quantum.collapse`` are both built
-from these masks.
+column name; the vertex tables, linalg's Z/X effects and the cell table that
+takes any table or count table to the coordinates are built from these masks.
 
 The package's immutable records (scenario shapes, strategies, points and
 the reports of every layer) share one small base here, ``_Record``, rather
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
+from itertools import product
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,7 @@ REDUCED_COLUMN_NAMES = ("a0", "a1", "c0", "c1", "a0c0", "a0c1", "a1c0", "a1c1")
 # flagged outcome.  A column name holds one (party, setting) pair per wing
 # letter, parties numbered in wing order, and the bit of party p at setting s
 # sits at index 2 * p + s, so "a0b1c0" is the mask of bits 0, 3 and 4.
-# Vertex products and the collapse of full distributions are both derived
+# Vertex products, the cell table below and linalg's Z/X effects are derived
 # from this map.
 _EVENT_MASKS = {
     representation: tuple(
@@ -64,6 +65,28 @@ _EVENT_MASKS = {
         (REDUCED_8, REDUCED_COLUMN_NAMES, "ac"),
     )
 }
+
+
+@cache
+def _event_cells(representation: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # Per coordinate: the cells (positions in the raveled table, setting axes
+    # first) whose singles word, bit 2 * p + s set when party p at setting s
+    # gives outcome 0, holds its mask, and k, the setting tuples it averages.
+    # Built on first use: every command-line verb imports this module.
+    n, m, d = _REPRESENTATIONS[representation][0]._astuple()
+    grid = product(product(range(m), repeat=n), product(range(d), repeat=n))
+    words = [sum([(a == 0) << (2 * p + s) for p, (s, a) in enumerate(zip(x, o))]) for x, o in grid]
+    return tuple(
+        (tuple([i for i, word in enumerate(words) if word & mask == mask]), m ** (n - mask.bit_count()))
+        for mask in _EVENT_MASKS[representation]
+    )
+
+
+def _point_from_counts(counts, shots: int, representation: str) -> tuple[BehaviourPoint, list[float]]:
+    # The point and errors of ``shots`` draws per setting tuple from their int counts, raveled
+    # as a table: each coordinate sum(counts[cells]) / (shots * k) is in [0, 1], as rows sum to shots.
+    coords = tuple([sum([counts[i] for i in cells]) / (shots * k) for cells, k in _event_cells(representation)])
+    return BehaviourPoint._unchecked(coords, representation), [math.sqrt(p * (1.0 - p) / shots) for p in coords]
 
 
 def _check_int(name: str, value, low: int, high: int | None = None) -> None:

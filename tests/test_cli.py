@@ -308,6 +308,27 @@ def test_simulate_shots_are_the_samplers(tmp_path, kind):
         assert payload["standard_errors"] == [math.sqrt(p * (1.0 - p) / shots) for p in coords]
 
 
+@pytest.mark.parametrize("kind, noise", [("honest", 0.0), ("intercepted", 0.0), ("intercepted", 0.3)])
+def test_simulate_shots_are_sample_behaviour_to_the_bit(tmp_path, kind, noise):
+    # Where the Born table of the scenario is the printed one, numpy and the
+    # plain-Python sampler draw the same counts, and the library and the verb
+    # take them to the same coordinates and errors, bit for bit.
+    scenario = qu.qkd_scenario(kind, noise)
+    born = qu.behaviour_from_state(*scenario).table.reshape(4, 4)
+    for shots in (1, 7, 1000, 99991, 2**63 - 1):
+        for seed in (0, 1, 7, 2**64 + 3):
+            code, out = run(
+                tmp_path, "simulate", "--kind", kind, "--noise", repr(noise), "--shots", str(shots), "--seed", str(seed)
+            )
+            assert code == 0
+            payload = read_json(out)
+            table = payload["distribution"]["table"]
+            assert np.array_equal(born, [table[f"{x},{z}"] for x in (0, 1) for z in (0, 1)])
+            point, errors = qu.sample_behaviour(*scenario, shots, seed)
+            assert payload["sampled_point"] == point.to_json_dict()
+            assert payload["standard_errors"] == errors.tolist()
+
+
 def test_simulate_with_shots_deterministic(tmp_path):
     code, out = run(tmp_path, "simulate", "--kind", "honest", "--shots", "5000", "--seed", "7")
     assert code == 0

@@ -13,7 +13,11 @@ Core claims pinned here:
     rank-deficient matrices included.
   * A state file is checked as ``DensityMatrix`` checks it, with its
     messages, and neither reader warns on an infinite entry.
+  * The Z/X effects read from the reduced event masks are the hand-ordered
+    list of projectors on outcome 0, on either qubit and on both.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -130,3 +134,15 @@ def test_ragged_tables_are_named():
     for read in (la._read_state, qu.DensityMatrix.from_json_dict):
         with pytest.raises(ValueError, match=r"^density matrix 're' has rows of different lengths$"):
             read(data)
+
+
+def test_zx_effects_are_the_hand_ordered_projectors():
+    # a0, a1, c0, c1, a0c0, a0c1, a1c0, a1c1: the outcome-0 projectors of the
+    # Z and the X basis on the first qubit, on the second, then on both.
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    outcome_0 = la._ZX_OUTCOME_0
+    assert la._ZX_EFFECTS == (
+        [la._kron(p, identity) for p in outcome_0]
+        + [la._kron(identity, p) for p in outcome_0]
+        + [la._kron(p, q) for p, q in product(outcome_0, repeat=2)]
+    )

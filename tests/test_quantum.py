@@ -16,7 +16,8 @@ Core claims pinned here:
   * The Born-rule map matches the kron/trace formula on complex
     projectors, and so does the direct contraction that runs where the map
     would be too large; collapse matches a per-coordinate loop oracle on
-    signalling tables.
+    signalling tables, and its matrices, read from the cell table, are the
+    np.indices construction's, bit for bit.
   * Every numeric constructor rejects non-finite input.
   * Random states survive a trip through their JSON text unchanged, and a
     'dim' that is not the side of the matrix, or entry tables that are not
@@ -36,9 +37,9 @@ Core claims pinned here:
     and 1e300.
   * behaviour_bound_check, computed once on rho - sigma through linalg's
     Z/X effects, matches the chain built per state from the public
-    functions to 1e-12; sample_behaviour is
-    bit-identical to collapsing the validated empirical distribution, and
-    takes only a positive int shot count.
+    functions to 1e-12; sample_behaviour's coordinates are, bit for bit,
+    the exact count ratios of one draw per joint setting, and it takes only
+    a positive int shot count.
 """
 
 import json
@@ -982,14 +983,16 @@ def test_born_rule_and_no_signalling_without_their_precomputed_maps(monkeypatch)
         qu._signalling_screen.cache_clear()
 
 
-def collapse_oracle(table, shape, names, wings):
+def collapse_oracle(table, shape, names, wings, shots=1):
     # Per coordinate: outcome-0 probability of the named parties at their
-    # named settings, averaged over every joint setting of the others.
+    # named settings, averaged over every joint setting of the others.  On a
+    # table of int counts of ``shots`` draws per setting, the correctly
+    # rounded ratio of the count sum to the shots of those settings.
     n = shape.n
     coords = []
     for name in names:
         fixed = {wings.index(name[i]): int(name[i + 1]) for i in range(0, len(name), 2)}
-        total, count = 0.0, 0
+        total, count = 0, 0
         for settings in product(range(shape.m), repeat=n):
             if any(settings[p] != s for p, s in fixed.items()):
                 continue
@@ -997,7 +1000,7 @@ def collapse_oracle(table, shape, names, wings):
             for outcomes in product(range(shape.d), repeat=n):
                 if all(outcomes[p] == 0 for p in fixed):
                     total += table[settings + outcomes]
-        coords.append(total / count)
+        coords.append(total / (count * shots))
     return np.array(coords)
 
 
@@ -1021,6 +1024,31 @@ def test_collapse_matches_oracle_on_signalling_tables(shape, names, wings):
         assert np.abs(point - collapse_oracle(table, shape, names, wings)).max() <= 1e-15
 
 
+def indices_collapse_matrix(shape, representation):
+    # The collapse matrix from np.indices: an entry's singles word sets bit
+    # 2 * p + s when party p gives outcome 0 at setting s, and row c is 1 / k
+    # where the word holds column c's event mask, k the settings it averages.
+    n, m, d = shape.n, shape.m, shape.d
+    index = np.indices((m,) * n + (d,) * n).reshape(2 * n, -1)
+    words = sum((index[n + p] == 0) << (2 * p + index[p]) for p in range(n))
+    return np.array(
+        [((words & mask) == mask) / m ** (n - mask.bit_count()) for mask in st._EVENT_MASKS[representation]]
+    )
+
+
+@pytest.mark.parametrize("representation", [st.REDUCED_8, st.FULL_26])
+def test_collapse_matrix_is_the_indices_construction(representation):
+    shape = st._REPRESENTATIONS[representation][0]
+    oracle = indices_collapse_matrix(shape, representation)
+    assert np.array_equal(qu._collapse_matrix(representation), oracle)
+    rng = np.random.default_rng(len(oracle))
+    for _ in range(25):
+        raw = rng.uniform(size=(shape.m**shape.n, shape.d**shape.n))
+        table = raw / raw.sum(axis=1, keepdims=True)
+        point = qu.collapse(qu.FullDistribution(shape, table.reshape((2,) * 2 * shape.n)))
+        assert np.array(point.coords).tobytes() == (oracle @ table.ravel()).tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sample_behaviour_matches_per_setting_draws(n):
     # One multinomial call over all settings draws the same counts as one
@@ -1030,20 +1058,19 @@ def test_sample_behaviour_matches_per_setting_draws(n):
         tuple((random_basis_projectors(2, rng), random_basis_projectors(2, rng)) for _ in range(n))
     )
     shape = st.ScenarioShape(n, 2, 2)
+    names, wings = (st.REDUCED_COLUMN_NAMES, "ac") if n == 2 else (st.FULL_COLUMN_NAMES, "abc")
     rho = qu.random_density_matrix(2**n, rng)
     exact = qu.behaviour_from_state(rho, measurements, shape).table
     for seed in range(5):
         draws = np.random.default_rng(seed)
-        empirical = np.zeros_like(exact)
+        counts = np.zeros(exact.shape, dtype=int)
         for settings in product(range(2), repeat=n):
             probs = exact[settings].reshape(-1)
-            empirical[settings] = (draws.multinomial(1000, probs / probs.sum()) / 1000).reshape(
-                (2,) * n
-            )
+            counts[settings] = draws.multinomial(1000, probs / probs.sum()).reshape((2,) * n)
         point, _ = qu.sample_behaviour(rho, measurements, shape, 1000, seed=seed)
-        # Bit-identical to collapsing the validated empirical distribution.
-        expected = qu.collapse(qu.FullDistribution(shape, empirical))
-        assert np.array(point.coords).tobytes() == np.array(expected.coords).tobytes()
+        # Bit-identical to the exact ratios of the per-setting counts.
+        expected = collapse_oracle(counts, shape, names, wings, shots=1000)
+        assert np.array(point.coords).tobytes() == expected.tobytes()
 
 
 def _lhv_with(field, value):

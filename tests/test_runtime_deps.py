@@ -4,7 +4,9 @@ layers it uses, and numpy for none: not for the vertex tables, the graph
 listings and SVD layouts, the structural report, exact ``simulate`` nor its
 seeded draw of shots, the projection, either mode of ``test``, ``bound``, nor
 a point or state file or a flag that is rejected, and dataclasses never: no
-module of the package imports it, and no CLI verb loads it.  Also the lazily
+module of the package imports it, and no CLI verb loads it.  No import
+builds strategies' cell table or quantum's collapse matrices, and of the
+verbs only a draw of shots builds the table.  Also the lazily
 filled ``p3poly`` namespace itself, that every module-level import of a layer
 is used and never shadowed, and that every module-level private name is
 used."""
@@ -41,14 +43,16 @@ print(",".join(sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "p3poly"
 """
 
 # Runs main(argv) and prints its exit code, the p3poly submodules loaded by
-# then, whether numpy and dataclasses were loaded, and what it wrote to stderr.
+# then, whether numpy and dataclasses were loaded, what it wrote to stderr
+# and how many of strategies' cell tables it built.
 _VERB_PROBE = """
 import contextlib, io, json, sys
 from p3poly.cli import main
 with contextlib.redirect_stderr(io.StringIO()) as err:
     code = main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("p3poly."))
-print(json.dumps([code, loaded, "numpy" in sys.modules, "dataclasses" in sys.modules, err.getvalue()]))
+cells = sys.modules["p3poly.strategies"]._event_cells.cache_info().currsize
+print(json.dumps([code, loaded, "numpy" in sys.modules, "dataclasses" in sys.modules, err.getvalue(), cells]))
 """
 
 
@@ -142,11 +146,21 @@ def test_each_verb_loads_only_its_layers(tmp_path, argv, layers, stderr):
         json.dumps({"dim": 4, "re": [[float("nan")] * 4] * 4, "im": [[0.0] * 4] * 4})
     )
     out = _python(_VERB_PROBE, *argv, "--output", "out", cwd=tmp_path)
-    code, loaded, numpy_loaded, dataclasses_loaded, err = json.loads(out)
+    code, loaded, numpy_loaded, dataclasses_loaded, err, cells = json.loads(out)
     assert (code, err) == ((1, stderr) if stderr else (0, ""))
     assert loaded == sorted(f"p3poly.{m}" for m in ["cli", "strategies", *layers])
     assert not numpy_loaded and not dataclasses_loaded
+    # Only a draw of shots takes counts to coordinates, through the reduced table.
+    assert cells == ("sampling" in layers)
     assert (tmp_path / "out").exists() == (not stderr)
+
+
+def test_importing_the_layers_builds_no_cell_table_or_collapse_matrix():
+    probe = (
+        "import p3poly.strategies as st, p3poly.quantum as qu\n"
+        "print(st._event_cells.cache_info().currsize, qu._collapse_matrix.cache_info().currsize)\n"
+    )
+    assert _python(probe).split() == ["0", "0"]
 
 
 def test_no_module_imports_dataclasses():
